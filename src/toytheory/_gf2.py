@@ -39,22 +39,6 @@ def bracket2(f: int, g: int, m: int) -> int:
     return dot2(f, pairswap(g, m))
 
 
-def rref_ints(vecs) -> tuple[int, ...]:
-    """Canonical fully reduced basis; pivot = lowest set bit, rows sorted."""
-    basis: list[int] = []
-    for v in vecs:
-        for b in basis:
-            low = b & -b
-            if v & low:
-                v ^= b
-        if v:
-            basis.append(v)
-            # keep fully reduced
-            low = v & -v
-            basis = [b ^ v if (b != v and b & low) else b for b in basis]
-    return tuple(sorted(basis, key=lambda b: b & -b))
-
-
 def span_elements(basis) -> list[int]:
     elems = [0]
     for b in basis:
@@ -116,33 +100,45 @@ def coset_mask(elems: list[int], shift: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def isotropic_bases(m: int, max_dim: int | None = None) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All isotropic subspaces of Z_2^m grouped by dimension.
+def isotropic_bases(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All isotropic subspaces of Z_2^m grouped by dimension, 0 to m // 2.
 
-    Returns a tuple indexed by dimension; entry k is a tuple of canonical
-    bases (each a tuple of ints).  BFS with dedup on the span mask.
+    Entry k is the sorted tuple of the canonical bases of the k-dimensional
+    isotropic subspaces.  A canonical basis is fully reduced, with each
+    row's pivot at its lowest set bit, rows in ascending pivot order.  The
+    order is part of the contract: FR Lagrangian indices depend on it.
+
+    Orderly generation: the parent of a canonical basis is the same basis
+    without its highest-pivot row, so each subspace is grown exactly once,
+    from its parent, by a row v whose pivot lies above every pivot of the
+    parent and is not set in any parent row, and which commutes with every
+    parent row.
     """
-    if max_dim is None:
-        max_dim = m // 2
-    by_dim: list[tuple[tuple[int, ...], ...]] = [((),)]
-    frontier = {1: ()}  # span mask -> basis
-    for _ in range(max_dim):
-        nxt: dict[int, tuple[int, ...]] = {}
-        for mask, basis in frontier.items():
-            # candidate extensions: commute with the basis, outside the span
-            comm = (1 << (1 << m)) - 1
-            table = ortho_table(m)
+    table = ortho_table(m)
+    full = (1 << (1 << m)) - 1
+    # by_pivot[p]: mask of the vectors whose lowest set bit is p
+    by_pivot = [0] * m
+    for v in range(1, 1 << m):
+        by_pivot[(v & -v).bit_length() - 1] |= 1 << v
+    by_dim = [((),)]
+    for _ in range(m // 2):
+        children = []
+        for basis in by_dim[-1]:
+            comm = full
+            used = 0
             for b in basis:
                 comm &= table[pairswap(b, m)]
-            for v in _mask_bits(comm):
-                if v == 0 or (mask >> v) & 1:
-                    continue
-                grown_basis = rref_ints(basis + (v,))
-                grown_mask = span_mask(grown_basis)
-                if grown_mask not in nxt:
-                    nxt[grown_mask] = grown_basis
-        frontier = nxt
-        by_dim.append(tuple(sorted(frontier.values())))
+                used |= b
+            # new pivots start one above the parent's highest pivot
+            start = (basis[-1] & -basis[-1]).bit_length() if basis else 0
+            allowed = 0
+            for p in range(start, m):
+                if not (used >> p) & 1:
+                    allowed |= by_pivot[p]
+            children.extend(basis + (v,) for v in _mask_bits(comm & allowed))
+        # sorted by construction: parents come in order, children of one
+        # parent in ascending v
+        by_dim.append(tuple(children))
     return tuple(by_dim)
 
 

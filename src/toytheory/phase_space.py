@@ -190,9 +190,12 @@ def supported_systems(space: PhaseSpace, v: VectorT) -> set[int]:
 
 def all_isotropic_subspaces(space: PhaseSpace, max_dim: int | None = None,
                             cap: int | None = None) -> list[Subspace]:
-    """Every isotropic subspace, grouped breadth-first by dimension.
+    """Every isotropic subspace up to dimension max_dim, by dimension.
 
-    Desk-scale: intended for d^(2n) within the enumeration cap.
+    Within a dimension the subspaces are sorted by RREF basis.  Desk-scale:
+    intended for d^(2n) within the enumeration cap.  For d = 2 the list
+    comes from `_gf2.isotropic_bases`, which grows each subspace once from
+    its canonical parent; other primes use a breadth-first search.
     """
     field = space.field
     if not isinstance(field, PrimeField):
@@ -206,7 +209,7 @@ def all_isotropic_subspaces(space: PhaseSpace, max_dim: int | None = None,
     if field.p == 2:
         from . import _gf2
         result = []
-        for per_dim in _gf2.isotropic_bases(n, max_dim):
+        for per_dim in _gf2.isotropic_bases(n)[:max_dim + 1]:
             subs = [rref(field, n, [_gf2.int_to_vector(b, n) for b in basis])
                     for basis in per_dim]
             result.extend(sorted(subs, key=lambda s: s.basis))

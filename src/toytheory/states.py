@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .config import enumeration_cap
 from .errors import (
-    DimensionMismatch, EnumerationCapExceeded, NotIsotropic,
+    DimensionMismatch, EnumerationCapExceeded, NotIsotropic, ToyTheoryError,
 )
 from .phase_space import (
     Observable, PhaseSpace, discrete_space, embed_vector, is_isotropic,
@@ -215,12 +215,17 @@ def ontic_support(state: EpistemicState, cap: int | None = None) -> OnticSupport
     field = state.field
     if not isinstance(field, PrimeField):
         raise EnumerationCapExceeded("rational supports are infinite")
-    size = field.p ** (state.space.ambient_dim - state.known.dim)
-    if field.p ** state.space.ambient_dim > enumeration_cap(cap):
+    n = state.space.ambient_dim
+    limit = enumeration_cap(cap)
+    if field.p ** n > limit:
         raise EnumerationCapExceeded(
-            f"support enumeration beyond cap ({size} points)")
+            f"support enumeration beyond cap: {field.p}^{n} = {field.p ** n}"
+            f" ontic states exceed the cap of {limit}")
     members = frozenset(enumerate_coset(state.support_coset()))
-    assert len(members) == size
+    size = field.p ** (n - state.known.dim)
+    if len(members) != size:
+        raise ToyTheoryError(
+            f"support has {len(members)} points, expected {size}")
     return OnticSupport(state.space, members)
 
 

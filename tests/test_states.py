@@ -57,6 +57,14 @@ def test_knowledge_bits_and_support_sizes():
     assert len(ontic_support(bell)) == 4
 
 
+def test_ontic_support_cap_names_phase_space_size():
+    # the support has 4 points; the cap guards the 2^4 points of the space
+    pair = tensor(toy_bit("0"), toy_bit("1"))
+    with pytest.raises(EnumerationCapExceeded, match=r"2\^4 = 16 .*cap of 8"):
+        ontic_support(pair, cap=8)
+    assert len(ontic_support(pair, cap=16)) == 4
+
+
 def test_bell_support():
     assert ontic_support(bell_pair(2)).members == {
         (0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)}

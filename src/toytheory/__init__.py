@@ -13,8 +13,8 @@ from .algebra import (
 )
 from .errors import (
     ContinuousNotEnumerable, DimensionMismatch, EnumerationCapExceeded,
-    ImpossibleOutcome, NotIsotropic, NotPointMass, NotPrimeError,
-    NotSymplectic, SearchSpaceExceeded, ToyTheoryError,
+    ImpossibleOutcome, InvariantViolation, NotIsotropic, NotPointMass,
+    NotPrimeError, NotSymplectic, SearchSpaceExceeded, ToyTheoryError,
 )
 from .phase_space import (
     Observable, PhaseSpace, all_isotropic_subspaces, commutant_within,
@@ -48,7 +48,7 @@ from .oracle import (
     oracle_smallest_update,
 )
 from .scenarios import (
-    Agent, ConditionReport, FRCandidate, ScenarioReport, check_fr_conditions,
+    ConditionReport, FRCandidate, ScenarioReport, check_fr_conditions,
     fr_chain_initial, fr_chain_sequential, run_bell, run_forgetting,
     run_wigner_friend, search_fr_paradox,
 )

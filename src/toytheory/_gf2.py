@@ -83,15 +83,6 @@ def ortho_table(m: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def complement_mask(basis, m: int) -> int:
-    """Mask of the standard orthogonal complement of span(basis)."""
-    table = ortho_table(m)
-    mask = (1 << (1 << m)) - 1
-    for b in basis:
-        mask &= table[b]
-    return mask
-
-
 def coset_mask(elems: list[int], shift: int) -> int:
     mask = 0
     for e in elems:

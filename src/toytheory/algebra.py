@@ -386,10 +386,6 @@ def subspace_intersection(s: Subspace, t: Subspace) -> Subspace:
         subspace_sum(orthogonal_complement(s), orthogonal_complement(t)))
 
 
-def subspace_equal(s: Subspace, t: Subspace) -> bool:
-    return s == t
-
-
 def enumerate_subspace(s: Subspace) -> Iterator[VectorT]:
     """All elements (finite field only); caller is responsible for caps."""
     field = s.field

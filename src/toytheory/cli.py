@@ -35,7 +35,8 @@ from .measurement import (
 )
 from .oracle import oracle_probability, oracle_smallest_update
 from .scenarios import (
-    run_bell, run_forgetting, run_wigner_friend, search_fr_paradox,
+    DEFAULT_SPOT_CHECKS, run_bell, run_forgetting, run_wigner_friend,
+    search_fr_paradox,
 )
 from .states import (
     is_valid_support, knowledge_bits, marginal, mixture_support,
@@ -262,14 +263,34 @@ def _cmd_measure(args) -> int:
     return EXIT_OK
 
 
+# The flags a `scenario --config` file may set, with the type of each value.
+_SCENARIO_FLAGS = {
+    "d": int, "tampered": bool, "exhaustive": bool, "workers": int,
+    "seed": int, "samples": int, "spot_checks": int, "mutated": bool,
+    "targets": str, "ancilla": int, "group_cap": int,
+}
+
+
+def _apply_config(args, path: str):
+    overrides = _load_json(path)
+    if not isinstance(overrides, dict):
+        raise _CliFailure(EXIT_IO, f"{path}: expected a JSON object of flags")
+    for key, val in overrides.items():
+        attr = key.replace("-", "_")
+        typ = _SCENARIO_FLAGS.get(attr)
+        if typ is None:
+            raise _CliFailure(EXIT_IO, f"{path}: {key!r} is not a scenario flag")
+        if type(val) is not typ:
+            raise _CliFailure(
+                EXIT_IO, f"{path}: {key!r} must be of type {typ.__name__}, "
+                         f"got {json.dumps(val)}")
+        setattr(args, attr, val)
+
+
 def _cmd_scenario(args) -> int:
     name = args.name
     if args.config:
-        overrides = _load_json(args.config)
-        for key, val in overrides.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr):
-                setattr(args, attr, val)
+        _apply_config(args, args.config)
     if name == "bell":
         report = run_bell(args.d, tampered=args.tampered)
     elif name == "wigner":
@@ -396,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--workers", type=int, default=1)
     sc.add_argument("--seed", type=int, default=0)
     sc.add_argument("--samples", type=int, default=2000)
-    sc.add_argument("--spot-checks", type=int, default=200)
+    sc.add_argument("--spot-checks", type=int, default=DEFAULT_SPOT_CHECKS)
     sc.add_argument("--mutated", action="store_true",
                     help="fr-search: weaken the inference conditions "
                          "(sensitivity control; finds false positives)")

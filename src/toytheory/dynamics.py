@@ -22,7 +22,7 @@ from .algebra import (
 )
 from .config import DEFAULT_GROUP_CAP
 from .errors import (
-    DimensionMismatch, NotSymplectic, SearchSpaceExceeded,
+    DimensionMismatch, InvariantViolation, NotSymplectic, SearchSpaceExceeded,
 )
 from .phase_space import (
     Observable, PhaseSpace, bracket_vectors, compose as compose_spaces,
@@ -358,7 +358,9 @@ def symplectic_group(field: FieldT, n_systems: int,
                     seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
-    assert len(seen) == order, f"group closure found {len(seen)} != {order}"
+    if len(seen) != order:
+        raise InvariantViolation(
+            f"group closure found {len(seen)} elements, |Sp| = {order}")
     return tuple(sorted(seen))
 
 

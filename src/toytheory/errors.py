@@ -39,3 +39,7 @@ class NotPointMass(ToyTheoryError):
 
 class SearchSpaceExceeded(ToyTheoryError):
     """A group/candidate search is larger than the configured limit."""
+
+
+class InvariantViolation(ToyTheoryError):
+    """A result the theory guarantees failed to hold: a bug, not bad input."""

@@ -27,7 +27,7 @@ from .algebra import (
 )
 from .errors import (
     ContinuousNotEnumerable, DimensionMismatch, ImpossibleOutcome,
-    NotIsotropic, NotPointMass,
+    InvariantViolation, NotIsotropic, NotPointMass,
 )
 from .phase_space import Observable, PhaseSpace, commutant_within, is_isotropic
 from .states import EpistemicState, make_state
@@ -88,7 +88,8 @@ def outcome_for_label(m: Measurement, label: Iterable) -> Outcome:
         raise DimensionMismatch(
             f"label needs {m.observables.dim} values, got {len(values)}")
     v = solve_linear(field, m.space.ambient_dim, m.observables.basis, values)
-    assert v is not None  # independent generators are always consistent
+    if v is None:
+        raise InvariantViolation("independent generators take every label")
     return outcome_from_valuation(m, v)
 
 
@@ -136,7 +137,7 @@ def sample_outcome(s: EpistemicState, m: Measurement, seed: int = 0) -> Outcome:
         acc += int(outcome_probability(s, m, out) * total)
         if r < acc:
             return out
-    raise AssertionError("outcome probabilities did not sum to 1")
+    raise InvariantViolation("outcome probabilities did not sum to 1")
 
 
 def update_state(s: EpistemicState, m: Measurement, out: Outcome) -> EpistemicState:
@@ -152,7 +153,8 @@ def update_state(s: EpistemicState, m: Measurement, out: Outcome) -> EpistemicSt
     new_known = subspace_sum(m.observables, v_comm)
     inter = coset_intersection(
         out.coset(), Coset(orthogonal_complement(v_comm), s.valuation))
-    assert inter is not None
+    if inter is None:
+        raise InvariantViolation("possible outcome misses the retained values")
     return make_state(s.space, new_known.basis, inter.shift)
 
 

@@ -16,7 +16,7 @@ from .algebra import (
     PrimeField, Subspace, dot, orthogonal_complement, reduce_mod_subspace,
     vec_sub,
 )
-from .errors import EnumerationCapExceeded
+from .errors import EnumerationCapExceeded, InvariantViolation
 from .measurement import Measurement, Outcome
 from .phase_space import PhaseSpace, all_isotropic_subspaces
 from .states import EpistemicState, OnticSupport, ontic_support
@@ -118,13 +118,13 @@ def oracle_smallest_update(s: EpistemicState, m: Measurement, out: Outcome,
                          [_gf2.int_to_vector(b, n_bits) for b in basis])
                 shift = reduce_mod_subspace(orthogonal_complement(w), x0)
                 return ontic_support(EpistemicState(s.space, w, shift), cap)
-        raise AssertionError("no valid support found; this must not happen")
+        raise InvariantViolation("no valid support found; this must not happen")
     for w in _isotropics_containing(s.space, m.observables):
         if all(all(dot(field, b, d) == field.zero for d in diffs)
                for b in w.basis):
             shift = reduce_mod_subspace(orthogonal_complement(w), x0)
             return ontic_support(EpistemicState(s.space, w, shift), cap)
-    raise AssertionError("no valid support found; this must not happen")
+    raise InvariantViolation("no valid support found; this must not happen")
 
 
 def oracle_conditional(s: EpistemicState, m_a: Measurement, out_a: Outcome,

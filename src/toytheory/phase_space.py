@@ -208,9 +208,12 @@ def all_isotropic_subspaces(space: PhaseSpace, max_dim: int | None = None,
         max_dim = space.n_systems
     if field.p == 2:
         from . import _gf2
+        # A `_gf2` basis (pivot at each row's lowest bit, fully reduced,
+        # ascending pivots) is already the RREF basis `rref` would return.
         result = []
         for per_dim in _gf2.isotropic_bases(n)[:max_dim + 1]:
-            subs = [rref(field, n, [_gf2.int_to_vector(b, n) for b in basis])
+            subs = [Subspace(field, n, tuple(_gf2.int_to_vector(b, n)
+                                             for b in basis))
                     for basis in per_dim]
             result.extend(sorted(subs, key=lambda s: s.basis))
         return result

@@ -18,6 +18,7 @@ checks branchwise consistency.  Both find no paradox.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -25,7 +26,8 @@ from typing import Optional, Sequence
 
 from . import _gf2
 from .algebra import (
-    Coset, Subspace, dot, rref, subspace_sum, vec_sub,
+    Subspace, dot, enumerate_coset, rref, subspace_intersection,
+    subspace_sum, vec_sub,
 )
 from .dynamics import (
     apply_to_state, cnot_gate, compose_transforms, random_symplectic,
@@ -45,13 +47,6 @@ from .states import (
     maximally_mixed, mixture_support, ontic_support, state_from_values,
     states_equal, tensor, tensor_all, toy_bit,
 )
-
-
-@dataclass(frozen=True)
-class Agent:
-    name: str
-    memory_systems: tuple = ()
-    pending_inferences: tuple = ()
 
 
 @dataclass
@@ -114,7 +109,6 @@ def run_bell(d: int = 2, tampered: bool = False) -> ScenarioReport:
                            (1, 0, 0, 0))
     m_bob = make_measurement(space, [(0, 0, 0, 1)])
     m_alice = make_measurement(space, [(0, 1, 0, 0)])
-    report.log("agents", agents=[repr(Agent("Alice", (0,))), repr(Agent("Bob", (1,)))])
     report.log("state", state=state)
     all_infer = True
     for p in f.elements():
@@ -163,16 +157,11 @@ def run_wigner_friend() -> ScenarioReport:
         report.log("state", label=f"alice_a{a}", state=alice)
         checks[f"alice_{a}_expected"] = states_equal(alice, expected[a])
         checks[f"alice_{a}_inside_outcome"] = ontic_support(alice).members <= \
-            frozenset(_coset_members(out.coset()))
+            frozenset(enumerate_coset(out.coset()))
         checks[f"alice_{a}_consistent_with_wigner"] = bool(
             ontic_support(alice).members & ontic_support(wigner).members)
     report.verdict.update(checks)
     return report
-
-
-def _coset_members(c: Coset):
-    from .algebra import enumerate_coset
-    return enumerate_coset(c)
 
 
 def run_forgetting() -> ScenarioReport:
@@ -264,8 +253,7 @@ class FRCandidate:
             field = space.field
             for name, sub, x, y in (("U", self.v_u, self.u_ok, self.u_fail),
                                     ("W", self.v_w, self.w_ok, self.w_fail)):
-                diff = vec_sub(field, x, y)
-                if all(dot(field, g, diff) == field.zero for g in sub.basis):
+                if _orthogonal_to(field, sub, vec_sub(field, x, y)):
                     raise DimensionMismatch(
                         f"{name}'s ok and fail label the same outcome")
 
@@ -285,6 +273,16 @@ class FRCandidate:
             "W=ok": (self.v_w, self.w_ok), "W=fail": (self.v_w, self.w_fail),
         }[which]
         return outcome_from_valuation(Measurement(self.space, sub), val)
+
+    @functools.cached_property
+    def p_ok_ok(self) -> Fraction:
+        """P(U=ok, W=ok) on the initial state, from the joint U+W measurement."""
+        field = self.space.field
+        joint = make_measurement(
+            self.space, list(self.v_u.basis) + list(self.v_w.basis))
+        joint_out = outcome_from_valuation(
+            joint, tuple(field.add(a, b) for a, b in zip(self.u_ok, self.w_ok)))
+        return outcome_probability(self.initial, joint, joint_out)
 
 
 @dataclass(frozen=True)
@@ -324,12 +322,8 @@ def check_fr_conditions(c: FRCandidate) -> ConditionReport:
     cond2 = subset(c.v_a, subspace_sum(comm_b, c.v_b))
     cond3 = subset(c.v_w, subspace_sum(comm_a, c.v_a))
 
-    def member(x, *subs):
-        inter = subs[0]
-        from .algebra import subspace_intersection
-        for t in subs[1:]:
-            inter = subspace_intersection(inter, t)
-        return _orthogonal_to(field, inter, x)
+    def member(x, s, t):
+        return _orthogonal_to(field, subspace_intersection(s, t), x)
 
     def comb(*vecs):
         acc = vecs[0]
@@ -345,12 +339,6 @@ def check_fr_conditions(c: FRCandidate) -> ConditionReport:
     conditions = (cond1, cond2, cond3, cond4, cond5, cond6, cond7)
     all_hold = all(conditions)
 
-    joint = make_measurement(
-        c.space, list(c.v_u.basis) + list(c.v_w.basis))
-    joint_out = outcome_from_valuation(
-        joint, tuple(field.add(a, b) for a, b in zip(c.u_ok, c.w_ok)))
-    p_ok_ok = outcome_probability(c.initial, joint, joint_out)
-
     diff = vec_sub(field, c.w_ok, c.w_fail)
     equal = _orthogonal_to(field, c.v_w, diff)
     consistent = (not all_hold) or equal
@@ -361,25 +349,23 @@ def check_fr_conditions(c: FRCandidate) -> ConditionReport:
     else:
         failed = [i + 1 for i, x in enumerate(conditions) if not x]
         msg = f"conditions {failed} fail; the reasoning chain cannot be assembled"
-    return ConditionReport(conditions, all_hold, p_ok_ok, equal, consistent, msg)
+    return ConditionReport(conditions, all_hold, c.p_ok_ok, equal, consistent,
+                           msg)
+
+
+# The chain's three inferences: (key, premise agent, premise outcome,
+# conclusion agent, conclusion outcome).
+_FR_CHAIN = (("infers_u_b", "U", "U=ok", "B", "B=1"),
+             ("infers_b_a", "B", "B=1", "A", "A=1"),
+             ("infers_a_w", "A", "A=1", "W", "W=fail"))
 
 
 def fr_chain_initial(c: FRCandidate) -> dict:
     """The operational chain, every inference evaluated on the initial state."""
     m = c.measurements()
-    r = {
-        "infers_u_b": infers(c.initial, m["U"], c.outcome("U=ok"),
-                             m["B"], c.outcome("B=1")),
-        "infers_b_a": infers(c.initial, m["B"], c.outcome("B=1"),
-                             m["A"], c.outcome("A=1")),
-        "infers_a_w": infers(c.initial, m["A"], c.outcome("A=1"),
-                             m["W"], c.outcome("W=fail")),
-    }
-    field = c.space.field
-    joint = make_measurement(c.space, list(c.v_u.basis) + list(c.v_w.basis))
-    joint_out = outcome_from_valuation(
-        joint, tuple(field.add(a, b) for a, b in zip(c.u_ok, c.w_ok)))
-    r["p_ok_ok"] = outcome_probability(c.initial, joint, joint_out)
+    r = {key: infers(c.initial, m[pa], c.outcome(po), m[ca], c.outcome(co))
+         for key, pa, po, ca, co in _FR_CHAIN}
+    r["p_ok_ok"] = c.p_ok_ok
     r["holds"] = all((r["infers_u_b"], r["infers_b_a"], r["infers_a_w"],
                       r["p_ok_ok"] > 0))
     return r
@@ -442,24 +428,27 @@ def fr_chain_sequential(c: FRCandidate) -> dict:
 # conditions of the general `infers` path, cross-validated by spot checks.
 
 
+def _perp_of_elems(ortho, full: int, elems) -> int:
+    mask = full
+    for t in elems:
+        mask &= ortho[t]
+    return mask
+
+
 class _FrMeas:
-    __slots__ = ("basis", "dim", "elems", "mask", "jmperp", "outs",
+    __slots__ = ("basis", "elems", "mask", "perp", "jmperp", "outs",
                  "coset_by_shift")
 
     def __init__(self, basis: tuple, total_bits: int, block_bits: tuple):
         ortho = _gf2.ortho_table(total_bits)
         full = (1 << (1 << total_bits)) - 1
         self.basis = basis
-        self.dim = len(basis)
         self.elems = _gf2.span_elements(basis)
-        mask = 0
-        for e in self.elems:
-            mask |= 1 << e
-        self.mask = mask
-        jm = full
-        for b in basis:
-            jm &= ortho[_gf2.pairswap(b, total_bits)]
-        self.jmperp = jm
+        self.mask = _gf2.coset_mask(self.elems, 0)
+        # x in perp: ok and fail valuations differing by x label one outcome
+        self.perp = _perp_of_elems(ortho, full, basis)
+        self.jmperp = _perp_of_elems(
+            ortho, full, [_gf2.pairswap(b, total_bits) for b in basis])
         by_label = {}
         for u in sorted(block_bits):
             lab = tuple(_gf2.dot2(b, u) for b in basis)
@@ -470,13 +459,9 @@ class _FrMeas:
             _gf2.coset_mask(self.elems, a) for a in range(1 << total_bits))
 
 
-def _block_vectors(offset: int, width: int) -> tuple:
-    return tuple(x << offset for x in range(1 << width))
-
-
 def _fr_block_measurements(offset: int, width: int, total_bits: int) -> list:
     per_dim = _gf2.isotropic_bases(width)
-    block = _block_vectors(offset, width)
+    block = tuple(x << offset for x in range(1 << width))
     out = []
     for dim in range(1, width // 2 + 1):
         for basis in per_dim[dim]:
@@ -489,7 +474,6 @@ class _FrTables:
     """All state- and measurement-independent precomputation for the scan."""
 
     def __init__(self):
-        self.bits = 8
         self.full = (1 << 256) - 1
         self.ortho = _gf2.ortho_table(8)
         self.lagrangians = _gf2.isotropic_bases(8)[4]
@@ -518,33 +502,82 @@ def _fr_tables() -> _FrTables:
     return _FR_TABLES
 
 
-def _perp_of_elems(ortho, full: int, elems) -> int:
-    mask = full
-    for t in elems:
-        mask &= ortho[t]
-    return mask
+class _FrKernel:
+    """The bit-packed conditions for one pure known-set V.
+
+    The exhaustive scan and the single-configuration check both read these
+    per-state masks: K_U, K_B, K_A (the commutants of V_U, V_B, V_A within
+    V), the subset tables c1[u][b], c2[b][a], c3[a][w] of conditions 1-3,
+    and for conditions 4-7 the masks t4(u, w), t5(u, b), t6(b, a), t7(a, w)
+    of the vectors orthogonal to (V_U ⊕ V_W) ∩ V, (V_B ⊕ V_U) ∩ K_U,
+    (V_B ⊕ V_A) ∩ K_B and (V_A ⊕ V_W) ∩ K_A.
+    """
+
+    def __init__(self, t: _FrTables, basis: tuple):
+        self.t = t
+        self.v_elems = _gf2.span_elements(basis)
+        self.v_mask = _gf2.coset_mask(self.v_elems, 0)
+        self.k_u, self.c1 = self._subset_table(t.meas_u, t.meas_b)
+        self.k_b, self.c2 = self._subset_table(t.meas_b, t.meas_a)
+        self.k_a, self.c3 = self._subset_table(t.meas_a, t.meas_w)
+        self._t4: dict = {}
+
+    def _subset_table(self, premises, conclusions) -> tuple:
+        """The K_X mask of each premise X, and the table [x][y] of
+        V_Y ⊆ K_X ⊕ V_X."""
+        kmasks, table = [], []
+        for meas in premises:
+            kmask = self.v_mask & meas.jmperp
+            reach = 0
+            for e in self.v_elems:
+                if (kmask >> e) & 1:
+                    reach |= meas.coset_by_shift[e]
+            kmasks.append(kmask)
+            table.append([c.mask & ~reach == 0 for c in conclusions])
+        return kmasks, table
+
+    def _perp(self, sum_elems, kmask: int) -> int:
+        return _perp_of_elems(self.t.ortho, self.t.full,
+                              [x for x in sum_elems if (kmask >> x) & 1])
+
+    def t4(self, u: int, w: int) -> int:
+        """Cached: the scan asks for each (u, w) many times."""
+        got = self._t4.get((u, w))
+        if got is None:
+            got = self._t4[u, w] = self._perp(self.t.sum_uw[u][w], self.v_mask)
+        return got
+
+    def t5(self, u: int, b: int) -> int:
+        return self._perp(self.t.sum_bu[b][u], self.k_u[u])
+
+    def t6(self, b: int, a: int) -> int:
+        return self._perp(self.t.sum_ba[b][a], self.k_b[b])
+
+    def t7(self, a: int, w: int) -> int:
+        return self._perp(self.t.sum_aw[a][w], self.k_a[a])
+
+
+# Benign all-seven tuples each scan range keeps for the exact re-derivation.
+_FR_BENIGN_SAMPLES = 4
 
 
 def _fr_scan_range(t: _FrTables, start: int, stop: int,
                    weaken_condition1: bool = False,
                    stop_after: int | None = None) -> dict:
     """Scan a contiguous range of pure known-sets; exact, no sampling."""
-    ortho = t.ortho
-    full = t.full
     meas_a, meas_b, meas_u, meas_w = t.meas_a, t.meas_b, t.meas_u, t.meas_w
     n_a, n_b, n_u, n_w = len(meas_a), len(meas_b), len(meas_u), len(meas_w)
-    stats = {"states": 0, "valuation_tests": 0, "quad_tests": 0,
-             "benign_all_seven": 0, "derivation_verified": 0}
     paradoxes: list[tuple] = []
+    benign: list[tuple] = []
+    stats = {"states": 0, "valuation_tests": 0, "quad_tests": 0,
+             "benign_all_seven": 0, "paradoxes": paradoxes,
+             "benign_sample": benign}
 
     for li in range(start, stop):
         basis = t.lagrangians[li]
-        v_elems = _gf2.span_elements(basis)
-        v_mask = 0
-        for e in v_elems:
-            v_mask |= 1 << e
-        vperp_mask = _perp_of_elems(ortho, full, basis)
-        vperp_elems = _gf2.mask_elements(vperp_mask)
+        k = _FrKernel(t, basis)
+        vperp_elems = _gf2.mask_elements(
+            _perp_of_elems(t.ortho, t.full, basis))
         reps = []
         seen = 0
         for x in range(256):
@@ -553,58 +586,14 @@ def _fr_scan_range(t: _FrTables, start: int, stop: int,
                 seen |= _gf2.coset_mask(vperp_elems, x)
         stats["states"] += len(reps)
 
-        def commutant(meas):
-            kmask = v_mask & meas.jmperp
-            return kmask, [e for e in v_elems if (kmask >> e) & 1]
-
-        k_u = [commutant(m) for m in meas_u]
-        k_b = [commutant(m) for m in meas_b]
-        k_a = [commutant(m) for m in meas_a]
-
-        def reach_mask(meas, kel):
-            s = 0
-            for a in kel:
-                s |= meas.coset_by_shift[a]
-            return s
-
-        reach_u = [reach_mask(meas_u[i], k_u[i][1]) for i in range(n_u)]
-        reach_b = [reach_mask(meas_b[i], k_b[i][1]) for i in range(n_b)]
-        reach_a = [reach_mask(meas_a[i], k_a[i][1]) for i in range(n_a)]
-
-        c1_ub = [[meas_b[b].mask & ~reach_u[u] == 0 for b in range(n_b)]
-                 for u in range(n_u)]
-        c1_ba = [[meas_a[a].mask & ~reach_b[b] == 0 for a in range(n_a)]
-                 for b in range(n_b)]
-        c1_aw = [[meas_w[w].mask & ~reach_a[a] == 0 for w in range(n_w)]
-                 for a in range(n_a)]
-
-        def tperp(sum_elems, kmask):
-            return _perp_of_elems(
-                ortho, full, [x for x in sum_elems if (kmask >> x) & 1])
-
-        t5 = {}
-        for u in range(n_u):
-            for b in range(n_b):
-                if weaken_condition1 or c1_ub[u][b]:
-                    t5[u, b] = tperp(t.sum_bu[b][u], k_u[u][0])
-        t6 = {}
-        for b in range(n_b):
-            for a in range(n_a):
-                if weaken_condition1 or c1_ba[b][a]:
-                    t6[b, a] = tperp(t.sum_ba[b][a], k_b[b][0])
-        t7 = {}
-        for a in range(n_a):
-            for w in range(n_w):
-                if weaken_condition1 or c1_aw[a][w]:
-                    t7[a, w] = tperp(t.sum_aw[a][w], k_a[a][0])
-        t4_cache: dict = {}
-
-        def t4(u, w):
-            got = t4_cache.get((u, w))
-            if got is None:
-                got = tperp(t.sum_uw[u][w], v_mask)
-                t4_cache[u, w] = got
-            return got
+        # Conditions 5-7 are looked up only where their subset condition
+        # holds, unless the control drops conditions 1-3.
+        t5 = {(u, b): k.t5(u, b) for u in range(n_u) for b in range(n_b)
+              if weaken_condition1 or k.c1[u][b]}
+        t6 = {(b, a): k.t6(b, a) for b in range(n_b) for a in range(n_a)
+              if weaken_condition1 or k.c2[b][a]}
+        t7 = {(a, w): k.t7(a, w) for a in range(n_a) for w in range(n_w)
+              if weaken_condition1 or k.c3[a][w]}
 
         for v in reps:
             l6: dict = {}
@@ -633,13 +622,13 @@ def _fr_scan_range(t: _FrTables, start: int, stop: int,
                         mask7 = t7.get((a, w))
                         if mask7 is None:
                             continue
-                        wperp = _perp_of_elems(ortho, full, meas_w[w].basis)
+                        wperp = meas_w[w].perp
                         for wfail in meas_w[w].outs:
                             stats["valuation_tests"] += 1
                             if not (mask7 >> (a1 ^ wfail ^ v)) & 1:
                                 continue
                             for (u, uok) in u_cands:
-                                mask4 = t4(u, w)
+                                mask4 = k.t4(u, w)
                                 for wok in meas_w[w].outs:
                                     stats["quad_tests"] += 1
                                     if not (mask4 >> (uok ^ wok ^ v)) & 1:
@@ -647,16 +636,17 @@ def _fr_scan_range(t: _FrTables, start: int, stop: int,
                                     # all seven conditions hold here
                                     if (wperp >> (wok ^ wfail)) & 1:
                                         stats["benign_all_seven"] += 1
-                                        stats["derivation_verified"] += 1
+                                        if len(benign) < _FR_BENIGN_SAMPLES:
+                                            benign.append(
+                                                (li, v, a, a1, b, b1, u, uok,
+                                                 w, wok, wfail))
                                     else:
                                         paradoxes.append(
                                             (li, v, a, a1, b, b1, u, uok,
                                              w, wok, wfail))
                                         if stop_after is not None and \
                                                 len(paradoxes) >= stop_after:
-                                            stats["paradoxes"] = paradoxes
                                             return stats
-    stats["paradoxes"] = paradoxes
     return stats
 
 
@@ -668,38 +658,14 @@ def _fr_worker(args) -> dict:
 def _fr_conditions_single(t: _FrTables, li: int, v: int, a: int, a1: int,
                           b: int, b1: int, u: int, uok: int,
                           w: int, wok: int, wfail: int) -> tuple:
-    """The seven conditions for one explicit configuration (for cross-checks)."""
-    ortho, full = t.ortho, t.full
-    basis = t.lagrangians[li]
-    v_elems = _gf2.span_elements(basis)
-    v_mask = 0
-    for e in v_elems:
-        v_mask |= 1 << e
-
-    def commutant_mask(meas):
-        return v_mask & meas.jmperp
-
-    def reach(meas, kmask):
-        s = 0
-        for x in v_elems:
-            if (kmask >> x) & 1:
-                s |= meas.coset_by_shift[x]
-        return s
-
-    def tp(sum_elems, kmask):
-        return _perp_of_elems(ortho, full,
-                              [x for x in sum_elems if (kmask >> x) & 1])
-
-    ku, kb, ka = (commutant_mask(t.meas_u[u]), commutant_mask(t.meas_b[b]),
-                  commutant_mask(t.meas_a[a]))
-    c1 = t.meas_b[b].mask & ~reach(t.meas_u[u], ku) == 0
-    c2 = t.meas_a[a].mask & ~reach(t.meas_b[b], kb) == 0
-    c3 = t.meas_w[w].mask & ~reach(t.meas_a[a], ka) == 0
-    c4 = bool((tp(t.sum_uw[u][w], v_mask) >> (uok ^ wok ^ v)) & 1)
-    c5 = bool((tp(t.sum_bu[b][u], ku) >> (b1 ^ uok ^ v)) & 1)
-    c6 = bool((tp(t.sum_ba[b][a], kb) >> (a1 ^ b1 ^ v)) & 1)
-    c7 = bool((tp(t.sum_aw[a][w], ka) >> (a1 ^ wfail ^ v)) & 1)
-    return (c1, c2, c3, c4, c5, c6, c7)
+    """The seven conditions for one explicit configuration, from the masks
+    the scan uses (for cross-checks)."""
+    k = _FrKernel(t, t.lagrangians[li])
+    return (k.c1[u][b], k.c2[b][a], k.c3[a][w],
+            bool((k.t4(u, w) >> (uok ^ wok ^ v)) & 1),
+            bool((k.t5(u, b) >> (b1 ^ uok ^ v)) & 1),
+            bool((k.t6(b, a) >> (a1 ^ b1 ^ v)) & 1),
+            bool((k.t7(a, w) >> (a1 ^ wfail ^ v)) & 1))
 
 
 def _int_vec(x: int) -> tuple:
@@ -729,6 +695,22 @@ def _fr_candidate_from_ints(t: _FrTables, li: int, v: int, a: int, a1: int,
     )
 
 
+def _random_fr_tuple(t: _FrTables, rng: random.Random) -> tuple:
+    """A random (li, v, a, a1, b, b1, u, uok, w, wok, wfail), wok != wfail."""
+    li = rng.randrange(len(t.lagrangians))
+    v = rng.randrange(256)
+    a = rng.randrange(len(t.meas_a))
+    b = rng.randrange(len(t.meas_b))
+    u = rng.randrange(len(t.meas_u))
+    w = rng.randrange(len(t.meas_w))
+    a1 = rng.choice(t.meas_a[a].outs)
+    b1 = rng.choice(t.meas_b[b].outs)
+    uok = rng.choice(t.meas_u[u].outs)
+    wok = rng.choice(t.meas_w[w].outs)
+    wfail = rng.choice([x for x in t.meas_w[w].outs if x != wok])
+    return (li, v, a, a1, b, b1, u, uok, w, wok, wfail)
+
+
 def _fr_spot_checks(t: _FrTables, rng: random.Random, n_checks: int,
                     n_sequential: int) -> dict:
     """Cross-validate the bit-packed scan against the general machinery.
@@ -744,19 +726,9 @@ def _fr_spot_checks(t: _FrTables, rng: random.Random, n_checks: int,
               "conditions_agree": True, "chain_matches_conditions": True,
               "oracle_agrees": True, "sequential_paradoxes": 0}
     for i in range(n_checks):
-        li = rng.randrange(len(t.lagrangians))
-        v = rng.randrange(256)
-        a = rng.randrange(len(t.meas_a))
-        b = rng.randrange(len(t.meas_b))
-        u = rng.randrange(len(t.meas_u))
-        w = rng.randrange(len(t.meas_w))
-        a1 = rng.choice(t.meas_a[a].outs)
-        b1 = rng.choice(t.meas_b[b].outs)
-        uok = rng.choice(t.meas_u[u].outs)
-        wok = rng.choice(t.meas_w[w].outs)
-        wfail = rng.choice([x for x in t.meas_w[w].outs if x != wok])
-        fast = _fr_conditions_single(t, li, v, a, a1, b, b1, u, uok, w, wok, wfail)
-        cand = _fr_candidate_from_ints(t, li, v, a, a1, b, b1, u, uok, w, wok, wfail)
+        tup = _random_fr_tuple(t, rng)
+        fast = _fr_conditions_single(t, *tup)
+        cand = _fr_candidate_from_ints(t, *tup)
         rep = check_fr_conditions(cand)
         if rep.conditions != fast:
             result["conditions_agree"] = False
@@ -767,15 +739,10 @@ def _fr_spot_checks(t: _FrTables, rng: random.Random, n_checks: int,
            (chain["p_ok_ok"] > 0) != fast[3]:
             result["chain_matches_conditions"] = False
         m = cand.measurements()
-        for prem_m, prem_o, conc_m, conc_o, got in (
-                (m["U"], cand.outcome("U=ok"), m["B"], cand.outcome("B=1"),
-                 chain["infers_u_b"]),
-                (m["B"], cand.outcome("B=1"), m["A"], cand.outcome("A=1"),
-                 chain["infers_b_a"]),
-                (m["A"], cand.outcome("A=1"), m["W"], cand.outcome("W=fail"),
-                 chain["infers_a_w"])):
-            cond = oracle_conditional(cand.initial, prem_m, prem_o, conc_m, conc_o)
-            if got != (cond is not None and cond == 1):
+        for key, pa, po, ca, co in _FR_CHAIN:
+            cond = oracle_conditional(cand.initial, m[pa], cand.outcome(po),
+                                      m[ca], cand.outcome(co))
+            if chain[key] != (cond is not None and cond == 1):
                 result["oracle_agrees"] = False
         if i < n_sequential:
             seq = fr_chain_sequential(cand)
@@ -788,13 +755,20 @@ def _fr_spot_checks(t: _FrTables, rng: random.Random, n_checks: int,
 
 def _merge_fr_stats(parts: Sequence[dict]) -> dict:
     merged = {"states": 0, "valuation_tests": 0, "quad_tests": 0,
-              "benign_all_seven": 0, "derivation_verified": 0, "paradoxes": []}
+              "benign_all_seven": 0, "paradoxes": [], "benign_sample": []}
     for p in parts:
-        for k in ("states", "valuation_tests", "quad_tests",
-                  "benign_all_seven", "derivation_verified"):
+        for k in merged:
             merged[k] += p[k]
-        merged["paradoxes"].extend(p["paradoxes"])
     return merged
+
+
+def _fr_rederive(t: _FrTables, sample: Sequence[tuple]) -> bool:
+    """True iff there is a sample and the exact-subspace conditions hold for
+    every sampled tuple the scan counted as benign all-seven."""
+    return bool(sample) and all(
+        check_fr_conditions(
+            _fr_candidate_from_ints(t, *tup, allow_equal=True)).all_hold
+        for tup in sample)
 
 
 def _random_block_subspace(space: PhaseSpace, rng: random.Random,
@@ -829,6 +803,18 @@ def _fr_sampled_search(d: int, blocks: tuple, rng: random.Random,
     b_sys = list(range(n_r + n_a + n_s, n))
     found = []
     sequential_paradoxes = 0
+
+    def pick_outcome(sub: Subspace):
+        from .algebra import solve_linear
+        lab = [field.coerce(rng.randrange(field.p)) for _ in sub.basis]
+        return solve_linear(field, space.ambient_dim, sub.basis, lab)
+
+    def pick_other_outcome(sub: Subspace, ok):
+        while True:
+            fail = pick_outcome(sub)
+            if not _orthogonal_to(field, sub, vec_sub(field, ok, fail)):
+                return fail
+
     for i in range(samples):
         state = apply_to_state(random_symplectic(space, rng), base)
         v_a = _random_block_subspace(space, rng, r_sys, rng.randint(1, n_r))
@@ -837,25 +823,10 @@ def _fr_sampled_search(d: int, blocks: tuple, rng: random.Random,
                                      rng.randint(1, n_r + n_a))
         v_w = _random_block_subspace(space, rng, s_sys + b_sys,
                                      rng.randint(1, n_s + n_b))
-
-        def pick_outcome(sub: Subspace):
-            from .algebra import solve_linear
-            lab = [field.coerce(rng.randrange(field.p)) for _ in sub.basis]
-            sol = solve_linear(field, space.ambient_dim, sub.basis, lab)
-            return sol
-
         uok = pick_outcome(v_u)
         wok = pick_outcome(v_w)
-        while True:
-            wfail = pick_outcome(v_w)
-            diff = vec_sub(field, wok, wfail)
-            if not all(dot(field, g, diff) == field.zero for g in v_w.basis):
-                break
-        while True:
-            ufail = pick_outcome(v_u)
-            diff = vec_sub(field, uok, ufail)
-            if not all(dot(field, g, diff) == field.zero for g in v_u.basis):
-                break
+        wfail = pick_other_outcome(v_w, wok)
+        ufail = pick_other_outcome(v_u, uok)
         cand = FRCandidate(
             initial=state, blocks=blocks, v_a=v_a, v_b=v_b, v_u=v_u, v_w=v_w,
             a1=pick_outcome(v_a), b1=pick_outcome(v_b),
@@ -873,11 +844,17 @@ def _fr_sampled_search(d: int, blocks: tuple, rng: random.Random,
             "sequential_paradoxes": sequential_paradoxes}
 
 
+# Random configurations cross-checked after an exhaustive scan, unless the
+# caller asks for another number (library and CLI share this default).
+DEFAULT_SPOT_CHECKS = 200
+
+
 def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
                       exhaustive: bool = False, workers: int = 1,
                       seed: int = 0, samples: int = 2000,
                       weaken_condition1: bool = False,
-                      spot_checks: int = 1000, sequential_checks: int = 48,
+                      spot_checks: int = DEFAULT_SPOT_CHECKS,
+                      sequential_checks: int = 48,
                       stop_after: int | None = None) -> ScenarioReport:
     """Search for a four-agent configuration assembling the full paradox.
 
@@ -925,6 +902,7 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     else:
         stats = _fr_scan_range(t, 0, n_lagr, weaken_condition1, stop_after)
     paradoxes = stats.pop("paradoxes")
+    benign = stats.pop("benign_sample")
     report.log("scan", **stats, paradox_count=len(paradoxes),
                paradox_sample=paradoxes[:5])
     if weaken_condition1:
@@ -932,8 +910,9 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
         return report
     report.verdict["no_paradox_found"] = len(paradoxes) == 0
     report.verdict["benign_all_seven_exist"] = stats["benign_all_seven"] > 0
-    report.verdict["derivation_verified"] = (
-        stats["derivation_verified"] == stats["benign_all_seven"])
+    derived = _fr_rederive(t, benign)
+    report.log("derivation", samples=len(benign), all_hold=derived)
+    report.verdict["derivation_verified"] = derived
     if spot_checks > 0:
         rng = random.Random(seed + 1)
         spots = _fr_spot_checks(t, rng, spot_checks, sequential_checks)

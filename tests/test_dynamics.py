@@ -10,7 +10,10 @@ from toytheory.dynamics import (
     qp_swap_gate, random_symplectic, shift_gate, sp_order, swap_gate,
     symplectic_group, transvection,
 )
-from toytheory.errors import DimensionMismatch, NotSymplectic, SearchSpaceExceeded
+from toytheory import dynamics
+from toytheory.errors import (
+    DimensionMismatch, InvariantViolation, NotSymplectic, SearchSpaceExceeded,
+)
 from toytheory.phase_space import discrete_space, observable, rational_space
 from toytheory.states import (
     bell_pair, make_state, marginal, maximally_mixed, ontic_support,
@@ -230,6 +233,13 @@ def test_sp_orders_and_groups():
     assert len(symplectic_group(F2, 2)) == 720
     with pytest.raises(SearchSpaceExceeded):
         symplectic_group(F2, 3)  # gated behind an explicit larger cap
+
+
+def test_symplectic_group_closure_mismatch_is_typed(monkeypatch):
+    # A wrong |Sp| must surface as a library error that `python -O` keeps.
+    monkeypatch.setattr(dynamics, "sp_order", lambda n, p: 5)
+    with pytest.raises(InvariantViolation, match=r"6 elements, \|Sp\| = 5"):
+        symplectic_group(F2, 1, cap=5)   # a fresh cache key
 
 
 def test_transvection_symplectic(rng):

@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from toytheory import _gf2, scenarios
+from toytheory.algebra import GF, rref
 from toytheory.phase_space import all_isotropic_subspaces, discrete_space
 
 
@@ -87,3 +88,14 @@ def test_one_table_per_ambient_dimension():
     subs = all_isotropic_subspaces(discrete_space(2, 4))
     assert _gf2.isotropic_bases.cache_info().misses == misses
     assert len(subs) == 1 + 255 + 5355 + 11475 + 2295
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_direct_subspaces_equal_rref_route(m):
+    field = GF(2)
+    want = []
+    for per_dim in _gf2.isotropic_bases(m):
+        subs = [rref(field, m, [_gf2.int_to_vector(b, m) for b in basis])
+                for basis in per_dim]
+        want.extend(sorted(subs, key=lambda s: s.basis))
+    assert all_isotropic_subspaces(discrete_space(2, m // 2)) == want

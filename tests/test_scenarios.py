@@ -1,13 +1,15 @@
 import pytest
 
+from toytheory import scenarios
 from toytheory.algebra import GF, rref
 from toytheory.errors import DimensionMismatch, SearchSpaceExceeded
 from toytheory.phase_space import discrete_space
 from toytheory.scenarios import (
     FRCandidate, check_fr_conditions, fr_chain_initial,
     fr_chain_sequential, run_bell, run_forgetting, run_wigner_friend,
-    search_fr_paradox, _fr_candidate_from_ints, _fr_conditions_single,
-    _fr_scan_range, _fr_tables, _merge_fr_stats,
+    search_fr_paradox, _FR_BENIGN_SAMPLES, _fr_candidate_from_ints,
+    _fr_conditions_single, _fr_rederive, _fr_scan_range, _fr_tables,
+    _merge_fr_stats, _random_fr_tuple,
 )
 from toytheory.states import make_state, state_from_values
 
@@ -150,26 +152,21 @@ def test_fast_scan_slice_agrees_with_merge_and_finds_nothing():
     merged = _merge_fr_stats(parts)
     whole.pop("paradoxes")
     merged_paradoxes = merged.pop("paradoxes")
+    whole_benign = whole.pop("benign_sample")
+    merged_benign = merged.pop("benign_sample")
     assert merged == whole
     assert merged_paradoxes == []
+    # each range keeps its own first benign tuples
+    assert len(merged_benign) == 2 * _FR_BENIGN_SAMPLES
+    assert merged_benign[:_FR_BENIGN_SAMPLES] == whole_benign
 
 
 def test_fast_conditions_match_exact_on_fixed_tuples(rng):
     t = _fr_tables()
     for _ in range(25):
-        li = rng.randrange(len(t.lagrangians))
-        v = rng.randrange(256)
-        a = rng.randrange(3)
-        b = rng.randrange(3)
-        u = rng.randrange(30)
-        w = rng.randrange(30)
-        a1 = rng.choice(t.meas_a[a].outs)
-        b1 = rng.choice(t.meas_b[b].outs)
-        uok = rng.choice(t.meas_u[u].outs)
-        wok = rng.choice(t.meas_w[w].outs)
-        wfail = rng.choice([x for x in t.meas_w[w].outs if x != wok])
-        fast = _fr_conditions_single(t, li, v, a, a1, b, b1, u, uok, w, wok, wfail)
-        cand = _fr_candidate_from_ints(t, li, v, a, a1, b, b1, u, uok, w, wok, wfail)
+        tup = _random_fr_tuple(t, rng)
+        fast = _fr_conditions_single(t, *tup)
+        cand = _fr_candidate_from_ints(t, *tup)
         assert check_fr_conditions(cand).conditions == fast
 
 
@@ -218,19 +215,7 @@ def _set_level_conditions(c):
 def test_conditions_match_literal_set_enumeration(rng):
     t = _fr_tables()
     for _ in range(40):
-        li = rng.randrange(len(t.lagrangians))
-        v = rng.randrange(256)
-        a = rng.randrange(3)
-        b = rng.randrange(3)
-        u = rng.randrange(30)
-        w = rng.randrange(30)
-        a1 = rng.choice(t.meas_a[a].outs)
-        b1 = rng.choice(t.meas_b[b].outs)
-        uok = rng.choice(t.meas_u[u].outs)
-        wok = rng.choice(t.meas_w[w].outs)
-        wfail = rng.choice([x for x in t.meas_w[w].outs if x != wok])
-        cand = _fr_candidate_from_ints(t, li, v, a, a1, b, b1, u, uok,
-                                       w, wok, wfail)
+        cand = _fr_candidate_from_ints(t, *_random_fr_tuple(t, rng))
         assert check_fr_conditions(cand).conditions == \
             _set_level_conditions(cand)
 
@@ -238,16 +223,7 @@ def test_conditions_match_literal_set_enumeration(rng):
 def test_sequential_reading_never_assembles_paradox(rng):
     t = _fr_tables()
     for _ in range(6):
-        li = rng.randrange(len(t.lagrangians))
-        v = rng.randrange(256)
-        a = rng.randrange(3)
-        b = rng.randrange(3)
-        u = rng.randrange(30)
-        w = rng.randrange(30)
-        cand = _fr_candidate_from_ints(
-            t, li, v, a, t.meas_a[a].outs[0], b, t.meas_b[b].outs[0],
-            u, t.meas_u[u].outs[0], w, t.meas_w[w].outs[0],
-            t.meas_w[w].outs[1])
+        cand = _fr_candidate_from_ints(t, *_random_fr_tuple(t, rng))
         seq = fr_chain_sequential(cand)
         assert not seq["holds"]
 
@@ -263,14 +239,39 @@ def test_mutated_search_finds_false_positives():
         assert all(conds[3:])
 
 
+def test_search_verdict_fails_on_misclassified_benign_sample(monkeypatch):
+    t = _fr_tables()
+
+    def mislabelled_scan(t, start, stop, *rest):
+        # one benign tuple again, with Wigner's fail moved to the other
+        # outcome: the exact conditions must refuse it
+        stats = _fr_scan_range(t, 0, 2, *rest)
+        li, v, a, a1, b, b1, u, uok, w, wok, wfail = stats["benign_sample"][0]
+        other = next(x for x in t.meas_w[w].outs if x != wfail)
+        stats["benign_sample"].append(
+            (li, v, a, a1, b, b1, u, uok, w, wok, other))
+        return stats
+
+    monkeypatch.setattr(scenarios, "_fr_scan_range", mislabelled_scan)
+    r = search_fr_paradox(d=2, exhaustive=True, workers=1, spot_checks=0)
+    derivation = [e for e in r.events if e["kind"] == "derivation"][0]
+    assert derivation == {"kind": "derivation",
+                          "samples": _FR_BENIGN_SAMPLES + 1,
+                          "all_hold": False}
+    assert r.verdict["derivation_verified"] is False
+    assert not r.passed
+    assert not _fr_rederive(t, [])    # no sample is no evidence
+
+
 def test_search_fr_paradox_workers_agree():
     r1 = search_fr_paradox(d=2, exhaustive=True, workers=1, spot_checks=0)
     r2 = search_fr_paradox(d=2, exhaustive=True, workers=2, spot_checks=0)
     s1 = [e for e in r1.events if e["kind"] == "scan"][0]
     s2 = [e for e in r2.events if e["kind"] == "scan"][0]
     assert s1 == s2
-    assert r1.verdict["no_paradox_found"]
-    assert r2.verdict["no_paradox_found"]
+    for r in (r1, r2):
+        assert r.verdict["no_paradox_found"]
+        assert r.verdict["derivation_verified"]
 
 
 def test_search_fr_paradox_sampled_d3():

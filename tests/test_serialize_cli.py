@@ -208,3 +208,29 @@ def test_cli_scenario_fr_sampled(files):
     r = _run(["scenario", "fr-search", "--samples", "25", "--seed", "3"])
     assert r.returncode == 0
     assert "no_paradox_found: True" in r.stdout
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"workers": "2"}, "'workers' must be of type int"),
+    ({"format": "json"}, "'format' is not a scenario flag"),
+    ({"mutated": 1}, "'mutated' must be of type bool"),
+])
+def test_cli_scenario_config_rejects_bad_overrides(tmp_path, overrides,
+                                                   message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(overrides))
+    r = _run(["scenario", "bell", "--config", str(path)])
+    assert r.returncode == 1
+    assert message in r.stderr
+    assert r.stdout == ""
+
+
+def test_cli_scenario_config_sets_flags(tmp_path):
+    from toytheory.cli import _SCENARIO_FLAGS, build_parser
+    args = build_parser().parse_args(["scenario", "bell"])
+    assert set(_SCENARIO_FLAGS) <= set(vars(args))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"d": 3, "tampered": True}))
+    r = _run(["--format", "json", "scenario", "bell", "--config", str(path)])
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["config"] == {"d": 3, "tampered": True}

@@ -211,27 +211,15 @@ def mat_mul(field: FieldT, a: MatrixT, b: MatrixT) -> MatrixT:
 
 
 def mat_inverse(field: FieldT, m: MatrixT) -> MatrixT:
-    """Gauss-Jordan inverse; raises ZeroDivisionError on singular input."""
+    """Inverse by one elimination of [M | I]; raises ZeroDivisionError on
+    singular input (a pivot falls in the right block)."""
     n = len(m)
-    aug = [list(row) + list(erow) for row, erow in zip(m, identity_matrix(field, n))]
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if aug[r][col] != field.zero:
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = field.inv(aug[row][col])
-        aug[row] = [field.mul(inv, x) for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != field.zero:
-                f = aug[r][col]
-                aug[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(aug[r], aug[row])]
-        row += 1
-    return tuple(tuple(r[n:]) for r in aug)
+    reduced, pivots = _rref_rows(
+        field, [tuple(row) + erow
+                for row, erow in zip(m, identity_matrix(field, n))])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(r[n:]) for r in reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +230,9 @@ def mat_inverse(field: FieldT, m: MatrixT) -> MatrixT:
 class Subspace:
     """A linear subspace with canonical RREF basis (pivot columns increasing).
 
-    Construct via :func:`rref`; never instantiate with a raw basis.
+    Equality is structural, so ``basis`` must already be the canonical RREF
+    of the span: build one through :func:`rref`, or directly only from rows
+    that are already reduced.
     """
 
     field: FieldT
@@ -327,17 +317,9 @@ def _check_same_ambient(s: Subspace, t: Subspace):
 
 
 def contains(s: Subspace, x: VectorT) -> bool:
-    """Membership test by reducing x against the RREF basis."""
-    if len(x) != s.ambient_dim:
-        raise DimensionMismatch(
-            f"vector length {len(x)} != ambient dimension {s.ambient_dim}")
-    field = s.field
-    x = list(vector(field, x))
-    for row, piv in zip(s.basis, _pivot_columns(s)):
-        c = x[piv]
-        if c != field.zero:
-            x = [field.sub(a, field.mul(c, b)) for a, b in zip(x, row)]
-    return all(v == field.zero for v in x)
+    """Membership test: x reduces to zero against the RREF basis."""
+    zero = s.field.zero
+    return all(c == zero for c in reduce_mod_subspace(s, x))
 
 
 def reduce_mod_subspace(s: Subspace, x: VectorT) -> VectorT:
@@ -345,7 +327,8 @@ def reduce_mod_subspace(s: Subspace, x: VectorT) -> VectorT:
     field = s.field
     x = list(vector(field, x))
     if len(x) != s.ambient_dim:
-        raise DimensionMismatch("shift has wrong length")
+        raise DimensionMismatch(
+            f"vector length {len(x)} != ambient dimension {s.ambient_dim}")
     for row, piv in zip(s.basis, _pivot_columns(s)):
         c = x[piv]
         if c != field.zero:
@@ -427,39 +410,51 @@ def make_coset(subspace: Subspace, shift: Iterable) -> Coset:
     return Coset(subspace, reduce_mod_subspace(subspace, vector(subspace.field, shift)))
 
 
+def _solve_augmented(field: FieldT, n: int, rows: Sequence[VectorT],
+                     rhs: Sequence) -> Optional[tuple[MatrixT, VectorT]]:
+    """One elimination of [rows | rhs]: the RREF rows of the left block and
+    one solution x of row_i . x = rhs_i with the free variables zero, or None
+    when a pivot falls in the last column (0 = 1)."""
+    reduced, pivots = _rref_rows(
+        field, [tuple(r) + (b,) for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == n:
+        return None
+    x = [field.zero] * n
+    for row, piv in zip(reduced, pivots):
+        x[piv] = row[n]
+    return tuple(tuple(row[:n]) for row in reduced), tuple(x)
+
+
 def solve_linear(field: FieldT, n: int, rows: Sequence[VectorT], rhs: Sequence) -> Optional[VectorT]:
     """One solution x (length n) of row_i . x = rhs_i, or None if inconsistent.
 
     Gaussian elimination on the augmented system; free variables are set to
     zero, so the result is deterministic.
     """
-    if not rows:
-        return zero_vector(field, n)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = _rref_rows(field, aug)
-    x = [field.zero] * n
-    for row, piv in zip(reduced, pivots):
-        if piv == n:  # 0 = 1 row
-            return None
-        x[piv] = row[n]
-    return tuple(x)
+    solved = _solve_augmented(field, n, rows, rhs)
+    return None if solved is None else solved[1]
 
 
 def coset_intersection(c1: Coset, c2: Coset) -> Optional[Coset]:
-    """(S1+u1) ∩ (S2+u2) as a coset of S1∩S2, or None when empty."""
+    """(S1+u1) ∩ (S2+u2) as a coset of S1∩S2, or None when empty.
+
+    One elimination of the stacked constraints [S_i^⊥ | S_i^⊥.u_i]: its left
+    block is the RREF of S1^⊥ + S2^⊥, whose complement is S1∩S2.
+    """
     _check_same_ambient(c1.subspace, c2.subspace)
     field = c1.field
+    n = c1.ambient_dim
     constraints = []
     rhs = []
     for c in (c1, c2):
-        comp = orthogonal_complement(c.subspace)
-        for row in comp.basis:
+        for row in orthogonal_complement(c.subspace).basis:
             constraints.append(row)
             rhs.append(dot(field, row, c.shift))
-    u = solve_linear(field, c1.ambient_dim, constraints, rhs)
-    if u is None:
+    solved = _solve_augmented(field, n, constraints, rhs)
+    if solved is None:
         return None
-    return make_coset(subspace_intersection(c1.subspace, c2.subspace), u)
+    left, u = solved
+    return make_coset(orthogonal_complement(Subspace(field, n, left)), u)
 
 
 def enumerate_coset(c: Coset) -> Iterator[VectorT]:

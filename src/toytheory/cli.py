@@ -23,11 +23,10 @@ import sys
 from fractions import Fraction
 
 from . import serialize
+from .config import DEFAULT_GROUP_CAP
 from .dynamics import apply_to_ontic, apply_to_state, gate_library
 from .errors import (
-    ContinuousNotEnumerable, EnumerationCapExceeded, ImpossibleOutcome,
-    NotIsotropic, NotPointMass, NotPrimeError, NotSymplectic,
-    SearchSpaceExceeded, ToyTheoryError,
+    EnumerationCapExceeded, NotIsotropic, SearchSpaceExceeded, ToyTheoryError,
 )
 from .measurement import (
     is_certain, outcome_for_label, outcome_probability, outcomes,
@@ -401,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="measure a state")
     me.add_argument("state")
     me.add_argument("measurement")
-    me.add_argument("--outcome", help="comma-separated outcome label")
-    me.add_argument("--sample", action="store_true")
+    me.add_argument("--outcome", help="comma-separated label; sampled if absent")
     me.add_argument("--seed", type=int, default=0)
     me.add_argument("--verify", action="store_true",
                     help="cross-check probabilities and update with the oracle")
@@ -423,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(sensitivity control; finds false positives)")
     sc.add_argument("--targets", help="condprep-search: e.g. 0,+")
     sc.add_argument("--ancilla", type=int, default=0)
-    sc.add_argument("--group-cap", type=int, default=12000)
+    sc.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP)
     sc.add_argument("--config", help="JSON file of flag overrides")
     return ap
 
@@ -446,10 +444,6 @@ def main(argv=None) -> int:
     except (EnumerationCapExceeded, SearchSpaceExceeded) as e:
         print(str(e), file=sys.stderr)
         return EXIT_CAP
-    except (NotIsotropic, NotSymplectic, ImpossibleOutcome, NotPointMass,
-            ContinuousNotEnumerable, NotPrimeError) as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_DOMAIN
     except ToyTheoryError as e:
         print(str(e), file=sys.stderr)
         return EXIT_DOMAIN

@@ -18,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .algebra import (
     Coset, PrimeField, Subspace,
@@ -104,22 +104,28 @@ def outcomes(m: Measurement) -> list[Outcome]:
     return [outcome_for_label(m, lab) for lab in labels]
 
 
-def outcome_probability(s: EpistemicState, m: Measurement, out: Outcome) -> Fraction:
-    """|support ∩ outcome coset| / |support| by exact dimension counting."""
+def _support_meet(s: EpistemicState, m: Measurement,
+                  out: Outcome) -> tuple[Optional[Coset], Fraction]:
+    """support ∩ outcome coset (None when empty) and its probability."""
     if s.space != m.space:
         raise DimensionMismatch("state and measurement live on different spaces")
     field = s.field
     inter = coset_intersection(s.support_coset(), out.coset())
     if inter is None:
-        return Fraction(0)
+        return None, Fraction(0)
     support_dim = s.space.ambient_dim - s.known.dim
     if isinstance(field, PrimeField):
-        return Fraction(1, field.p ** (support_dim - inter.subspace.dim))
+        return inter, Fraction(1, field.p ** (support_dim - inter.subspace.dim))
     if inter.subspace.dim == support_dim:
-        return Fraction(1)
+        return inter, Fraction(1)
     raise NotPointMass(
         "rational-case probability is neither 0 nor 1; only point masses "
         "are algebraically determined")
+
+
+def outcome_probability(s: EpistemicState, m: Measurement, out: Outcome) -> Fraction:
+    """|support ∩ outcome coset| / |support| by exact dimension counting."""
+    return _support_meet(s, m, out)[1]
 
 
 def sample_outcome(s: EpistemicState, m: Measurement, seed: int = 0) -> Outcome:
@@ -143,19 +149,16 @@ def sample_outcome(s: EpistemicState, m: Measurement, seed: int = 0) -> Outcome:
 def update_state(s: EpistemicState, m: Measurement, out: Outcome) -> EpistemicState:
     """Post-measurement state: keep commuting knowledge, adjoin the outcome.
 
-    V' = V_π ⊕ V_commute with the valuation any common solution of the
-    outcome values and the retained values; all choices describe the same
-    state, and the stored one is canonical.
+    V' = V_π ⊕ V_commute with the valuation a point of support ∩ outcome.
+    That point also satisfies the retained values, because V_commute ⊆ V;
+    all choices describe the same state, and the stored one is canonical.
     """
-    if outcome_probability(s, m, out) == 0:
+    meet, _ = _support_meet(s, m, out)
+    if meet is None:
         raise ImpossibleOutcome(f"outcome {out.label} has probability 0")
     v_comm = commutant_within(s.known, m.observables)
     new_known = subspace_sum(m.observables, v_comm)
-    inter = coset_intersection(
-        out.coset(), Coset(orthogonal_complement(v_comm), s.valuation))
-    if inter is None:
-        raise InvariantViolation("possible outcome misses the retained values")
-    return make_state(s.space, new_known.basis, inter.shift)
+    return make_state(s.space, new_known.basis, meet.shift)
 
 
 def is_certain(s: EpistemicState, m: Measurement, out: Outcome) -> bool:

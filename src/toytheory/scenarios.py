@@ -557,7 +557,8 @@ class _FrKernel:
         return self._perp(self.t.sum_aw[a][w], self.k_a[a])
 
 
-# Benign all-seven tuples each scan range keeps for the exact re-derivation.
+# Benign all-seven tuples each scan range keeps for the exact re-derivation:
+# the first one found in each of this many strata of its known-sets.
 _FR_BENIGN_SAMPLES = 4
 
 
@@ -573,7 +574,9 @@ def _fr_scan_range(t: _FrTables, start: int, stop: int,
              "benign_all_seven": 0, "paradoxes": paradoxes,
              "benign_sample": benign}
 
+    sampled = -1  # the last stratum that kept a benign tuple
     for li in range(start, stop):
+        stratum = (li - start) * _FR_BENIGN_SAMPLES // (stop - start)
         basis = t.lagrangians[li]
         k = _FrKernel(t, basis)
         vperp_elems = _gf2.mask_elements(
@@ -636,10 +639,11 @@ def _fr_scan_range(t: _FrTables, start: int, stop: int,
                                     # all seven conditions hold here
                                     if (wperp >> (wok ^ wfail)) & 1:
                                         stats["benign_all_seven"] += 1
-                                        if len(benign) < _FR_BENIGN_SAMPLES:
+                                        if stratum > sampled:
                                             benign.append(
                                                 (li, v, a, a1, b, b1, u, uok,
                                                  w, wok, wfail))
+                                            sampled = stratum
                                     else:
                                         paradoxes.append(
                                             (li, v, a, a1, b, b1, u, uok,

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -142,7 +143,7 @@ def test_solve_linear_consistency():
     assert solve_linear(F3, 2, [], []) == (0, 0)
 
 
-@pytest.mark.parametrize("field,ambient", [(F2, 6), (F3, 4)])
+@pytest.mark.parametrize("field,ambient", [(F2, 6), (F3, 4), (GF(5), 4)])
 def test_lemma_sweeps_finite(field, ambient, rng):
     """Representative-independence, intersection form, complement-of-sum and
     double complement on random instances (the full 1000-instance suites run
@@ -184,15 +185,26 @@ def test_lemma_sweeps_rational(rng):
             assert got.subspace == subspace_intersection(v, w)
 
 
-def test_mat_inverse_roundtrip(rng):
-    for _ in range(50):
-        rows = [[rng.randrange(3) for _ in range(3)] for _ in range(3)]
-        m = tuple(tuple(r) for r in rows)
+def test_mat_inverse_roundtrip():
+    """Over all 81 2x2 matrices on GF(3), exactly the |GL(2,3)| = 48
+    invertible ones invert, with a roundtrip to I; the other 33 raise."""
+    ident = ((1, 0), (0, 1))
+    inverted = singular = 0
+    for a, b, c, d in itertools.product(range(3), repeat=4):
+        m = ((a, b), (c, d))
         try:
             inv = mat_inverse(F3, m)
         except ZeroDivisionError:
+            assert (a * d - b * c) % 3 == 0
+            singular += 1
             continue
-        prod = mat_mul(F3, m, inv)
-        ident = tuple(tuple(1 if i == j else 0 for j in range(3))
-                      for i in range(3))
-        assert prod == ident
+        assert mat_mul(F3, m, inv) == ident == mat_mul(F3, inv, m)
+        inverted += 1
+    assert (inverted, singular) == (48, 33)
+    with pytest.raises(ZeroDivisionError):
+        mat_inverse(QQ, ((Fraction(1), Fraction(2)),
+                         (Fraction(3, 2), Fraction(3))))
+    half = Fraction(1, 2)
+    assert mat_inverse(QQ, ((Fraction(2), Fraction(0)),
+                            (Fraction(0), half))) == \
+        ((half, Fraction(0)), (Fraction(0), Fraction(2)))

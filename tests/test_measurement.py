@@ -120,6 +120,19 @@ def test_update_examples():
         update_state(toy_bit("0"), MZ1, outcome_for_label(MZ1, (1,)))
 
 
+def test_update_outcome_checks_over_the_rationals():
+    sp = rational_space(1)
+    m = make_measurement(sp, [(1, 0)])
+    s = make_state(sp, [(2, 0)], (3, 1))  # knows 2q = 6, i.e. q = 3
+    out3 = outcome_from_valuation(m, (3, 0))
+    assert states_equal(update_state(s, m, out3),
+                        make_state(sp, [(1, 0)], (3, 0)))
+    with pytest.raises(ImpossibleOutcome):
+        update_state(s, m, outcome_from_valuation(m, (6, 0)))
+    with pytest.raises(NotPointMass):
+        update_state(make_state(sp, [], (0, 0)), m, out3)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_update_momentum_pair_formal_example(d):
     sp = discrete_space(d, 2)

@@ -156,9 +156,27 @@ def test_fast_scan_slice_agrees_with_merge_and_finds_nothing():
     merged_benign = merged.pop("benign_sample")
     assert merged == whole
     assert merged_paradoxes == []
-    # each range keeps its own first benign tuples
-    assert len(merged_benign) == 2 * _FR_BENIGN_SAMPLES
-    assert merged_benign[:_FR_BENIGN_SAMPLES] == whole_benign
+    # each range keeps its own sample, at most one tuple per known-set; a
+    # range's first stratum starts at its first known-set
+    for sample in (whole_benign, parts[0]["benign_sample"],
+                   parts[1]["benign_sample"]):
+        assert 0 < len(sample) <= _FR_BENIGN_SAMPLES
+        assert len({tup[0] for tup in sample}) == len(sample)
+    assert merged_benign == parts[0]["benign_sample"] + \
+        parts[1]["benign_sample"]
+    assert merged_benign[0] == whole_benign[0]
+
+
+def test_benign_sample_spreads_over_the_range():
+    t = _fr_tables()
+    sample = _fr_scan_range(t, 0, 40)["benign_sample"]
+    lis = [tup[0] for tup in sample]
+    assert len(sample) <= _FR_BENIGN_SAMPLES
+    assert len(set(lis)) >= 2
+    # at most one tuple from each stratum of known-sets
+    strata = [li * _FR_BENIGN_SAMPLES // 40 for li in lis]
+    assert len(set(strata)) == len(strata)
+    assert _fr_rederive(t, sample)
 
 
 def test_fast_conditions_match_exact_on_fixed_tuples(rng):
@@ -242,6 +260,8 @@ def test_mutated_search_finds_false_positives():
 def test_search_verdict_fails_on_misclassified_benign_sample(monkeypatch):
     t = _fr_tables()
 
+    honest = len(_fr_scan_range(t, 0, 2)["benign_sample"])
+
     def mislabelled_scan(t, start, stop, *rest):
         # one benign tuple again, with Wigner's fail moved to the other
         # outcome: the exact conditions must refuse it
@@ -256,7 +276,7 @@ def test_search_verdict_fails_on_misclassified_benign_sample(monkeypatch):
     r = search_fr_paradox(d=2, exhaustive=True, workers=1, spot_checks=0)
     derivation = [e for e in r.events if e["kind"] == "derivation"][0]
     assert derivation == {"kind": "derivation",
-                          "samples": _FR_BENIGN_SAMPLES + 1,
+                          "samples": honest + 1,
                           "all_hold": False}
     assert r.verdict["derivation_verified"] is False
     assert not r.passed

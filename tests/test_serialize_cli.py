@@ -169,9 +169,9 @@ def test_cli_measure_impossible_outcome_exit2(files):
 
 def test_cli_measure_sampling_deterministic(files):
     r1 = _run(["measure", str(files / "plus.json"), str(files / "mz.json"),
-               "--sample", "--seed", "7"])
+               "--seed", "7"])
     r2 = _run(["measure", str(files / "plus.json"), str(files / "mz.json"),
-               "--sample", "--seed", "7"])
+               "--seed", "7"])
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
 

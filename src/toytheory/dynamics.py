@@ -13,12 +13,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     FieldT, PrimeField, Subspace, VectorT,
     identity_matrix, mat_inverse, mat_mul, mat_transpose, mat_vec, matrix,
-    vec_add, vector, zero_vector,
+    orthogonal_complement, reduce_mod_subspace, vec_add, vector, zero_vector,
 )
 from .config import DEFAULT_GROUP_CAP
 from .errors import (
@@ -28,7 +28,7 @@ from .phase_space import (
     Observable, PhaseSpace, bracket_vectors, compose as compose_spaces,
     symplectic_dual,
 )
-from .states import EpistemicState, make_state, marginal, states_equal, tensor
+from .states import EpistemicState, make_state, marginal, tensor
 
 
 def is_symplectic_matrix(field: FieldT, m: tuple, ambient_dim: int) -> bool:
@@ -406,7 +406,6 @@ class ConditionalPrepSpec:
             raise DimensionMismatch("conditional-prep scenarios are discrete")
         k = field.p ** self.source_known.dim
         shifts = set()
-        from .algebra import orthogonal_complement, reduce_mod_subspace
         comp = orthogonal_complement(self.source_known)
         for val in self.source_valuations:
             shifts.add(reduce_mod_subspace(comp, val))
@@ -489,6 +488,49 @@ class ConditionalSearchResult:
     exhaustive: bool
 
 
+def _joint_states(spec: ConditionalPrepSpec,
+                  ancilla_systems: int) -> tuple[EpistemicState, ...]:
+    """source_i ⊗ target ⊗ pointer ancillas, one per source valuation; they
+    all share one known set."""
+    field = spec.source_space.field
+    joints = []
+    for src in spec.source_states():
+        joint = tensor(src, spec.target_initial)
+        for _ in range(ancilla_systems):
+            joint = tensor(joint, _pointer_state(field))
+        joints.append(joint)
+    return tuple(joints)
+
+
+def _target_marginals(t: SymplecticTransform,
+                      joints: Sequence[EpistemicState], keep: list[int]):
+    """The marginals on ``keep`` of every joint state under t's matrix U, as
+    a function of the shift.
+
+    What depends on U alone is computed here, once: the shared known set is
+    pushed forward (one ``make_state``, so its isotropy is checked) and its
+    marginal known set K_U on the kept systems taken.  The returned function
+    maps a shift a to one marginal per joint state v_i: U(v_i + a) restricted
+    to the kept coordinates and reduced mod K_U^⊥.  This equals
+    ``marginal(apply_to_state((U, a), joint_i), keep)``: the projection of
+    the pushed support space W^⊥ onto the kept coordinates is
+    (W ∩ kept coordinates)^⊥ = K_U^⊥.  The reduction is linear, so the U v_i
+    parts are reduced once per U and the U a part once per shift.
+    """
+    field = t.space.field
+    local = marginal(apply_to_state(t, joints[0]), keep)
+    comp = orthogonal_complement(local.known)
+    rows = tuple(t.matrix[c] for s in keep for c in t.space.system_coords(s))
+    base = [reduce_mod_subspace(comp, mat_vec(field, rows, j.valuation))
+            for j in joints]
+
+    def at(shift: VectorT) -> tuple[EpistemicState, ...]:
+        moved = reduce_mod_subspace(comp, mat_vec(field, rows, shift))
+        return tuple(EpistemicState(local.space, local.known,
+                                    vec_add(field, b, moved)) for b in base)
+    return at
+
+
 def find_conditional_transform(spec: ConditionalPrepSpec,
                                ancilla_systems: int = 0,
                                exhaustive: bool = False,
@@ -497,53 +539,50 @@ def find_conditional_transform(spec: ConditionalPrepSpec,
                                samples: int = 20000) -> ConditionalSearchResult:
     """Search all (U, a) for a transform realizing every desired marginal.
 
-    Exhaustive mode enumerates the full affine symplectic group on
-    source ⊕ target ⊕ ancilla (cap-guarded: Sp(4,2)x16 is instant, Sp(6,2)
-    needs an explicit larger ``group_cap``); otherwise draws ``samples``
-    random transforms.  The expected outcome for non-orthogonal desired
-    targets is exhaustion without a hit.
+    Exhaustive mode enumerates the affine symplectic group on
+    source ⊕ target ⊕ ancilla, U in ``symplectic_group`` order and for each
+    U every shift a (cap-guarded: Sp(6,2) needs an explicit larger
+    ``group_cap``); otherwise it draws ``samples`` random transforms.  The
+    joint states are built once per call; the pushed-forward known set and
+    its marginal K_U on the target once per U; for each (U, a) only the
+    source valuations are pushed, restricted to the target and reduced mod
+    K_U^⊥ (see ``_target_marginals``).  ``searched`` counts the (U, a)
+    examined up to and including a hit.  The expected outcome for
+    non-orthogonal desired targets is exhaustion without a hit.
     """
     field = spec.source_space.field
     if not spec.desired_targets:
         raise ValueError("spec has no desired targets to realize")
+    desired = tuple(spec.desired_targets)
+    if len(desired) != len(spec.source_valuations):
+        raise ValueError("need one desired target per source outcome")
     n_total = (spec.source_space.n_systems
                + spec.target_initial.space.n_systems + ancilla_systems)
     space = PhaseSpace(field, n_total)
     target_systems = [spec.source_space.n_systems + i
                       for i in range(spec.target_initial.space.n_systems)]
-    traced = [i for i in range(n_total) if i not in target_systems]
-
-    source_states = spec.source_states()
-    desired = spec.desired_targets
-    if len(desired) != len(source_states):
-        raise ValueError("need one desired target per source outcome")
-
-    from .phase_space import _all_vectors
-
-    def matches(t: SymplecticTransform) -> bool:
-        cls = classify_conditional_marginals(spec, t, traced)
-        got = {}
-        for c, rep in zip(cls.classes, cls.marginals):
-            for idx in c:
-                got[idx] = rep
-        return all(states_equal(got[i], d) for i, d in enumerate(desired))
+    joints = _joint_states(spec, ancilla_systems)
 
     searched = 0
     if exhaustive:
+        from .phase_space import _all_vectors
         group = symplectic_group(field, n_total, cap=group_cap)
         shifts = _all_vectors(field, space.ambient_dim)
+        zero = zero_vector(field, space.ambient_dim)
         for u in group:
+            at = _target_marginals(SymplecticTransform(space, u, zero),
+                                   joints, target_systems)
             for a in shifts:
-                t = SymplecticTransform(space, u, a)
                 searched += 1
-                if matches(t):
-                    return ConditionalSearchResult(t, searched, True)
+                if at(a) == desired:
+                    return ConditionalSearchResult(
+                        SymplecticTransform(space, u, a), searched, True)
         return ConditionalSearchResult(None, searched, True)
     if rng is None:
         raise ValueError("sampled search needs an rng")
     for _ in range(samples):
         t = random_symplectic(space, rng)
         searched += 1
-        if matches(t):
+        if _target_marginals(t, joints, target_systems)(t.shift) == desired:
             return ConditionalSearchResult(t, searched, False)
     return ConditionalSearchResult(None, searched, False)

@@ -558,7 +558,10 @@ class _FrKernel:
 
 
 # Benign all-seven tuples each scan range keeps for the exact re-derivation:
-# the first one found in each of this many strata of its known-sets.
+# the first one with a nonzero valuation in each of this many strata of its
+# known-sets.  A known-set's first benign tuple is always at v = 0, the first
+# valuation scanned; every known-set with a benign tuple also has one at some
+# v != 0.
 _FR_BENIGN_SAMPLES = 4
 
 
@@ -639,7 +642,7 @@ def _fr_scan_range(t: _FrTables, start: int, stop: int,
                                     # all seven conditions hold here
                                     if (wperp >> (wok ^ wfail)) & 1:
                                         stats["benign_all_seven"] += 1
-                                        if stratum > sampled:
+                                        if stratum > sampled and v:
                                             benign.append(
                                                 (li, v, a, a1, b, b1, u, uok,
                                                  w, wok, wfail))
@@ -848,6 +851,16 @@ def _fr_sampled_search(d: int, blocks: tuple, rng: random.Random,
             "sequential_paradoxes": sequential_paradoxes}
 
 
+def _pool_context():
+    """``fork`` where the platform offers it (workers inherit the built FR
+    tables), else the platform's default start method (each worker then
+    builds its own tables on first use)."""
+    import multiprocessing as mp
+    if "fork" in mp.get_all_start_methods():
+        return mp.get_context("fork")
+    return mp.get_context()
+
+
 # Random configurations cross-checked after an exhaustive scan, unless the
 # caller asks for another number (library and CLI share this default).
 DEFAULT_SPOT_CHECKS = 200
@@ -895,12 +908,10 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     config["lagrangians"] = n_lagr
     config["candidate_space"] = (n_lagr * 16) * 36 * outs_u * pairs_w
     if workers > 1:
-        import multiprocessing as mp
         bounds = [(i * n_lagr) // workers for i in range(workers + 1)]
         args = [(bounds[i], bounds[i + 1], weaken_condition1, stop_after)
                 for i in range(workers)]
-        ctx = mp.get_context("fork")
-        with ctx.Pool(workers) as pool:
+        with _pool_context().Pool(workers) as pool:
             parts = pool.map(_fr_worker, args)
         stats = _merge_fr_stats(parts)
     else:

@@ -278,12 +278,15 @@ def test_criterion_06_conditional_preparation_no_go():
                                    exhaustive=True)
     assert r.transform is None
     assert r.searched == 720 * 16
-    r01 = find_conditional_transform(_z_spec((toy_bit("0"), toy_bit("1"))),
-                                     exhaustive=True)
-    assert r01.transform is not None
-    r00 = find_conditional_transform(_z_spec((toy_bit("0"), toy_bit("0"))),
-                                     exhaustive=True)
-    assert r00.transform is not None
+    for targets in (("0", "1"), ("0", "0")):
+        desired = tuple(toy_bit(x) for x in targets)
+        found = find_conditional_transform(_z_spec(desired), exhaustive=True)
+        t = found.transform
+        assert t is not None
+        assert is_symplectic_matrix(F2, t.matrix, 4)
+        cls = classify_conditional_marginals(_z_spec(desired), t, traced=[0])
+        got = {i: m for c, m in zip(cls.classes, cls.marginals) for i in c}
+        assert tuple(got[i] for i in range(2)) == desired
     trials = 0
     rng = random.Random(5)
     for d in (2, 3):

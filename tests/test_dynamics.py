@@ -1,8 +1,11 @@
+import itertools
+import random
+
 import pytest
 
 from toytheory.algebra import GF, QQ, rref, identity_matrix, mat_mul
 from toytheory.dynamics import (
-    ConditionalPrepSpec, apply_to_ontic, apply_to_state,
+    ConditionalPrepSpec, SymplecticTransform, apply_to_ontic, apply_to_state,
     classify_conditional_marginals, cnot_gate, complete_symplectic,
     compose_transforms, find_conditional_transform, gate_library,
     identity_transform, invert_transform, is_symplectic_matrix,
@@ -14,7 +17,9 @@ from toytheory import dynamics
 from toytheory.errors import (
     DimensionMismatch, InvariantViolation, NotSymplectic, SearchSpaceExceeded,
 )
-from toytheory.phase_space import discrete_space, observable, rational_space
+from toytheory.phase_space import (
+    _all_vectors, discrete_space, observable, rational_space,
+)
 from toytheory.states import (
     bell_pair, make_state, marginal, maximally_mixed, ontic_support,
     states_equal, tensor, toy_bit,
@@ -309,6 +314,84 @@ def test_find_conditional_respects_group_cap():
         find_conditional_transform(
             _z_partition_spec((toy_bit("0"), toy_bit("+"))),
             ancilla_systems=1, exhaustive=True)
+
+
+def _generic_marginals(spec, t, traced):
+    """Each source outcome's marginal through classify_conditional_marginals."""
+    cls = classify_conditional_marginals(spec, t, traced)
+    got = {i: m for c, m in zip(cls.classes, cls.marginals) for i in c}
+    return tuple(got[i] for i in range(len(spec.source_valuations)))
+
+
+@pytest.mark.parametrize("targets, first_hit",
+                         [(("0", "1"), 33), (("0", "0"), 2337)])
+def test_find_conditional_first_hit_matches_generic_route(targets, first_hit):
+    spec = _z_partition_spec(tuple(toy_bit(x) for x in targets))
+    pairs = itertools.product(symplectic_group(F2, 2), _all_vectors(F2, 4))
+    for searched, (u, a) in enumerate(pairs, 1):
+        t = SymplecticTransform(SP2, u, a)
+        if _generic_marginals(spec, t, [0]) == spec.desired_targets:
+            break
+    else:
+        pytest.fail("the generic route realizes no transform")
+    r = find_conditional_transform(spec, exhaustive=True)
+    assert (r.searched, r.transform) == (searched, t)
+    assert searched == first_hit
+
+
+def test_target_marginals_match_generic_route_on_no_go_pair():
+    spec = _z_partition_spec((toy_bit("0"), toy_bit("+")))
+    joints = dynamics._joint_states(spec, 0)
+    zero = (F2.zero,) * 4
+    seen = set()
+    group = symplectic_group(F2, 2)
+    for u in group[::9]:
+        at = dynamics._target_marginals(
+            SymplecticTransform(SP2, u, zero), joints, [1])
+        for a in _all_vectors(F2, 4):
+            generic = _generic_marginals(spec, SymplecticTransform(SP2, u, a),
+                                         [0])
+            assert at(a) == generic
+            assert generic != spec.desired_targets
+            seen.add(generic)
+    # the stride reaches identical, orthogonal and mixed marginal pairs
+    assert len(seen) > 10
+    assert any(m[0] == m[1] for m in seen)
+    assert any(m[0] != m[1] for m in seen)
+
+
+@pytest.mark.parametrize("d, ancilla", [(3, 0), (3, 1), (2, 1)])
+def test_target_marginals_match_generic_route_on_random_draws(d, ancilla):
+    rng = random.Random(100 * d + ancilla)
+    sp1 = discrete_space(d, 1)
+    field = sp1.field
+    spec = ConditionalPrepSpec(
+        source_space=sp1, source_known=rref(field, 2, [(1, 1)]),
+        source_valuations=tuple((k, 0) for k in range(d)),
+        target_initial=make_state(sp1, [(0, 1)], (0, 1)))
+    space = discrete_space(d, 2 + ancilla)
+    traced = [0] + [2 + i for i in range(ancilla)]
+    joints = dynamics._joint_states(spec, ancilla)
+    distinct = 0
+    for _ in range(60):
+        t = random_symplectic(space, rng)
+        hoisted = dynamics._target_marginals(t, joints, [1])(t.shift)
+        assert hoisted == _generic_marginals(spec, t, traced)
+        distinct += len(set(hoisted)) > 1
+    assert distinct > 0
+
+
+def test_sampled_search_matches_generic_route():
+    spec = _z_partition_spec((toy_bit("0"), toy_bit("1")))
+    rng = random.Random(11)
+    for searched in range(1, 2001):
+        t = random_symplectic(SP2, rng)
+        if _generic_marginals(spec, t, [0]) == spec.desired_targets:
+            break
+    else:
+        pytest.fail("no sampled transform realizes the targets")
+    r = find_conditional_transform(spec, rng=random.Random(11), samples=2000)
+    assert (r.searched, r.transform, r.exhaustive) == (searched, t, False)
 
 
 def test_conditional_spec_requires_partition():

@@ -179,6 +179,19 @@ def test_benign_sample_spreads_over_the_range():
     assert _fr_rederive(t, sample)
 
 
+def test_benign_sample_has_nonzero_valuations():
+    t = _fr_tables()
+    sample = _fr_scan_range(t, 0, 40)["benign_sample"]
+    assert len(sample) == _FR_BENIGN_SAMPLES
+    assert all(tup[1] != 0 for tup in sample)
+    assert _fr_rederive(t, sample)
+    # a known-set scanned alone keeps a tuple (at v != 0) exactly when it
+    # has benign tuples at all
+    for li in range(40):
+        alone = _fr_scan_range(t, li, li + 1)
+        assert bool(alone["benign_sample"]) == (alone["benign_all_seven"] > 0)
+
+
 def test_fast_conditions_match_exact_on_fixed_tuples(rng):
     t = _fr_tables()
     for _ in range(25):
@@ -292,6 +305,37 @@ def test_search_fr_paradox_workers_agree():
     for r in (r1, r2):
         assert r.verdict["no_paradox_found"]
         assert r.verdict["derivation_verified"]
+
+
+def test_pool_context_prefers_fork(monkeypatch):
+    import multiprocessing as mp
+    asked = []
+    real = mp.get_context
+    monkeypatch.setattr(mp, "get_context",
+                        lambda method=None: asked.append(method) or real(method))
+    monkeypatch.setattr(mp, "get_all_start_methods",
+                        lambda: ["spawn", "fork", "forkserver"])
+    assert scenarios._pool_context().get_start_method() == "fork"
+    monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
+    assert scenarios._pool_context() is real()
+    assert asked == ["fork", None]
+
+
+def test_mutation_control_same_under_spawn_and_fork(monkeypatch):
+    import multiprocessing as mp
+
+    def scan_event():
+        r = search_fr_paradox(d=2, exhaustive=True, workers=2,
+                              weaken_condition1=True, stop_after=3)
+        assert r.verdict["mutation_finds_false_positives"]
+        return [e for e in r.events if e["kind"] == "scan"][0]
+
+    forked = scan_event()
+    monkeypatch.setattr(scenarios, "_pool_context",
+                        lambda: mp.get_context("spawn"))
+    spawned = scan_event()
+    assert spawned == forked
+    assert forked["paradox_count"] == 6       # stop_after=3 in each worker
 
 
 def test_search_fr_paradox_sampled_d3():

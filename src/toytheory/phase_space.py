@@ -188,14 +188,24 @@ def supported_systems(space: PhaseSpace, v: VectorT) -> set[int]:
             if v[2 * i] != zero or v[2 * i + 1] != zero}
 
 
-def all_isotropic_subspaces(space: PhaseSpace, max_dim: int | None = None,
+def all_isotropic_subspaces(space: PhaseSpace,
                             cap: int | None = None) -> list[Subspace]:
-    """Every isotropic subspace up to dimension max_dim, by dimension.
+    """Every isotropic subspace of a discrete space, by dimension.
 
-    Within a dimension the subspaces are sorted by RREF basis.  Desk-scale:
-    intended for d^(2n) within the enumeration cap.  For d = 2 the list
-    comes from `_gf2.isotropic_bases`, which grows each subspace once from
-    its canonical parent; other primes use a breadth-first search.
+    Each subspace appears once, with the canonical basis `rref` returns:
+    each row's pivot is its first nonzero coordinate, scaled to 1; pivots
+    ascend; the other rows are zero in every pivot column.  Within a
+    dimension the subspaces are sorted by that basis; the oracle's
+    `_isotropics_containing` and the tests rely on this order.
+
+    Orderly generation: the parent of a canonical basis is the basis
+    without its last row, so each subspace is grown once, from its parent,
+    by a row v whose pivot lies above every parent pivot, in whose pivot
+    column every parent row is zero, and which commutes with every parent
+    row.  Each node passes on the candidate rows that meet these conditions
+    relative to it too; the candidates stay ascending, so the depth-first
+    walk emits each dimension in sorted order.  Desk-scale: intended for
+    d^(2n) within the enumeration cap.
     """
     field = space.field
     if not isinstance(field, PrimeField):
@@ -204,37 +214,20 @@ def all_isotropic_subspaces(space: PhaseSpace, max_dim: int | None = None,
     if field.p ** n > enumeration_cap(cap):
         raise EnumerationCapExceeded(
             f"{field.p}^{n} ontic states exceed the enumeration cap")
-    if max_dim is None:
-        max_dim = space.n_systems
-    if field.p == 2:
-        from . import _gf2
-        # A `_gf2` basis (pivot at each row's lowest bit, fully reduced,
-        # ascending pivots) is already the RREF basis `rref` would return.
-        result = []
-        for per_dim in _gf2.isotropic_bases(n)[:max_dim + 1]:
-            subs = [Subspace(field, n, tuple(_gf2.int_to_vector(b, n)
-                                             for b in basis))
-                    for basis in per_dim]
-            result.extend(sorted(subs, key=lambda s: s.basis))
-        return result
-    all_vectors = _all_vectors(field, n)
-    result = [algebra.zero_subspace(field, n)]
-    frontier = {(): algebra.zero_subspace(field, n)}
-    for _ in range(max_dim):
-        next_frontier = {}
-        for sub in frontier.values():
-            for v in all_vectors:
-                if all(x == field.zero for x in v):
-                    continue
-                if sub.contains(v):
-                    continue
-                if any(bracket_vectors(field, v, b) != field.zero for b in sub.basis):
-                    continue
-                grown = rref(field, n, list(sub.basis) + [v])
-                next_frontier.setdefault(grown.basis, grown)
-        frontier = next_frontier
-        result.extend(sorted(frontier.values(), key=lambda s: s.basis))
-    return result
+    by_dim = [[] for _ in range(space.n_systems + 1)]
+
+    def grow(basis: tuple, candidates: list) -> None:
+        by_dim[len(basis)].append(Subspace(field, n, basis))
+        for pivot, v in candidates:
+            dual = symplectic_dual(field, v)
+            grow(basis + (v,),
+                 [(c, w) for c, w in candidates
+                  if c > pivot and v[c] == 0 and dot(field, dual, w) == 0])
+
+    # the nonzero vectors whose first nonzero coordinate is 1, ascending
+    grow((), [(v.index(1), v) for v in _all_vectors(field, n)
+              if 1 in v and not any(v[:v.index(1)])])
+    return [sub for per_dim in by_dim for sub in per_dim]
 
 
 def _all_vectors(field: PrimeField, n: int) -> list[VectorT]:

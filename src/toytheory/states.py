@@ -16,21 +16,22 @@ A's boxes bottom to top in rows.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import (
     Coset, FieldT, PrimeField, Subspace, VectorT,
     dot, enumerate_coset, orthogonal_complement, reduce_mod_subspace, rref,
-    solve_linear, vector, vec_sub, zero_subspace, zero_vector,
+    _pivot_columns, solve_linear, vector, vec_sub, zero_subspace, zero_vector,
 )
 from .config import enumeration_cap
 from .errors import (
     DimensionMismatch, EnumerationCapExceeded, NotIsotropic, ToyTheoryError,
 )
 from .phase_space import (
-    Observable, PhaseSpace, discrete_space, embed_vector, is_isotropic,
-    restrict_vector,
+    Observable, PhaseSpace, all_isotropic_subspaces, discrete_space,
+    embed_vector, is_isotropic, restrict_vector,
 )
 
 
@@ -333,7 +334,6 @@ def render_grid(obj: Union[EpistemicState, OnticSupport],
 
 def all_valid_states(space: PhaseSpace, cap: int | None = None) -> list[EpistemicState]:
     """Every valid epistemic state of a discrete space (desk-scale)."""
-    from .phase_space import all_isotropic_subspaces
     field = space.field
     if not isinstance(field, PrimeField):
         raise EnumerationCapExceeded("cannot enumerate rational states")
@@ -341,12 +341,10 @@ def all_valid_states(space: PhaseSpace, cap: int | None = None) -> list[Epistemi
         raise EnumerationCapExceeded("state enumeration beyond cap")
     states = []
     for sub in all_isotropic_subspaces(space, cap=cap):
-        support_space = orthogonal_complement(sub)
-        seen = set()
-        from .phase_space import _all_vectors
-        for v in _all_vectors(field, space.ambient_dim):
-            shift = reduce_mod_subspace(support_space, v)
-            if shift not in seen:
-                seen.add(shift)
-                states.append(EpistemicState(space, sub, shift))
+        # the canonical shifts are zero in the pivot columns of V^⊥
+        pivots = _pivot_columns(orthogonal_complement(sub))
+        columns = [(0,) if j in pivots else field.elements()
+                   for j in range(space.ambient_dim)]
+        states.extend(EpistemicState(space, sub, shift)
+                      for shift in itertools.product(*columns))
     return states

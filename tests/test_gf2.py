@@ -1,28 +1,31 @@
-"""The Z_2^m isotropic-subspace table, checked against closed-form counts
-and, at m <= 6, against a brute-force enumeration written here."""
+"""The isotropic-subspace enumerators: the packed Z_2^m table and the
+generic list for every prime, checked against closed-form counts and against
+brute-force enumerations written here."""
 
 import itertools
 
 import pytest
 
-from toytheory import _gf2, scenarios
+from toytheory import _gf2
 from toytheory.algebra import GF, rref
-from toytheory.phase_space import all_isotropic_subspaces, discrete_space
+from toytheory.phase_space import (
+    _all_vectors, all_isotropic_subspaces, bracket_vectors, discrete_space,
+)
 
 
-def gaussian_binomial(n: int, k: int) -> int:
+def gaussian_binomial(n: int, k: int, p: int = 2) -> int:
     num = den = 1
     for i in range(k):
-        num *= 2 ** (n - i) - 1
-        den *= 2 ** (i + 1) - 1
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
     return num // den
 
 
-def isotropic_count(n: int, k: int) -> int:
-    """k-dimensional isotropic subspaces of Z_2^(2n)."""
-    count = gaussian_binomial(n, k)
+def isotropic_count(n: int, k: int, p: int = 2) -> int:
+    """k-dimensional isotropic subspaces of Z_p^(2n)."""
+    count = gaussian_binomial(n, k, p)
     for i in range(k):
-        count *= 2 ** (n - i) + 1
+        count *= p ** (n - i) + 1
     return count
 
 
@@ -83,14 +86,11 @@ def test_isotropic_bases_match_brute_force(m):
 
 
 def test_one_table_per_ambient_dimension():
-    scenarios._fr_tables()
-    misses = _gf2.isotropic_bases.cache_info().misses
     subs = all_isotropic_subspaces(discrete_space(2, 4))
-    assert _gf2.isotropic_bases.cache_info().misses == misses
     assert len(subs) == 1 + 255 + 5355 + 11475 + 2295
 
 
-@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
 def test_direct_subspaces_equal_rref_route(m):
     field = GF(2)
     want = []
@@ -99,3 +99,57 @@ def test_direct_subspaces_equal_rref_route(m):
                 for basis in per_dim]
         want.extend(sorted(subs, key=lambda s: s.basis))
     assert all_isotropic_subspaces(discrete_space(2, m // 2)) == want
+
+
+def brute_force_subspaces(p: int, n: int) -> list:
+    """Spans of all pairwise-commuting, independent k-sets of vectors of
+    Z_p^(2n), through `rref`, sorted by dimension and then by basis."""
+    field = GF(p)
+    m = 2 * n
+    nonzero = [v for v in _all_vectors(field, m) if any(v)]
+    out = []
+    for k in range(n + 1):
+        spans = set()
+        for vs in itertools.combinations(nonzero, k):
+            if any(bracket_vectors(field, a, b)
+                   for a, b in itertools.combinations(vs, 2)):
+                continue
+            sub = rref(field, m, vs)
+            if sub.dim == k:
+                spans.add(sub)
+        out.extend(sorted(spans, key=lambda s: s.basis))
+    return out
+
+
+def is_canonical_rref(basis) -> bool:
+    """Each row's first nonzero entry is 1, pivots ascend, and every other
+    row is zero in each pivot column."""
+    pivots = [next((j for j, x in enumerate(row) if x), None) for row in basis]
+    if None in pivots or pivots != sorted(set(pivots)):
+        return False
+    return all(row[c] == (i == r)
+               for r, c in enumerate(pivots) for i, row in enumerate(basis))
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
+def test_generic_closed_form_counts(p, n):
+    subs = all_isotropic_subspaces(discrete_space(p, n))
+    dims = [s.dim for s in subs]
+    assert dims == sorted(dims)
+    assert [dims.count(k) for k in range(n + 1)] == [
+        isotropic_count(n, k, p) for k in range(n + 1)]
+    assert len(set(subs)) == len(subs)
+    for k in range(n + 1):
+        bases = [s.basis for s in subs if s.dim == k]
+        assert bases == sorted(bases)
+    field = GF(p)
+    for s in subs:
+        assert is_canonical_rref(s.basis)
+        assert all(bracket_vectors(field, a, b) == 0
+                   for a, b in itertools.combinations(s.basis, 2))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (7, 1)])
+def test_generic_subspaces_match_brute_force(p, n):
+    assert all_isotropic_subspaces(discrete_space(p, n)) == \
+        brute_force_subspaces(p, n)

@@ -192,6 +192,13 @@ def test_benign_sample_has_nonzero_valuations():
         assert bool(alone["benign_sample"]) == (alone["benign_all_seven"] > 0)
 
 
+def test_benign_sample_spreads_over_valuations():
+    sample = _fr_scan_range(_fr_tables(), 0, 40)["benign_sample"]
+    valuations = [tup[1] for tup in sample]
+    assert len(valuations) >= 2
+    assert len(set(valuations)) == len(valuations)
+
+
 def test_fast_conditions_match_exact_on_fixed_tuples(rng):
     t = _fr_tables()
     for _ in range(25):

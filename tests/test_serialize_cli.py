@@ -161,6 +161,17 @@ def test_cli_measure_with_outcome_and_verify(files):
                         toy_bit("0"))
 
 
+def test_cli_measure_verify_three_trits(tmp_path):
+    state = tmp_path / "trits.json"
+    state.write_text(json.dumps(
+        {"field": "prime", "d": 3, "n": 3, "generators": [[1, 0, 1, 0, 0, 0]],
+         "valuation": [0, 0, 0, 0, 0, 0]}))
+    meas = tmp_path / "m.json"
+    meas.write_text(json.dumps({"observables": [[0, 1, 0, 0, 0, 0]]}))
+    r = _run(["measure", str(state), str(meas), "--verify", "--outcome", "0"])
+    assert r.returncode == 0, r.stderr
+
+
 def test_cli_measure_impossible_outcome_exit2(files):
     r = _run(["measure", str(files / "zero.json"), str(files / "mz.json"),
               "--outcome", "1"])

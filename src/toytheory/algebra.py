@@ -5,6 +5,18 @@ Scalars are plain ints in {0..p-1} for Z_p and ``fractions.Fraction`` for Q
 matrices tuples of row tuples.  No floating point anywhere.  Subspaces carry a
 reduced-row-echelon basis and cosets a shift with zeroed pivot coordinates, so
 structurally equal values are semantically equal and usable as dict keys.
+
+Row arithmetic lives in the field classes.  `PrimeField` and `RationalField`
+each own the same row kernels (`vector`, `dot`, `add_rows`, `sub_rows`,
+`scale_row`, `sub_scaled`), and the functions below call them once per row,
+never once per scalar.  Over Z_p a kernel is one whole-row expression with
+one ``% p`` per entry; over Q it is plain `Fraction` arithmetic.
+
+Scalar contract (`coerce` and `vector`): ints (reduced mod p, negative ones
+too), `Fraction`s (reduced mod p through the inverse of the denominator),
+and strings ``"a"`` or ``"a/b"``.  Floats are rejected with `TypeError`: a
+float is already rounded, so it has no exact value to keep.  The row kernels
+other than `vector` take canonical elements, the values `vector` returns.
 """
 
 from __future__ import annotations
@@ -12,6 +24,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NotPrimeError
@@ -55,15 +69,17 @@ class PrimeField:
         return 1
 
     def coerce(self, x) -> int:
-        if isinstance(x, Fraction):
-            if x.denominator == 1:
-                return x.numerator % self.p
-            return self.div(x.numerator % self.p, x.denominator % self.p)
+        p = self.p
         if isinstance(x, str):
-            x = int(x)
+            x = Fraction(x)
+        if isinstance(x, Fraction):
+            if x.denominator % p == 0:
+                raise ValueError(f"{x} has no value in Z_{p}")
+            return x.numerator * pow(x.denominator, -1, p) % p
         if not isinstance(x, int):
-            raise TypeError(f"cannot coerce {x!r} into Z_{self.p}")
-        return x % self.p
+            raise TypeError(f"cannot coerce {x!r} into Z_{p}: "
+                            "entries are ints, Fractions or 'a/b' strings")
+        return x % p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -88,8 +104,38 @@ class PrimeField:
     def elements(self) -> range:
         return range(self.p)
 
+    # row kernels: one whole-row expression, one % p per entry
+
+    def vector(self, entries: Iterable) -> VectorT:
+        p = self.p
+        return tuple([x % p if type(x) is int else self.coerce(x)
+                      for x in entries])
+
+    def dot(self, a: VectorT, b: VectorT) -> int:
+        return sum(map(mul, a, b)) % self.p
+
+    def add_rows(self, a: VectorT, b: VectorT) -> VectorT:
+        p = self.p
+        return tuple([(x + y) % p for x, y in zip(a, b)])
+
+    def sub_rows(self, a: VectorT, b: VectorT) -> VectorT:
+        p = self.p
+        return tuple([(x - y) % p for x, y in zip(a, b)])
+
+    def scale_row(self, c, a: VectorT) -> VectorT:
+        p = self.p
+        return tuple([c * x % p for x in a])
+
+    def sub_scaled(self, a: VectorT, c, b: VectorT) -> VectorT:
+        """a - c*b."""
+        p = self.p
+        return tuple([(x - c * y) % p for x, y in zip(a, b)])
+
     def __repr__(self):
         return f"GF({self.p})"
+
+
+_Q0 = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -105,8 +151,11 @@ class RationalField:
         return Fraction(1)
 
     def coerce(self, x) -> Fraction:
-        if isinstance(x, str):
-            return Fraction(x)
+        if type(x) is Fraction:
+            return x
+        if not isinstance(x, (int, Fraction, str)):
+            raise TypeError(f"cannot coerce {x!r} into QQ: "
+                            "entries are ints, Fractions or 'a/b' strings")
         return Fraction(x)
 
     def add(self, a, b):
@@ -129,6 +178,29 @@ class RationalField:
     def div(self, a, b):
         return Fraction(a) / b
 
+    # row kernels: the same rows as over Z_p, in Fraction arithmetic; each
+    # Fraction product costs a gcd, so zero entries are passed through
+
+    def vector(self, entries: Iterable) -> VectorT:
+        return tuple([x if type(x) is Fraction else self.coerce(x)
+                      for x in entries])
+
+    def dot(self, a: VectorT, b: VectorT) -> Fraction:
+        return sum([x * y for x, y in zip(a, b) if x and y], _Q0)
+
+    def add_rows(self, a: VectorT, b: VectorT) -> VectorT:
+        return tuple([x + y for x, y in zip(a, b)])
+
+    def sub_rows(self, a: VectorT, b: VectorT) -> VectorT:
+        return tuple([x - y for x, y in zip(a, b)])
+
+    def scale_row(self, c, a: VectorT) -> VectorT:
+        return tuple([c * x if x else x for x in a])
+
+    def sub_scaled(self, a: VectorT, c, b: VectorT) -> VectorT:
+        """a - c*b."""
+        return tuple([x - c * y if y else x for x, y in zip(a, b)])
+
     def __repr__(self):
         return "QQ"
 
@@ -148,7 +220,7 @@ def GF(p: int) -> PrimeField:
 # ---------------------------------------------------------------------------
 
 def vector(field: FieldT, entries: Iterable) -> VectorT:
-    return tuple(field.coerce(x) for x in entries)
+    return field.vector(entries)
 
 
 def zero_vector(field: FieldT, n: int) -> VectorT:
@@ -158,17 +230,17 @@ def zero_vector(field: FieldT, n: int) -> VectorT:
 def vec_add(field: FieldT, a: VectorT, b: VectorT) -> VectorT:
     if len(a) != len(b):
         raise DimensionMismatch(f"vector lengths {len(a)} vs {len(b)}")
-    return tuple(field.add(x, y) for x, y in zip(a, b))
+    return field.add_rows(a, b)
 
 
 def vec_sub(field: FieldT, a: VectorT, b: VectorT) -> VectorT:
     if len(a) != len(b):
         raise DimensionMismatch(f"vector lengths {len(a)} vs {len(b)}")
-    return tuple(field.sub(x, y) for x, y in zip(a, b))
+    return field.sub_rows(a, b)
 
 
 def vec_scale(field: FieldT, c, a: VectorT) -> VectorT:
-    return tuple(field.mul(c, x) for x in a)
+    return field.scale_row(c, a)
 
 
 def dot(field: FieldT, a: VectorT, b: VectorT):
@@ -176,10 +248,7 @@ def dot(field: FieldT, a: VectorT, b: VectorT):
     ontic state and how orthogonal complements are taken."""
     if len(a) != len(b):
         raise DimensionMismatch(f"vector lengths {len(a)} vs {len(b)}")
-    acc = field.zero
-    for x, y in zip(a, b):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
+    return field.dot(a, b)
 
 
 def matrix(field: FieldT, rows: Iterable[Iterable]) -> MatrixT:
@@ -200,14 +269,14 @@ def mat_transpose(m: MatrixT) -> MatrixT:
 def mat_vec(field: FieldT, m: MatrixT, x: VectorT) -> VectorT:
     if len(m[0]) != len(x):
         raise DimensionMismatch("matrix/vector shape mismatch")
-    return tuple(dot(field, row, x) for row in m)
+    return tuple([field.dot(row, x) for row in m])
 
 
 def mat_mul(field: FieldT, a: MatrixT, b: MatrixT) -> MatrixT:
     if len(a[0]) != len(b):
         raise DimensionMismatch("matrix shapes do not compose")
     bt = mat_transpose(b)
-    return tuple(tuple(dot(field, row, col) for col in bt) for row in a)
+    return tuple(tuple([field.dot(row, col) for col in bt]) for row in a)
 
 
 def mat_inverse(field: FieldT, m: MatrixT) -> MatrixT:
@@ -219,7 +288,7 @@ def mat_inverse(field: FieldT, m: MatrixT) -> MatrixT:
                 for row, erow in zip(m, identity_matrix(field, n))])
     if pivots != list(range(n)):
         raise ZeroDivisionError("singular matrix")
-    return tuple(tuple(r[n:]) for r in reduced)
+    return tuple(r[n:] for r in reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -251,33 +320,34 @@ class Subspace:
         return f"Subspace({self.field}, {self.ambient_dim}, [{rows}])"
 
 
-def _rref_rows(field: FieldT, rows: list) -> tuple[list, list]:
-    """In-place RREF; returns (nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
+def _rref_rows(field: FieldT, rows: Sequence[VectorT]) -> tuple[list, list]:
+    """RREF of tuples of canonical elements; returns (nonzero rows as
+    tuples, pivot columns)."""
+    rows = list(rows)
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots = []
     r = 0
     for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c] != field.zero:
-                piv = i
+        for piv in range(r, m):
+            if rows[piv][c]:
                 break
-        if piv is None:
+        else:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        row = rows[piv]
+        if row[c] != 1:
+            row = field.scale_row(field.inv(row[c]), row)
+        rows[piv] = rows[r]
+        rows[r] = row
         for i in range(m):
-            if i != r and rows[i][c] != field.zero:
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = field.sub_scaled(rows[i], f, row)
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return [rows[i] for i in range(r)], pivots
+    return rows[:r], pivots
 
 
 def rref(field: FieldT, ambient_dim: int, rows: Iterable[Iterable]) -> Subspace:
@@ -290,7 +360,7 @@ def rref(field: FieldT, ambient_dim: int, rows: Iterable[Iterable]) -> Subspace:
                 f"row length {len(v)} != ambient dimension {ambient_dim}")
         coerced.append(v)
     reduced, _ = _rref_rows(field, coerced)
-    return Subspace(field, ambient_dim, tuple(tuple(r) for r in reduced))
+    return Subspace(field, ambient_dim, tuple(reduced))
 
 
 def zero_subspace(field: FieldT, ambient_dim: int) -> Subspace:
@@ -302,13 +372,8 @@ def full_subspace(field: FieldT, ambient_dim: int) -> Subspace:
 
 
 def _pivot_columns(s: Subspace) -> list[int]:
-    cols = []
-    for row in s.basis:
-        for j, x in enumerate(row):
-            if x != s.field.zero:
-                cols.append(j)
-                break
-    return cols
+    """The first nonzero coordinate of each basis row."""
+    return [next(compress(count(), row)) for row in s.basis]
 
 
 def _check_same_ambient(s: Subspace, t: Subspace):
@@ -318,22 +383,21 @@ def _check_same_ambient(s: Subspace, t: Subspace):
 
 def contains(s: Subspace, x: VectorT) -> bool:
     """Membership test: x reduces to zero against the RREF basis."""
-    zero = s.field.zero
-    return all(c == zero for c in reduce_mod_subspace(s, x))
+    return not any(reduce_mod_subspace(s, x))
 
 
 def reduce_mod_subspace(s: Subspace, x: VectorT) -> VectorT:
     """Canonical representative of x + S: zero out all pivot coordinates."""
     field = s.field
-    x = list(vector(field, x))
+    x = field.vector(x)
     if len(x) != s.ambient_dim:
         raise DimensionMismatch(
             f"vector length {len(x)} != ambient dimension {s.ambient_dim}")
     for row, piv in zip(s.basis, _pivot_columns(s)):
         c = x[piv]
-        if c != field.zero:
-            x = [field.sub(a, field.mul(c, b)) for a, b in zip(x, row)]
-    return tuple(x)
+        if c:
+            x = field.sub_scaled(x, c, row)
+    return x
 
 
 def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
@@ -407,7 +471,7 @@ class Coset:
 
 
 def make_coset(subspace: Subspace, shift: Iterable) -> Coset:
-    return Coset(subspace, reduce_mod_subspace(subspace, vector(subspace.field, shift)))
+    return Coset(subspace, reduce_mod_subspace(subspace, shift))
 
 
 def _solve_augmented(field: FieldT, n: int, rows: Sequence[VectorT],
@@ -422,7 +486,7 @@ def _solve_augmented(field: FieldT, n: int, rows: Sequence[VectorT],
     x = [field.zero] * n
     for row, piv in zip(reduced, pivots):
         x[piv] = row[n]
-    return tuple(tuple(row[:n]) for row in reduced), tuple(x)
+    return tuple(row[:n] for row in reduced), tuple(x)
 
 
 def solve_linear(field: FieldT, n: int, rows: Sequence[VectorT], rhs: Sequence) -> Optional[VectorT]:
@@ -449,7 +513,7 @@ def coset_intersection(c1: Coset, c2: Coset) -> Optional[Coset]:
     for c in (c1, c2):
         for row in orthogonal_complement(c.subspace).basis:
             constraints.append(row)
-            rhs.append(dot(field, row, c.shift))
+            rhs.append(field.dot(row, c.shift))
     solved = _solve_augmented(field, n, constraints, rhs)
     if solved is None:
         return None

@@ -64,10 +64,19 @@ def _load_json(path: str) -> dict:
         raise _CliFailure(EXIT_IO, f"cannot read {path}: {e}")
 
 
+def _from_json(parse, doc: dict):
+    """Parse a loaded document; an entry of the wrong type, such as a
+    float, is a schema error."""
+    try:
+        return parse(doc)
+    except TypeError as e:
+        raise _CliFailure(EXIT_IO, f"input error: {e}")
+
+
 def _load_state(path: str):
     doc = _load_json(path)
     try:
-        return serialize.state_from_json(doc)
+        return _from_json(serialize.state_from_json, doc)
     except KeyError as e:
         raise _CliFailure(EXIT_IO, f"state schema error in {path}: missing {e}")
 
@@ -106,7 +115,7 @@ def _cmd_state(args) -> int:
     if args.action == "validate":
         doc = _load_json(args.input[0])
         if "support" in doc:
-            sup = serialize.support_from_json(doc)
+            sup = _from_json(serialize.support_from_json, doc)
             state = is_valid_support(sup)
             if state is None:
                 print("not a valid epistemic state")
@@ -114,7 +123,7 @@ def _cmd_state(args) -> int:
             _emit(args, lambda: _state_text(state), serialize.state_to_json(state))
             return EXIT_OK
         try:
-            state = serialize.state_from_json(doc)
+            state = _from_json(serialize.state_from_json, doc)
         except NotIsotropic as e:
             print(f"not a valid epistemic state: {e}")
             return EXIT_DOMAIN
@@ -175,7 +184,7 @@ def _cmd_evolve(args) -> int:
         doc.setdefault("n", state.space.n_systems)
         if state.space.d is not None:
             doc.setdefault("d", state.space.d)
-        t = serialize.transform_from_json(doc)
+        t = _from_json(serialize.transform_from_json, doc)
     else:
         raise _CliFailure(EXIT_IO, "evolve needs --gate or --transform")
     out = apply_to_state(t, state)
@@ -220,7 +229,7 @@ def _cmd_measure(args) -> int:
     mdoc.setdefault("n", state.space.n_systems)
     if state.space.d is not None:
         mdoc.setdefault("d", state.space.d)
-    m = serialize.measurement_from_json(mdoc)
+    m = _from_json(serialize.measurement_from_json, mdoc)
     outs = outcomes(m)
     probs = {o: outcome_probability(state, m, o) for o in outs}
     if args.outcome is not None:

@@ -308,16 +308,9 @@ def transvection(field: FieldT, v: VectorT, c=None) -> tuple:
     """T(x) = x + c[x,v]v, symplectic for any nonzero v and scalar c."""
     if c is None:
         c = field.one
-    n = len(v)
     dual = symplectic_dual(field, v)
-    rows = []
-    for i in range(n):
-        row = list(zero_vector(field, n))
-        row[i] = field.one
-        for j in range(n):
-            row[j] = field.add(row[j], field.mul(field.mul(c, v[i]), dual[j]))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(field.add_rows(e, field.scale_row(field.mul(c, x), dual))
+                 for e, x in zip(identity_matrix(field, len(v)), v))
 
 
 def sp_order(n_systems: int, p: int) -> int:

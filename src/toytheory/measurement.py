@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 from .algebra import (
     Coset, PrimeField, Subspace,
     coset_intersection, dot, orthogonal_complement,
-    reduce_mod_subspace, rref, solve_linear, subspace_sum, vector,
+    reduce_mod_subspace, rref, solve_linear, subspace_sum,
 )
 from .errors import (
     ContinuousNotEnumerable, DimensionMismatch, ImpossibleOutcome,
@@ -58,13 +58,10 @@ class Outcome:
 
 
 def make_measurement(space: PhaseSpace, observables: Iterable) -> Measurement:
-    rows = []
-    for g in observables:
-        coeffs = g.coeffs if isinstance(g, Observable) else vector(space.field, g)
-        if len(coeffs) != space.ambient_dim:
-            raise DimensionMismatch("observable does not match the phase space")
-        rows.append(coeffs)
-    sub = rref(space.field, space.ambient_dim, rows)
+    # rref coerces each row and checks its length
+    sub = rref(space.field, space.ambient_dim,
+               [g.coeffs if isinstance(g, Observable) else g
+                for g in observables])
     if not is_isotropic(sub):
         raise NotIsotropic("measured observables must commute pairwise")
     return Measurement(space, sub)
@@ -73,9 +70,7 @@ def make_measurement(space: PhaseSpace, observables: Iterable) -> Measurement:
 def outcome_from_valuation(m: Measurement, valuation: Iterable) -> Outcome:
     """The outcome whose compatible coset contains the given ontic vector."""
     field = m.space.field
-    val = vector(field, valuation)
-    comp = orthogonal_complement(m.observables)
-    shift = reduce_mod_subspace(comp, val)
+    shift = reduce_mod_subspace(orthogonal_complement(m.observables), valuation)
     label = tuple(dot(field, g, shift) for g in m.observables.basis)
     return Outcome(m, shift, label)
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from . import algebra
 from .algebra import (
-    FieldT, GF, PrimeField, QQ, Subspace, VectorT,
-    dot, rref, subspace_intersection, vector,
+    FieldT, GF, PrimeField, QQ, Subspace, VectorT, _rref_rows, dot, vector,
 )
 from .config import enumeration_cap
 from .errors import DimensionMismatch, EnumerationCapExceeded
@@ -104,11 +102,7 @@ def bracket_vectors(field: FieldT, f: VectorT, g: VectorT):
     """[f,g] = sum_i f_{2i} g_{2i+1} - f_{2i+1} g_{2i} (0-indexed coords)."""
     if len(f) != len(g) or len(f) % 2 != 0:
         raise DimensionMismatch("Poisson bracket needs equal even-length vectors")
-    acc = field.zero
-    for i in range(0, len(f), 2):
-        acc = field.add(acc, field.sub(field.mul(f[i], g[i + 1]),
-                                       field.mul(f[i + 1], g[i])))
-    return acc
+    return field.sub(field.dot(f[0::2], g[1::2]), field.dot(f[1::2], g[0::2]))
 
 
 def poisson_bracket(f: Observable, g: Observable):
@@ -149,19 +143,30 @@ def is_isotropic(s: Subspace) -> bool:
     basis = s.basis
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if bracket_vectors(field, basis[i], basis[j]) != field.zero:
+            if bracket_vectors(field, basis[i], basis[j]):
                 return False
     return True
 
 
 def commutant_within(v: Subspace, v_pi: Subspace) -> Subspace:
-    """{f in V : [f, g] = 0 for all g in V_pi}, computed as V ∩ (J V_pi)^⊥."""
+    """{f in V : [f, g] = 0 for all g in V_pi}, in one elimination.
+
+    Row i of [[g_1, b_i], ..., [g_m, b_i] | b_i] pairs V's basis row b_i
+    with its brackets against V_pi's basis.  A combination of these rows has
+    left block zero exactly when its right block c.B commutes with V_pi, so
+    after elimination the rows whose pivot lies in the right block are the
+    commutant's canonical basis: each is led by a 1 that every other such
+    row is zero under, and V's rows are independent.
+    """
     if v.ambient_dim != v_pi.ambient_dim or v.field != v_pi.field:
         raise DimensionMismatch("subspaces live in different phase spaces")
     field = v.field
-    dual_rows = [symplectic_dual(field, g) for g in v_pi.basis]
-    dual = rref(field, v.ambient_dim, dual_rows)
-    return subspace_intersection(v, algebra.orthogonal_complement(dual))
+    m = v_pi.dim
+    reduced, pivots = _rref_rows(
+        field, [tuple([bracket_vectors(field, g, b) for g in v_pi.basis]) + b
+                for b in v.basis])
+    return Subspace(field, v.ambient_dim,
+                    tuple(row[m:] for row, c in zip(reduced, pivots) if c >= m))
 
 
 def embed_vector(space: PhaseSpace, system_offset: int, v: VectorT) -> VectorT:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from . import _gf2
 from .algebra import (
     Subspace, dot, enumerate_coset, rref, subspace_intersection,
-    subspace_sum, vec_sub,
+    subspace_sum, vec_add, vec_sub,
 )
 from .dynamics import (
     apply_to_state, cnot_gate, compose_transforms, random_symplectic,
@@ -281,7 +281,7 @@ class FRCandidate:
         joint = make_measurement(
             self.space, list(self.v_u.basis) + list(self.v_w.basis))
         joint_out = outcome_from_valuation(
-            joint, tuple(field.add(a, b) for a, b in zip(self.u_ok, self.w_ok)))
+            joint, vec_add(field, self.u_ok, self.w_ok))
         return outcome_probability(self.initial, joint, joint_out)
 
 
@@ -296,7 +296,7 @@ class ConditionReport:
 
 
 def _orthogonal_to(field, sub: Subspace, x) -> bool:
-    return all(dot(field, b, x) == field.zero for b in sub.basis)
+    return not any(dot(field, b, x) for b in sub.basis)
 
 
 def check_fr_conditions(c: FRCandidate) -> ConditionReport:
@@ -328,7 +328,7 @@ def check_fr_conditions(c: FRCandidate) -> ConditionReport:
     def comb(*vecs):
         acc = vecs[0]
         for w in vecs[1:]:
-            acc = tuple(field.add(a, b) for a, b in zip(acc, w))
+            acc = vec_add(field, acc, w)
         return vec_sub(field, acc, v)
 
     cond4 = member(comb(c.u_ok, c.w_ok), subspace_sum(c.v_u, c.v_w), known)

@@ -7,7 +7,8 @@ Measurement:  {"observables": [[entry, ...], ...]}               (+ field/d/n)
 Support:      {"support": [[entry, ...], ...]}                   (+ field/d/n)
 
 Entries are ints; rationals are encoded as "a/b" strings (plain ints also
-accepted).  Every value round-trips to a structurally equal object.
+accepted).  Floats raise TypeError: they have no exact value.  Every value
+round-trips to a structurally equal object.
 """
 
 from __future__ import annotations
@@ -39,11 +40,19 @@ def space_to_json(space: PhaseSpace) -> dict:
     return {"field": "rational", "n": space.n_systems}
 
 
+def _size(doc: dict, key: str) -> int:
+    """`d` or `n`: an int or a string of one; int() would truncate a float."""
+    x = doc[key]
+    if not isinstance(x, (int, str)):
+        raise TypeError(f"{key} must be an integer, got {x!r}")
+    return int(x)
+
+
 def space_from_json(doc: dict) -> PhaseSpace:
     kind = doc.get("field", "prime")
-    n = int(doc["n"])
+    n = _size(doc, "n")
     if kind == "prime":
-        return discrete_space(int(doc["d"]), n)
+        return discrete_space(_size(doc, "d"), n)
     if kind == "rational":
         return rational_space(n)
     raise DimensionMismatch(f"unknown field kind {kind!r}")
@@ -93,7 +102,7 @@ def support_to_json(sup: OnticSupport) -> dict:
 def support_from_json(doc: dict) -> OnticSupport:
     space = space_from_json(doc)
     f = space.field
-    members = frozenset(tuple(f.coerce(x) for x in v) for v in doc["support"])
+    members = frozenset(f.vector(v) for v in doc["support"])
     if any(len(v) != space.ambient_dim for v in members):
         raise DimensionMismatch("support vector of wrong length")
     return OnticSupport(space, members)

@@ -98,21 +98,16 @@ def make_state(space: PhaseSpace, generators: Iterable, valuation: Iterable) -> 
     Raises NotIsotropic when the generators contain a non-commuting pair
     (classical complementarity forbids jointly knowing them).
     """
-    rows = []
-    for g in generators:
-        coeffs = g.coeffs if isinstance(g, Observable) else vector(space.field, g)
-        if len(coeffs) != space.ambient_dim:
-            raise DimensionMismatch("generator does not match the phase space")
-        rows.append(coeffs)
-    known = rref(space.field, space.ambient_dim, rows)
+    # rref coerces each row and checks its length
+    known = rref(space.field, space.ambient_dim,
+                 [g.coeffs if isinstance(g, Observable) else g
+                  for g in generators])
     if not is_isotropic(known):
         raise NotIsotropic(
             "generators do not commute under the Poisson bracket")
-    val = vector(space.field, valuation)
-    if len(val) != space.ambient_dim:
-        raise DimensionMismatch("valuation does not match the phase space")
-    support_space = orthogonal_complement(known)
-    return EpistemicState(space, known, reduce_mod_subspace(support_space, val))
+    # the reduction coerces the valuation and checks its length
+    return EpistemicState(space, known, reduce_mod_subspace(
+        orthogonal_complement(known), valuation))
 
 
 def state_from_values(space: PhaseSpace, known_values: Iterable) -> EpistemicState:

@@ -1,9 +1,17 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from toytheory.algebra import QQ, rref
 from fractions import Fraction
+
+# Property tests draw the same examples on every run and have no deadline,
+# so a slow or busy machine cannot fail them and every failure reproduces.
+settings.register_profile(
+    "toytheory", deadline=None, derandomize=True, database=None,
+    max_examples=100)
+settings.load_profile("toytheory")
 
 
 @pytest.fixture

@@ -25,6 +25,41 @@ def test_prime_field_rejects_composites():
     GF(2), GF(3), GF(5), GF(7)
 
 
+@pytest.mark.parametrize("field", [F3, GF(7)])
+def test_prime_coerce_contract(field):
+    p = field.p
+    assert field.coerce(-1) == p - 1 and field.coerce(2 * p + 1) == 1
+    assert field.coerce(Fraction(1, 2)) == (p + 1) // 2
+    assert field.coerce(Fraction(-3, 1)) == field.coerce(-3)
+    assert field.coerce("1/2") == field.coerce(Fraction(1, 2))
+    assert field.coerce("-4") == field.coerce(-4)
+    got = field.vector([-1, Fraction(1, 2), "2/5", True, p])
+    assert got == (p - 1, field.coerce(Fraction(1, 2)),
+                   field.coerce(Fraction(2, 5)), 1, 0)
+    assert all(type(x) is int and 0 <= x < p for x in got)
+    for bad in (0.1, 1.0, float("nan")):
+        with pytest.raises(TypeError):
+            field.coerce(bad)
+        with pytest.raises(TypeError):
+            field.vector([0, bad])
+    with pytest.raises(ValueError):
+        field.coerce(Fraction(1, p))
+
+
+def test_rational_coerce_contract():
+    half = Fraction(1, 2)
+    assert QQ.coerce(half) is half
+    assert QQ.coerce(-3) == Fraction(-3) and QQ.coerce("-1/2") == -half
+    got = QQ.vector([1, half, "3/4", -2])
+    assert got == (1, half, Fraction(3, 4), -2)
+    assert all(type(x) is Fraction for x in got)
+    for bad in (0.1, 0.5, 1.0):
+        with pytest.raises(TypeError):
+            QQ.coerce(bad)
+        with pytest.raises(TypeError):
+            QQ.vector([bad])
+
+
 def test_rref_scaling_collapses_over_q():
     s = rref(QQ, 2, [(2, 0), (4, 0)])
     assert s.basis == ((Fraction(1), Fraction(0)),)

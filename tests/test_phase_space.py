@@ -2,15 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from toytheory.algebra import GF, QQ, rref, zero_subspace
+from toytheory.algebra import (
+    GF, QQ, orthogonal_complement, rref, subspace_intersection, zero_subspace,
+)
 from toytheory.errors import DimensionMismatch
 from toytheory.phase_space import (
     all_isotropic_subspaces, bracket_vectors, commutant_within,
     compose, discrete_space, is_isotropic, j_matrix, observable,
     p_observable, poisson_bracket, q_observable, rational_space,
+    symplectic_dual,
 )
 
-from conftest import random_vector
+from conftest import random_subspace, random_vector
 
 F2 = GF(2)
 F5 = GF(5)
@@ -90,7 +93,6 @@ def test_commutant_examples():
 
 
 def test_commutant_is_isotropic_subspace_of_v(rng):
-    from conftest import random_subspace
     sp = discrete_space(3, 2)
     f3 = GF(3)
     for _ in range(100):
@@ -107,6 +109,20 @@ def test_commutant_is_isotropic_subspace_of_v(rng):
         c = commutant_within(v, v_pi)
         assert all(v.contains(g) for g in c.basis)
         assert is_isotropic(c)
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), F5, QQ])
+def test_commutant_matches_complement_route(field, rng):
+    """The one-elimination commutant equals V ∩ (J V_pi)^⊥ taken through
+    complements, on random V and V_pi, isotropic or not."""
+    for ambient in (2, 4, 6):
+        for _ in range(60):
+            v = random_subspace(field, ambient, rng)
+            v_pi = random_subspace(field, ambient, rng, max_rows=ambient // 2)
+            dual = rref(field, ambient,
+                        [symplectic_dual(field, g) for g in v_pi.basis])
+            want = subspace_intersection(v, orthogonal_complement(dual))
+            assert commutant_within(v, v_pi) == want
 
 
 def test_maximal_isotropic_dimension_exhaustive_d2():

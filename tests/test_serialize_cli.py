@@ -117,6 +117,24 @@ def test_cli_missing_file_exit1(files):
     assert r.returncode == 1
 
 
+@pytest.mark.parametrize("doc", [
+    {"field": "rational", "n": 1, "generators": [[0.1, 0]],
+     "valuation": [0.3, 0]},
+    {"field": "prime", "d": 3, "n": 1, "generators": [[0.1, 0]],
+     "valuation": [0, 0]},
+    {"field": "prime", "d": 2.9, "n": 1, "generators": [[1, 0]],
+     "valuation": [1, 0]},
+])
+def test_cli_float_entries_exit1(tmp_path, doc):
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    r = _run(["state", "show", str(path)])
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("input error:")
+    assert len(r.stderr.strip().splitlines()) == 1
+
+
 def test_cli_tensor_and_marginal(files):
     r = _run(["--format", "json", "state", "tensor",
               str(files / "one.json"), str(files / "zero.json")])

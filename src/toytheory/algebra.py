@@ -495,7 +495,8 @@ def solve_linear(field: FieldT, n: int, rows: Sequence[VectorT], rhs: Sequence) 
     Gaussian elimination on the augmented system; free variables are set to
     zero, so the result is deterministic.
     """
-    solved = _solve_augmented(field, n, rows, rhs)
+    solved = _solve_augmented(field, n, [field.vector(r) for r in rows],
+                              [field.coerce(b) for b in rhs])
     return None if solved is None else solved[1]
 
 

@@ -101,7 +101,8 @@ def _state_text(s) -> str:
         lines.append(render_grid(s).to_ascii())
     else:
         for g in s.known.basis:
-            lines.append(f"  {list(g)} = {s.value_of(g)}")
+            entries = ", ".join(str(x) for x in g)
+            lines.append(f"  [{entries}] = {s.value_of(g)}")
         if not s.known.basis:
             lines.append("  (maximal ignorance)")
     return "\n".join(lines)

@@ -390,16 +390,18 @@ def fr_chain_sequential(c: FRCandidate) -> dict:
                 grown.append((dict(outs, **{agent: out}),
                               update_state(state, meas, out), prob * p))
         branches = grown
+    u_ok, w_ok, b_1, a_1, w_fail = map(
+        c.outcome, ("U=ok", "W=ok", "B=1", "A=1", "W=fail"))
     p_ok_ok = Fraction(0)
     stmt_u_b = stmt_b_a = stmt_a_w = True
     for outs, _, prob in branches:
-        if outs["U"] == c.outcome("U=ok") and outs["W"] == c.outcome("W=ok"):
+        if outs["U"] == u_ok and outs["W"] == w_ok:
             p_ok_ok += prob
-        if outs["U"] == c.outcome("U=ok") and outs["B"] != c.outcome("B=1"):
+        if outs["U"] == u_ok and outs["B"] != b_1:
             stmt_u_b = False
-        if outs["B"] == c.outcome("B=1") and outs["A"] != c.outcome("A=1"):
+        if outs["B"] == b_1 and outs["A"] != a_1:
             stmt_b_a = False
-        if outs["A"] == c.outcome("A=1") and outs["W"] != c.outcome("W=fail"):
+        if outs["A"] == a_1 and outs["W"] != w_fail:
             stmt_a_w = False
     return {
         "p_ok_ok": p_ok_ok,
@@ -426,6 +428,12 @@ def fr_chain_sequential(c: FRCandidate) -> dict:
 #
 # with K_X the commutant of V_X inside V.  These are exactly the pred-cert
 # conditions of the general `infers` path, cross-validated by spot checks.
+#
+# Per known-set the scan keeps the masks of conditions 5-7 in lists indexed
+# by premise (t5 by V_B, t7 by V_A), holding only the pairs whose subset
+# condition passes, so no lookup is spent on a pair that was never stored.
+# A pool of N workers splits the known-sets by stride, worker i scanning
+# every N-th one from i (`_fr_partition` says why).
 
 
 def _perp_of_elems(ortho, full: int, elems) -> int:
@@ -520,7 +528,6 @@ class _FrKernel:
         self.k_u, self.c1 = self._subset_table(t.meas_u, t.meas_b)
         self.k_b, self.c2 = self._subset_table(t.meas_b, t.meas_a)
         self.k_a, self.c3 = self._subset_table(t.meas_a, t.meas_w)
-        self._t4: dict = {}
 
     def _subset_table(self, premises, conclusions) -> tuple:
         """The K_X mask of each premise X, and the table [x][y] of
@@ -541,11 +548,7 @@ class _FrKernel:
                               [x for x in sum_elems if (kmask >> x) & 1])
 
     def t4(self, u: int, w: int) -> int:
-        """Cached: the scan asks for each (u, w) many times."""
-        got = self._t4.get((u, w))
-        if got is None:
-            got = self._t4[u, w] = self._perp(self.t.sum_uw[u][w], self.v_mask)
-        return got
+        return self._perp(self.t.sum_uw[u][w], self.v_mask)
 
     def t5(self, u: int, b: int) -> int:
         return self._perp(self.t.sum_bu[b][u], self.k_u[u])
@@ -558,8 +561,9 @@ class _FrKernel:
 
 
 # Benign all-seven tuples each scan range keeps for the exact re-derivation:
-# in each of this many strata of its known-sets, the first one whose
-# valuation is nonzero and not yet in the range's sample.  A known-set's
+# in each of this many strata of its known-sets (cut by position in the
+# range, which may be strided), the first one whose valuation is nonzero
+# and not yet in the range's sample.  A known-set's
 # first benign tuple is always at v = 0, and its first at v != 0 is at v = 1
 # for 1134 of the 1251 known-sets with one, hence both rules.
 _FR_BENIGN_SAMPLES = 4
@@ -567,19 +571,27 @@ _FR_BENIGN_SAMPLES = 4
 
 def _fr_scan_range(t: _FrTables, start: int, stop: int,
                    weaken_condition1: bool = False,
-                   stop_after: int | None = None) -> dict:
-    """Scan a contiguous range of pure known-sets; exact, no sampling."""
+                   stop_after: int | None = None, step: int = 1) -> dict:
+    """Scan the pure known-sets range(start, stop, step); exact, no
+    sampling."""
     meas_a, meas_b, meas_u, meas_w = t.meas_a, t.meas_b, t.meas_u, t.meas_w
     n_a, n_b, n_u, n_w = len(meas_a), len(meas_b), len(meas_u), len(meas_w)
+    known = range(start, stop, step)
     paradoxes: list[tuple] = []
     benign: list[tuple] = []
     stats = {"states": 0, "valuation_tests": 0, "quad_tests": 0,
              "benign_all_seven": 0, "paradoxes": paradoxes,
              "benign_sample": benign}
 
+    def tally(valuation_tests, quad_tests, benign_all_seven) -> dict:
+        stats["valuation_tests"] += valuation_tests
+        stats["quad_tests"] += quad_tests
+        stats["benign_all_seven"] += benign_all_seven
+        return stats
+
     sampled = -1  # the last stratum that kept a benign tuple
-    for li in range(start, stop):
-        stratum = (li - start) * _FR_BENIGN_SAMPLES // (stop - start)
+    for pos, li in enumerate(known):
+        stratum = pos * _FR_BENIGN_SAMPLES // len(known)
         basis = t.lagrangians[li]
         k = _FrKernel(t, basis)
         vperp_elems = _gf2.mask_elements(
@@ -592,56 +604,52 @@ def _fr_scan_range(t: _FrTables, start: int, stop: int,
                 seen |= _gf2.coset_mask(vperp_elems, x)
         stats["states"] += len(reps)
 
-        # Conditions 5-7 are looked up only where their subset condition
-        # holds, unless the control drops conditions 1-3.
-        t5 = {(u, b): k.t5(u, b) for u in range(n_u) for b in range(n_b)
-              if weaken_condition1 or k.c1[u][b]}
-        t6 = {(b, a): k.t6(b, a) for b in range(n_b) for a in range(n_a)
-              if weaken_condition1 or k.c2[b][a]}
-        t7 = {(a, w): k.t7(a, w) for a in range(n_a) for w in range(n_w)
-              if weaken_condition1 or k.c3[a][w]}
+        # Conditions 5-7 are kept, per premise, only where their subset
+        # condition holds, unless the control drops conditions 1-3.
+        t5 = [[(u, k.t5(u, b), meas_u[u].outs) for u in range(n_u)
+               if weaken_condition1 or k.c1[u][b]] for b in range(n_b)]
+        t6 = [(b, a, k.t6(b, a)) for b in range(n_b) for a in range(n_a)
+              if weaken_condition1 or k.c2[b][a]]
+        t7 = [[(w, k.t7(a, w), meas_w[w].outs, meas_w[w].perp)
+               for w in range(n_w) if weaken_condition1 or k.c3[a][w]]
+              for a in range(n_a)]
+        t4: dict = {}
+        valuation_tests = quad_tests = benign_all_seven = 0
 
         for v in reps:
             l6: dict = {}
-            for (b, a), mask6 in t6.items():
+            for b, a, mask6 in t6:
                 for b1 in meas_b[b].outs:
                     for a1 in meas_a[a].outs:
-                        stats["valuation_tests"] += 1
+                        valuation_tests += 1
                         if (mask6 >> (b1 ^ a1 ^ v)) & 1:
                             l6.setdefault((b, b1), []).append((a, a1))
-            if not l6:
-                continue
             for (b, b1), a_list in l6.items():
                 u_cands = []
-                for u in range(n_u):
-                    mask5 = t5.get((u, b))
-                    if mask5 is None:
-                        continue
-                    for uok in meas_u[u].outs:
-                        stats["valuation_tests"] += 1
+                for u, mask5, outs_u in t5[b]:
+                    for uok in outs_u:
+                        valuation_tests += 1
                         if (mask5 >> (b1 ^ uok ^ v)) & 1:
                             u_cands.append((u, uok))
                 if not u_cands:
                     continue
                 for (a, a1) in a_list:
-                    for w in range(n_w):
-                        mask7 = t7.get((a, w))
-                        if mask7 is None:
-                            continue
-                        wperp = meas_w[w].perp
-                        for wfail in meas_w[w].outs:
-                            stats["valuation_tests"] += 1
+                    for w, mask7, outs_w, wperp in t7[a]:
+                        for wfail in outs_w:
+                            valuation_tests += 1
                             if not (mask7 >> (a1 ^ wfail ^ v)) & 1:
                                 continue
                             for (u, uok) in u_cands:
-                                mask4 = k.t4(u, w)
-                                for wok in meas_w[w].outs:
-                                    stats["quad_tests"] += 1
+                                mask4 = t4.get((u, w))
+                                if mask4 is None:
+                                    mask4 = t4[u, w] = k.t4(u, w)
+                                for wok in outs_w:
+                                    quad_tests += 1
                                     if not (mask4 >> (uok ^ wok ^ v)) & 1:
                                         continue
                                     # all seven conditions hold here
                                     if (wperp >> (wok ^ wfail)) & 1:
-                                        stats["benign_all_seven"] += 1
+                                        benign_all_seven += 1
                                         if stratum > sampled and v and \
                                                 all(v != tup[1]
                                                     for tup in benign):
@@ -655,13 +663,27 @@ def _fr_scan_range(t: _FrTables, start: int, stop: int,
                                              w, wok, wfail))
                                         if stop_after is not None and \
                                                 len(paradoxes) >= stop_after:
-                                            return stats
+                                            return tally(valuation_tests,
+                                                         quad_tests,
+                                                         benign_all_seven)
+        tally(valuation_tests, quad_tests, benign_all_seven)
     return stats
 
 
+def _fr_partition(n: int, workers: int) -> list:
+    """The known-sets of each worker: worker i scans range(i, n, workers).
+
+    In the enumerator's order the known-sets with the most tests cluster
+    in the first half: contiguous halves split the scan's valuation and quad
+    tests 73 : 27, strided halves, which take an even share of every region,
+    51 : 49."""
+    return [range(i, n, workers) for i in range(workers)]
+
+
 def _fr_worker(args) -> dict:
-    start, stop, weaken, stop_after = args
-    return _fr_scan_range(_fr_tables(), start, stop, weaken, stop_after)
+    known, weaken, stop_after = args
+    return _fr_scan_range(_fr_tables(), known.start, known.stop, weaken,
+                          stop_after, known.step)
 
 
 def _fr_conditions_single(t: _FrTables, li: int, v: int, a: int, a1: int,
@@ -884,6 +906,11 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     (ok and fail labeling the same outcome) do exist.  With
     ``weaken_condition1`` the subset conditions are dropped, which must
     produce false positives (search sensitivity control).
+
+    With ``workers`` > 1 the known-sets are split by stride, worker i taking
+    every ``workers``-th one from i (`_fr_partition`), in one call per worker;
+    each worker keeps its own benign sample and ``stop_after`` counts the
+    paradoxes of each worker.
     """
     config = {"d": d, "blocks": tuple(blocks), "exhaustive": exhaustive,
               "workers": workers, "seed": seed,
@@ -910,9 +937,8 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     config["lagrangians"] = n_lagr
     config["candidate_space"] = (n_lagr * 16) * 36 * outs_u * pairs_w
     if workers > 1:
-        bounds = [(i * n_lagr) // workers for i in range(workers + 1)]
-        args = [(bounds[i], bounds[i + 1], weaken_condition1, stop_after)
-                for i in range(workers)]
+        args = [(known, weaken_condition1, stop_after)
+                for known in _fr_partition(n_lagr, workers)]
         with _pool_context().Pool(workers) as pool:
             parts = pool.map(_fr_worker, args)
         stats = _merge_fr_stats(parts)

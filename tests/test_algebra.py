@@ -178,6 +178,20 @@ def test_solve_linear_consistency():
     assert solve_linear(F3, 2, [], []) == (0, 0)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_solve_linear_reduces_noncanonical_ints(p):
+    field = GF(p)
+    # p * x = 1 is 0 * x = 1: inconsistent, not a division by zero
+    assert solve_linear(field, 1, [(p,)], [1]) is None
+    assert solve_linear(field, 2, [(p, 0), (0, 1)], [p + 1, 0]) is None
+    # the same system as canonical rows and as rows shifted by multiples of p
+    canonical = solve_linear(field, 2, [(1, 0), (0, 2)], [p - 1, 1])
+    shifted = solve_linear(field, 2, [(p + 1, -p), (p, 2 - p)],
+                           [-1, 1 + 3 * p])
+    assert canonical is not None
+    assert shifted == canonical
+
+
 @pytest.mark.parametrize("field,ambient", [(F2, 6), (F3, 4), (GF(5), 4)])
 def test_lemma_sweeps_finite(field, ambient, rng):
     """Representative-independence, intersection form, complement-of-sum and

@@ -8,8 +8,8 @@ from toytheory.scenarios import (
     FRCandidate, check_fr_conditions, fr_chain_initial,
     fr_chain_sequential, run_bell, run_forgetting, run_wigner_friend,
     search_fr_paradox, _FR_BENIGN_SAMPLES, _fr_candidate_from_ints,
-    _fr_conditions_single, _fr_rederive, _fr_scan_range, _fr_tables,
-    _merge_fr_stats, _random_fr_tuple,
+    _fr_conditions_single, _fr_partition, _fr_rederive, _fr_scan_range,
+    _fr_tables, _merge_fr_stats, _random_fr_tuple,
 )
 from toytheory.states import make_state, state_from_values
 
@@ -167,6 +167,43 @@ def test_fast_scan_slice_agrees_with_merge_and_finds_nothing():
     assert merged_benign[0] == whole_benign[0]
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_fr_partition_covers_every_known_set_once(workers):
+    parts = _fr_partition(2295, workers)
+    assert len(parts) == workers
+    assert sorted(li for part in parts for li in part) == list(range(2295))
+
+
+def test_strided_scans_merge_to_the_contiguous_scan():
+    t = _fr_tables()
+    whole = _fr_scan_range(t, 0, 60)
+    parts = [_fr_scan_range(t, i, 60, step=3) for i in range(3)]
+    merged = _merge_fr_stats(parts)
+    for key in ("states", "valuation_tests", "quad_tests",
+                "benign_all_seven", "paradoxes"):
+        assert merged[key] == whole[key]
+    # each part samples its own known-sets, one tuple per stratum of its
+    # positions
+    for i, part in enumerate(parts):
+        sample = part["benign_sample"]
+        assert 0 < len(sample) <= _FR_BENIGN_SAMPLES
+        positions = [(tup[0] - i) // 3 for tup in sample]
+        assert all(tup[0] % 3 == i for tup in sample)
+        strata = [pos * _FR_BENIGN_SAMPLES // 20 for pos in positions]
+        assert len(set(strata)) == len(strata)
+        assert _fr_rederive(t, sample)
+
+
+def test_strided_scan_balances_the_workers():
+    t = _fr_tables()
+    loads = []
+    for known in _fr_partition(len(t.lagrangians), 2):
+        part = _fr_scan_range(t, known.start, known.stop, step=known.step)
+        loads.append(part["valuation_tests"] + part["quad_tests"])
+    # the contiguous halves split the same work about 73 : 27
+    assert max(loads) <= 0.52 * sum(loads)
+
+
 def test_benign_sample_spreads_over_the_range():
     t = _fr_tables()
     sample = _fr_scan_range(t, 0, 40)["benign_sample"]
@@ -277,6 +314,18 @@ def test_mutated_search_finds_false_positives():
         assert all(conds[3:])
 
 
+def test_mutated_search_on_a_strided_part_finds_false_positives():
+    t = _fr_tables()
+    stats = _fr_scan_range(t, 1, 2295, weaken_condition1=True, stop_after=3,
+                           step=2)
+    assert len(stats["paradoxes"]) == 3
+    for tup in stats["paradoxes"]:
+        assert tup[0] % 2 == 1
+        conds = _fr_conditions_single(t, *tup)
+        assert not all(conds[:3])
+        assert all(conds[3:])
+
+
 def test_search_verdict_fails_on_misclassified_benign_sample(monkeypatch):
     t = _fr_tables()
 
@@ -304,12 +353,12 @@ def test_search_verdict_fails_on_misclassified_benign_sample(monkeypatch):
 
 
 def test_search_fr_paradox_workers_agree():
-    r1 = search_fr_paradox(d=2, exhaustive=True, workers=1, spot_checks=0)
-    r2 = search_fr_paradox(d=2, exhaustive=True, workers=2, spot_checks=0)
-    s1 = [e for e in r1.events if e["kind"] == "scan"][0]
-    s2 = [e for e in r2.events if e["kind"] == "scan"][0]
-    assert s1 == s2
-    for r in (r1, r2):
+    reports = [search_fr_paradox(d=2, exhaustive=True, workers=w,
+                                 spot_checks=0) for w in (1, 2, 3)]
+    scans = [[e for e in r.events if e["kind"] == "scan"][0]
+             for r in reports]
+    assert scans[1] == scans[0] and scans[2] == scans[0]
+    for r in reports:
         assert r.verdict["no_paradox_found"]
         assert r.verdict["derivation_verified"]
 

@@ -211,6 +211,17 @@ def test_cli_global_flags_after_subcommand(files):
     assert json.loads(r.stdout)["generators"] == [[0, 1]]
 
 
+def test_cli_show_rational_entries_as_fractions(tmp_path):
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"field": "rational", "n": 1,
+                                "generators": [["1/2", 0]],
+                                "valuation": ["3/4", 0]}))
+    r = _run(["state", "show", str(path)])
+    assert r.returncode == 0
+    assert "Fraction(" not in r.stdout
+    assert r.stdout.splitlines()[-1] == "  [1, 0] = 3/4"
+
+
 def test_cli_decimal_formatting(files):
     r = _run(["--decimal", "3", "measure", str(files / "plus.json"),
               str(files / "mz.json"), "--outcome", "0"])

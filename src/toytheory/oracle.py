@@ -2,8 +2,10 @@
 
 Everything here enumerates explicit ontic sets and scans explicit catalogs of
 valid states; it is deliberately independent of the algebraic update and
-probability rules so it can certify them.  Exponential cost, test-side only
-(and the CLI's --verify mode).
+probability rules so it can certify them.  An outcome is tested at each
+ontic point by the values of the measured observables there, its literal
+definition, not by a reduction modulo V_π^⊥.  Exponential cost, test-side
+only (and the CLI's --verify mode).
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import (
-    PrimeField, Subspace, dot, orthogonal_complement, reduce_mod_subspace,
-    vec_sub,
+    PrimeField, Subspace, _pivot_columns, enumerate_subspace,
+    orthogonal_complement, reduce_mod_subspace, rref,
 )
 from .errors import EnumerationCapExceeded, InvariantViolation
 from .measurement import Measurement, Outcome
-from .phase_space import PhaseSpace, all_isotropic_subspaces
+from .phase_space import PhaseSpace, isotropic_subspaces_within, symplectic_dual
 from .states import EpistemicState, OnticSupport, ontic_support
 
 
@@ -34,26 +36,47 @@ class OnticEnsemble:
         return cls(s.space, ontic_support(s, cap))
 
 
+def _outcome_points(points, out: Outcome) -> list:
+    """The points at which every measured observable takes the outcome's
+    value."""
+    field_dot = out.measurement.space.field.dot
+    values = tuple(zip(out.measurement.observables.basis, out.label))
+    return [o for o in points
+            if all(field_dot(g, o) == c for g, c in values)]
+
+
 def oracle_probability(s: EpistemicState, m: Measurement, out: Outcome,
                        cap: int | None = None) -> Fraction:
     """Literal sum of the outcome indicator over the enumerated support."""
     sup = ontic_support(s, cap)
-    coset = out.coset()
-    hits = sum(1 for o in sup.members if coset.contains(o))
-    return Fraction(hits, len(sup.members))
+    return Fraction(len(_outcome_points(sup.members, out)), len(sup.members))
 
 
 _SUPERSPACE_CACHE: dict = {}
 
 
 def _isotropics_containing(space: PhaseSpace, v_pi: Subspace) -> list[Subspace]:
-    """All isotropic subspaces containing V_π, largest dimension first."""
+    """All isotropic subspaces containing V_π, largest dimension first, each
+    dimension sorted by canonical basis (the catalog's order).
+
+    Such a W lies in the symplectic complement C of V_π, whose radical is
+    V_π.  The points of C that vanish in V_π's pivot columns form a
+    complement L of V_π in C, so W = V_π ⊕ (W ∩ L), and the isotropic
+    subspaces of L give each W once.
+    """
     key = (space, v_pi)
     if key not in _SUPERSPACE_CACHE:
-        catalog = all_isotropic_subspaces(space)
-        found = [w for w in catalog
-                 if all(w.contains(g) for g in v_pi.basis)]
-        found.sort(key=lambda w: -w.dim)
+        field = space.field
+        n = space.ambient_dim
+        units = [tuple(int(i == c) for i in range(n))
+                 for c in _pivot_columns(v_pi)]
+        within = orthogonal_complement(rref(
+            field, n, [symplectic_dual(field, g) for g in v_pi.basis] + units))
+        found = []
+        for per_dim in reversed(isotropic_subspaces_within(
+                field, n, enumerate_subspace(within))):
+            found += sorted((rref(field, n, v_pi.basis + u.basis)
+                             for u in per_dim), key=lambda w: w.basis)
         _SUPERSPACE_CACHE[key] = found
     return _SUPERSPACE_CACHE[key]
 
@@ -95,46 +118,51 @@ def oracle_smallest_update(s: EpistemicState, m: Measurement, out: Outcome,
     runs over isotropic subspaces from large to small dimension; containment
     in the outcome coset forces V_π ⊆ W.
     """
-    field = s.field
-    if not isinstance(field, PrimeField):
+    if not isinstance(s.field, PrimeField):
         raise EnumerationCapExceeded("oracle updates need a discrete field")
-    sup = ontic_support(s, cap)
-    coset = out.coset()
-    pre_post = sorted(o for o in sup.members if coset.contains(o))
+    pre_post = _outcome_points(ontic_support(s, cap).members, out)
     if not pre_post:
         raise EnumerationCapExceeded(
             "oracle update undefined for an impossible outcome")
-    x0 = pre_post[0]
-    diffs = [vec_sub(field, x, x0) for x in pre_post]
+    return _smallest_support(s, m, pre_post, cap)
+
+
+def _smallest_support(s: EpistemicState, m: Measurement, pre_post: list,
+                      cap: int | None) -> OnticSupport:
+    """The catalog scan of `oracle_smallest_update`, given the nonempty
+    list of support points inside the outcome coset."""
+    field = s.field
+    x0 = min(pre_post)
+    diffs = [field.sub_rows(x, x0) for x in pre_post]
     if field.p == 2:
         from . import _gf2
-        from .algebra import rref
         n_bits = s.space.ambient_dim
         pi_ints = tuple(_gf2.vector_to_int(g) for g in m.observables.basis)
         diff_ints = [_gf2.vector_to_int(d) for d in diffs]
-        for basis, _mask in _gf2_isotropics_containing(n_bits, pi_ints):
-            if all(_gf2.dot2(b, d) == 0 for b in basis for d in diff_ints):
-                w = rref(field, n_bits,
-                         [_gf2.int_to_vector(b, n_bits) for b in basis])
-                shift = reduce_mod_subspace(orthogonal_complement(w), x0)
-                return ontic_support(EpistemicState(s.space, w, shift), cap)
+        fits = (rref(field, n_bits,
+                     [_gf2.int_to_vector(b, n_bits) for b in basis])
+                for basis, _mask in _gf2_isotropics_containing(n_bits, pi_ints)
+                if all(_gf2.dot2(b, d) == 0 for b in basis for d in diff_ints))
+    else:
+        fits = (w for w in _isotropics_containing(s.space, m.observables)
+                if not any(field.dot(b, d) for b in w.basis for d in diffs))
+    w = next(fits, None)
+    if w is None:
         raise InvariantViolation("no valid support found; this must not happen")
-    for w in _isotropics_containing(s.space, m.observables):
-        if all(all(dot(field, b, d) == field.zero for d in diffs)
-               for b in w.basis):
-            shift = reduce_mod_subspace(orthogonal_complement(w), x0)
-            return ontic_support(EpistemicState(s.space, w, shift), cap)
-    raise InvariantViolation("no valid support found; this must not happen")
+    shift = reduce_mod_subspace(orthogonal_complement(w), x0)
+    return ontic_support(EpistemicState(s.space, w, shift), cap)
 
 
 def oracle_conditional(s: EpistemicState, m_a: Measurement, out_a: Outcome,
                        m_b: Measurement, out_b: Outcome,
                        cap: int | None = None) -> Optional[Fraction]:
     """P(out_b | out_a) by enumerating the post-update support; None when
-    the premise has probability zero."""
-    if oracle_probability(s, m_a, out_a, cap) == 0:
+    the premise has probability zero.  The support is enumerated and the
+    premise's points found once, for both the premise's probability and the
+    update."""
+    pre_post = _outcome_points(ontic_support(s, cap).members, out_a)
+    if not pre_post:
         return None
-    post = oracle_smallest_update(s, m_a, out_a, cap)
-    coset = out_b.coset()
-    hits = sum(1 for o in post.members if coset.contains(o))
-    return Fraction(hits, len(post.members))
+    post = _smallest_support(s, m_a, pre_post, cap)
+    return Fraction(len(_outcome_points(post.members, out_b)),
+                    len(post.members))

@@ -201,16 +201,8 @@ def all_isotropic_subspaces(space: PhaseSpace,
     each row's pivot is its first nonzero coordinate, scaled to 1; pivots
     ascend; the other rows are zero in every pivot column.  Within a
     dimension the subspaces are sorted by that basis; the oracle's
-    `_isotropics_containing` and the tests rely on this order.
-
-    Orderly generation: the parent of a canonical basis is the basis
-    without its last row, so each subspace is grown once, from its parent,
-    by a row v whose pivot lies above every parent pivot, in whose pivot
-    column every parent row is zero, and which commutes with every parent
-    row.  Each node passes on the candidate rows that meet these conditions
-    relative to it too; the candidates stay ascending, so the depth-first
-    walk emits each dimension in sorted order.  Desk-scale: intended for
-    d^(2n) within the enumeration cap.
+    `_isotropics_containing` keeps this order, and the tests rely on it.
+    Desk-scale: intended for d^(2n) within the enumeration cap.
     """
     field = space.field
     if not isinstance(field, PrimeField):
@@ -219,7 +211,26 @@ def all_isotropic_subspaces(space: PhaseSpace,
     if field.p ** n > enumeration_cap(cap):
         raise EnumerationCapExceeded(
             f"{field.p}^{n} ontic states exceed the enumeration cap")
-    by_dim = [[] for _ in range(space.n_systems + 1)]
+    return [sub for per_dim in isotropic_subspaces_within(
+        field, n, _all_vectors(field, n)) for sub in per_dim]
+
+
+def isotropic_subspaces_within(field: PrimeField, n: int,
+                               points: Iterable[VectorT]) -> list[list[Subspace]]:
+    """Every isotropic subspace of L, where `points` are all the vectors of
+    a subspace L of Z_p^n; entry j lists those of dimension j, sorted by
+    their canonical (`rref`) basis.
+
+    Orderly generation: the canonical basis of a subspace of L has its rows
+    in L, and its parent is the basis without its last row, so each
+    subspace is grown once, from its parent, by a row v of L whose pivot
+    lies above every parent pivot, in whose pivot column every parent row
+    is zero, and which commutes with every parent row.  Each node passes on
+    the candidate rows that meet these conditions relative to it too; the
+    candidates stay ascending, so the depth-first walk emits each dimension
+    in sorted order.
+    """
+    by_dim = [[] for _ in range(n // 2 + 1)]
 
     def grow(basis: tuple, candidates: list) -> None:
         by_dim[len(basis)].append(Subspace(field, n, basis))
@@ -229,10 +240,10 @@ def all_isotropic_subspaces(space: PhaseSpace,
                  [(c, w) for c, w in candidates
                   if c > pivot and v[c] == 0 and dot(field, dual, w) == 0])
 
-    # the nonzero vectors whose first nonzero coordinate is 1, ascending
-    grow((), [(v.index(1), v) for v in _all_vectors(field, n)
+    # the nonzero points whose first nonzero coordinate is 1, ascending
+    grow((), [(v.index(1), v) for v in sorted(points)
               if 1 in v and not any(v[:v.index(1)])])
-    return [sub for per_dim in by_dim for sub in per_dim]
+    return by_dim
 
 
 def _all_vectors(field: PrimeField, n: int) -> list[VectorT]:

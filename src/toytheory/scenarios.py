@@ -910,8 +910,19 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     With ``workers`` > 1 the known-sets are split by stride, worker i taking
     every ``workers``-th one from i (`_fr_partition`), in one call per worker;
     each worker keeps its own benign sample and ``stop_after`` counts the
-    paradoxes of each worker.
+    paradoxes of each worker.  The spot checks then run in the calling
+    process while the pool scans (they stay out of the workers, whose
+    caches die with the pool); the report is the one they give when run
+    after the scan.
+
+    Raises ValueError when ``workers`` < 1, ``spot_checks`` < 0 or
+    ``sequential_checks`` < 0.
     """
+    for name, value, least in (("workers", workers, 1),
+                               ("spot_checks", spot_checks, 0),
+                               ("sequential_checks", sequential_checks, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     config = {"d": d, "blocks": tuple(blocks), "exhaustive": exhaustive,
               "workers": workers, "seed": seed,
               "weaken_condition1": weaken_condition1}
@@ -936,11 +947,17 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     pairs_w = sum(len(m.outs) * (len(m.outs) - 1) for m in t.meas_w)
     config["lagrangians"] = n_lagr
     config["candidate_space"] = (n_lagr * 16) * 36 * outs_u * pairs_w
+    run_spot_checks = spot_checks > 0 and not weaken_condition1
+    spots = None
     if workers > 1:
         args = [(known, weaken_condition1, stop_after)
                 for known in _fr_partition(n_lagr, workers)]
         with _pool_context().Pool(workers) as pool:
-            parts = pool.map(_fr_worker, args)
+            scan = pool.map_async(_fr_worker, args)
+            if run_spot_checks:
+                spots = _fr_spot_checks(t, random.Random(seed + 1),
+                                        spot_checks, sequential_checks)
+            parts = scan.get()
         stats = _merge_fr_stats(parts)
     else:
         stats = _fr_scan_range(t, 0, n_lagr, weaken_condition1, stop_after)
@@ -956,9 +973,10 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     derived = _fr_rederive(t, benign)
     report.log("derivation", samples=len(benign), all_hold=derived)
     report.verdict["derivation_verified"] = derived
-    if spot_checks > 0:
-        rng = random.Random(seed + 1)
-        spots = _fr_spot_checks(t, rng, spot_checks, sequential_checks)
+    if run_spot_checks:
+        if spots is None:
+            spots = _fr_spot_checks(t, random.Random(seed + 1), spot_checks,
+                                    sequential_checks)
         report.log("spot_checks", **spots)
         report.verdict["spot_checks_agree"] = (
             spots["conditions_agree"] and spots["chain_matches_conditions"]

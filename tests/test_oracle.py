@@ -1,15 +1,22 @@
 from fractions import Fraction
+
+import pytest
+
+from toytheory.algebra import enumerate_coset
+from toytheory.errors import EnumerationCapExceeded
 from toytheory.measurement import (
     Measurement, make_measurement, outcome_for_label, outcome_probability,
     outcomes, update_state,
 )
 from toytheory.oracle import (
-    OnticEnsemble, oracle_conditional, oracle_probability,
-    oracle_smallest_update,
+    OnticEnsemble, _isotropics_containing, _outcome_points,
+    oracle_conditional, oracle_probability, oracle_smallest_update,
 )
-from toytheory.phase_space import all_isotropic_subspaces, discrete_space
+from toytheory.phase_space import (
+    _all_vectors, all_isotropic_subspaces, discrete_space, rational_space,
+)
 from toytheory.states import (
-    all_valid_states, bell_pair, ontic_support, tensor, toy_bit,
+    all_valid_states, bell_pair, make_state, ontic_support, tensor, toy_bit,
 )
 
 SP1 = discrete_space(2, 1)
@@ -87,3 +94,66 @@ def test_oracle_certifies_update_n1():
 def test_ontic_ensemble_wrapper():
     e = OnticEnsemble.of_state(toy_bit("0"))
     assert len(e.support) == 2
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_outcome_indicator_matches_outcome_coset(d, n, rng):
+    space = discrete_space(d, n)
+    points = _all_vectors(space.field, space.ambient_dim)
+    catalog = all_isotropic_subspaces(space)
+    for sub in rng.sample(catalog, min(6, len(catalog))):
+        for o in outcomes(Measurement(space, sub)):
+            assert set(_outcome_points(points, o)) == \
+                set(enumerate_coset(o.coset()))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_conditional_is_the_hit_share_of_the_smallest_update(d, rng):
+    space = discrete_space(d, 2)
+    states = all_valid_states(space)
+    catalog = all_isotropic_subspaces(space)
+    undefined = defined = 0
+    for _ in range(60):
+        s = rng.choice(states)
+        m_a, m_b = (Measurement(space, rng.choice(catalog)) for _ in "ab")
+        out_a = rng.choice(outcomes(m_a))
+        out_b = rng.choice(outcomes(m_b))
+        cond = oracle_conditional(s, m_a, out_a, m_b, out_b)
+        if oracle_probability(s, m_a, out_a) == 0:
+            assert cond is None
+            undefined += 1
+            continue
+        post = oracle_smallest_update(s, m_a, out_a).members
+        coset = out_b.coset()
+        assert cond == Fraction(sum(coset.contains(o) for o in post),
+                                len(post))
+        defined += 1
+    assert undefined and defined
+
+
+def test_oracle_refuses_rational_states():
+    space = rational_space(1)
+    s = make_state(space, [(1, 0)], (0, 0))
+    m = Measurement(space, s.known)
+    out = outcome_for_label(m, (0,))
+    with pytest.raises(EnumerationCapExceeded):
+        oracle_probability(s, m, out)
+    with pytest.raises(EnumerationCapExceeded):
+        oracle_smallest_update(s, m, out)
+    with pytest.raises(EnumerationCapExceeded):
+        oracle_conditional(s, m, out, m, out)
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (3, 2), (5, 2), (3, 3)])
+def test_isotropics_containing_is_the_filtered_catalog(d, n, rng):
+    space = discrete_space(d, n)
+    catalog = all_isotropic_subspaces(space)
+    zero = catalog[0]
+    line = rng.choice([w for w in catalog if w.dim == 1])
+    lagrangian = rng.choice([w for w in catalog if w.dim == n])
+    for v_pi in (zero, line, lagrangian):
+        filtered = sorted((w for w in catalog
+                           if all(w.contains(g) for g in v_pi.basis)),
+                          key=lambda w: -w.dim)
+        assert _isotropics_containing(space, v_pi) == filtered

@@ -352,15 +352,64 @@ def test_search_verdict_fails_on_misclassified_benign_sample(monkeypatch):
     assert not _fr_rederive(t, [])    # no sample is no evidence
 
 
+def _event(report, kind: str) -> dict:
+    return next(e for e in report.events if e["kind"] == kind)
+
+
 def test_search_fr_paradox_workers_agree():
+    # with workers > 1 the spot checks overlap the scan; the report must
+    # not show it
     reports = [search_fr_paradox(d=2, exhaustive=True, workers=w,
-                                 spot_checks=0) for w in (1, 2, 3)]
-    scans = [[e for e in r.events if e["kind"] == "scan"][0]
-             for r in reports]
-    assert scans[1] == scans[0] and scans[2] == scans[0]
+                                 spot_checks=40, seed=5) for w in (1, 2, 3)]
+    assert [[e["kind"] for e in r.events] for r in reports] == \
+        [["scan", "derivation", "spot_checks"]] * 3
+    for kind in ("scan", "spot_checks"):
+        events = [_event(r, kind) for r in reports]
+        assert events[1] == events[0] and events[2] == events[0]
+    assert _event(reports[0], "spot_checks")["checked"] == 40
     for r in reports:
         assert r.verdict["no_paradox_found"]
         assert r.verdict["derivation_verified"]
+        assert r.verdict["spot_checks_agree"]
+        assert r.passed
+
+
+def test_overlapped_spot_checks_are_the_ones_reported(monkeypatch):
+    real = scenarios._fr_conditions_single
+
+    def flip_condition4(*args):
+        c = real(*args)
+        return c[:3] + (not c[3],) + c[4:]
+
+    monkeypatch.setattr(scenarios, "_fr_conditions_single", flip_condition4)
+    r = search_fr_paradox(d=2, exhaustive=True, workers=2, spot_checks=5,
+                          sequential_checks=0)
+    assert _event(r, "scan")["paradox_count"] == 0
+    assert _event(r, "spot_checks")["conditions_agree"] is False
+    assert r.verdict["spot_checks_agree"] is False
+    assert not r.passed
+
+
+def test_failing_spot_checks_stop_the_pool(monkeypatch):
+    import multiprocessing as mp
+
+    def fail(*args):
+        raise RuntimeError("spot checks failed")
+
+    monkeypatch.setattr(scenarios, "_fr_spot_checks", fail)
+    with pytest.raises(RuntimeError, match="spot checks failed"):
+        search_fr_paradox(d=2, exhaustive=True, workers=2)
+    assert mp.active_children() == []
+
+
+@pytest.mark.parametrize("name, value", [
+    ("workers", 0), ("workers", -2), ("spot_checks", -5),
+    ("sequential_checks", -1),
+])
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_search_fr_paradox_rejects_bad_counts(name, value, exhaustive):
+    with pytest.raises(ValueError, match=f"{name} must be at least"):
+        search_fr_paradox(d=2, exhaustive=exhaustive, **{name: value})
 
 
 def test_pool_context_prefers_fork(monkeypatch):

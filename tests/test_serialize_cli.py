@@ -250,6 +250,18 @@ def test_cli_scenario_fr_sampled(files):
     assert "no_paradox_found: True" in r.stdout
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--exhaustive", "--workers", "0"], "workers must be at least 1"),
+    (["--exhaustive", "--workers", "-2"], "workers must be at least 1"),
+    (["--spot-checks", "-5"], "spot_checks must be at least 0"),
+])
+def test_cli_scenario_fr_rejects_bad_counts(flags, message):
+    r = _run(["scenario", "fr-search", *flags])
+    assert r.returncode == 1
+    assert "input error" in r.stderr and message in r.stderr
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"workers": "2"}, "'workers' must be of type int"),
     ({"format": "json"}, "'format' is not a scenario flag"),

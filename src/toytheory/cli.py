@@ -360,7 +360,7 @@ def _condprep_search(args):
     report = ScenarioReport(
         "condprep_search",
         {"targets": names, "ancilla": args.ancilla})
-    report.log("search", searched=result.searched,
+    report.log("search", searched=result.searched, frames=result.frames,
                found=result.transform is not None)
     orthogonal_or_identical = names[0] == names[1] or \
         _targets_orthogonal(targets)
@@ -368,7 +368,8 @@ def _condprep_search(args):
         (result.transform is not None) == orthogonal_or_identical)
     report.verdict["searched"] = result.searched
     if result.transform is None:
-        report.log("result", message=f"NotFound ({result.searched} transforms searched)")
+        report.log("result", message=f"NotFound ({result.searched} transforms "
+                                     f"searched over {result.frames} frames)")
     return report
 
 

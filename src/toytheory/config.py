@@ -8,8 +8,11 @@ import os
 # caller passes a larger cap.  Overridable via the TOY_ENUM_CAP env variable.
 DEFAULT_ENUM_CAP = 65536
 
-# Exhaustive symplectic-group searches are refused above this order unless the
-# caller opts in; |Sp(4,2)| = 720 fits, |Sp(6,2)| = 1451520 does not.
+# Exhaustive enumerations are refused above this size unless the caller opts
+# in: the order of a symplectic group (|Sp(4,2)| = 720 fits, |Sp(6,2)| =
+# 1451520 does not) and the number of target frames of a conditional-
+# preparation search (2016 with one pointer ancilla fits, 32640 with two
+# does not).
 DEFAULT_GROUP_CAP = 12000
 
 

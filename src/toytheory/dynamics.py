@@ -17,8 +17,9 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     FieldT, PrimeField, Subspace, VectorT,
-    identity_matrix, mat_inverse, mat_mul, mat_transpose, mat_vec, matrix,
-    orthogonal_complement, reduce_mod_subspace, vec_add, vector, zero_vector,
+    enumerate_subspace, identity_matrix, mat_inverse, mat_mul, mat_transpose,
+    mat_vec, matrix, orthogonal_complement, reduce_mod_subspace, rref,
+    solve_linear, vec_add, vector, zero_vector,
 )
 from .config import DEFAULT_GROUP_CAP
 from .errors import (
@@ -477,8 +478,9 @@ def _pointer_state(field: FieldT) -> EpistemicState:
 @dataclass(frozen=True)
 class ConditionalSearchResult:
     transform: Optional[SymplecticTransform]
-    searched: int
+    searched: int       # (U, a) covered up to and including a hit
     exhaustive: bool
+    frames: int         # target frames examined (one per draw when sampled)
 
 
 def _joint_states(spec: ConditionalPrepSpec,
@@ -495,33 +497,108 @@ def _joint_states(spec: ConditionalPrepSpec,
     return tuple(joints)
 
 
-def _target_marginals(t: SymplecticTransform,
-                      joints: Sequence[EpistemicState], keep: list[int]):
-    """The marginals on ``keep`` of every joint state under t's matrix U, as
-    a function of the shift.
+def _symplectic_frames(field: PrimeField, n_systems: int, k: int):
+    """Every frame R = (r_q1, r_p1, ..., r_qk, r_pk) of 2k vectors in
+    Z_p^(2n) with [r_qi, r_pj] = δ_ij and every other bracket 0, i.e.
+    R J R^T = J on k systems: the possible rows of a symplectic U at k
+    systems' coordinates.
 
-    What depends on U alone is computed here, once: the shared known set is
-    pushed forward (one ``make_state``, so its isotropy is checked) and its
-    marginal known set K_U on the kept systems taken.  The returned function
-    maps a shift a to one marginal per joint state v_i: U(v_i + a) restricted
-    to the kept coordinates and reduced mod K_U^⊥.  This equals
-    ``marginal(apply_to_state((U, a), joint_i), keep)``: the projection of
-    the pushed support space W^⊥ onto the kept coordinates is
-    (W ∩ kept coordinates)^⊥ = K_U^⊥.  The reduction is linear, so the U v_i
-    parts are reduced once per U and the U a part once per shift.
+    Built row pair by row pair: r_q runs over the nonzero solutions of
+    [earlier rows, x] = 0, and r_p over the affine set {[r_q, x] = 1,
+    [earlier rows, x] = 0}, a particular solution plus the kernel.  There
+    are |Sp(2n, p)| / |Sp(2n - 2k, p)| frames.
     """
-    field = t.space.field
-    local = marginal(apply_to_state(t, joints[0]), keep)
-    comp = orthogonal_complement(local.known)
-    rows = tuple(t.matrix[c] for s in keep for c in t.space.system_coords(s))
-    base = [reduce_mod_subspace(comp, mat_vec(field, rows, j.valuation))
-            for j in joints]
+    dim = 2 * n_systems
 
-    def at(shift: VectorT) -> tuple[EpistemicState, ...]:
-        moved = reduce_mod_subspace(comp, mat_vec(field, rows, shift))
-        return tuple(EpistemicState(local.space, local.known,
-                                    vec_add(field, b, moved)) for b in base)
+    def extend(rows: tuple):
+        if len(rows) == 2 * k:
+            yield rows
+            return
+        duals = [symplectic_dual(field, r) for r in rows]
+        free = orthogonal_complement(rref(field, dim, duals))
+        for r_q in enumerate_subspace(free):
+            if not any(r_q):
+                continue
+            cons = duals + [symplectic_dual(field, r_q)]
+            rhs = [field.zero] * len(duals) + [field.one]
+            r_p0 = solve_linear(field, dim, cons, rhs)
+            for w in enumerate_subspace(orthogonal_complement(
+                    rref(field, dim, cons))):
+                yield from extend(rows + (r_q, vec_add(field, r_p0, w)))
+    return extend(())
+
+
+def _frame_marginals(space: PhaseSpace, rows: tuple, support: Subspace,
+                     valuations: Sequence[VectorT]):
+    """The marginals on ``space`` of states sharing the support directions
+    ``support`` = V^⊥, one per valuation v_i, under any (U, a) whose rows at
+    the kept coordinates are ``rows`` (R), as a function of b = R·a.
+
+    U's pushed known set restricted to the kept systems is
+    K = {f : f·R ∈ V} = img^⊥ with img = R·V^⊥, and U(v_i + a) restricted to
+    the kept coordinates is R·v_i + b, to be read mod img.  So img, K and
+    base_i = R·v_i mod img are computed once per frame, and each b costs one
+    reduction: marginal_i = base_i + (b mod img).  This equals
+    ``marginal(apply_to_state((U, a), joint_i), keep)``.
+    """
+    field = space.field
+    img = rref(field, space.ambient_dim,
+               [mat_vec(field, rows, w) for w in support.basis])
+    known = orthogonal_complement(img)
+    base = [reduce_mod_subspace(img, mat_vec(field, rows, v))
+            for v in valuations]
+
+    def at(b: VectorT) -> tuple[EpistemicState, ...]:
+        moved = reduce_mod_subspace(img, b)
+        return tuple(EpistemicState(space, known, vec_add(field, x, moved))
+                     for x in base)
     return at
+
+
+def _complete_frame(field: PrimeField, rows: tuple, n_systems: int,
+                    kept: Sequence[int]) -> tuple:
+    """A symplectic U whose rows at the ``kept`` systems' coordinates are
+    the frame ``rows`` (Witt's extension theorem).
+
+    The other systems get a symplectic basis of the frame's symplectic
+    complement, built by symplectic Gram–Schmidt: take e, pair it with a
+    vector f of [e, f] = 1, project the rest off both with
+    w -> w - [w, f] e + [w, e] f, repeat.
+    """
+    dim = 2 * n_systems
+    rest = list(orthogonal_complement(rref(
+        field, dim, [symplectic_dual(field, r) for r in rows])).basis)
+    pairs = []
+    while rest:
+        e = rest.pop(0)
+        j = next(j for j, w in enumerate(rest)
+                 if bracket_vectors(field, e, w) != field.zero)
+        w = rest.pop(j)
+        f = field.scale_row(field.inv(bracket_vectors(field, e, w)), w)
+        rest = [field.add_rows(
+            field.sub_scaled(x, bracket_vectors(field, x, f), e),
+            field.scale_row(bracket_vectors(field, x, e), f)) for x in rest]
+        pairs.extend((e, f))
+    out = [None] * dim
+    frame = iter(rows)
+    others = iter(pairs)
+    for s in range(n_systems):
+        src = frame if s in kept else others
+        out[2 * s] = next(src)
+        out[2 * s + 1] = next(src)
+    return tuple(out)
+
+
+def _check_realizes(spec: ConditionalPrepSpec, t: SymplecticTransform,
+                    kept: Sequence[int], desired: tuple) -> SymplecticTransform:
+    """The fast path's hit, confirmed by the generic layer."""
+    traced = [s for s in range(t.space.n_systems) if s not in kept]
+    cls = classify_conditional_marginals(spec, t, traced)
+    got = {i: m for c, m in zip(cls.classes, cls.marginals) for i in c}
+    if tuple(got[i] for i in range(len(desired))) != desired:
+        raise InvariantViolation(
+            "the frame kernel's hit does not realize the desired targets")
+    return t
 
 
 def find_conditional_transform(spec: ConditionalPrepSpec,
@@ -532,16 +609,20 @@ def find_conditional_transform(spec: ConditionalPrepSpec,
                                samples: int = 20000) -> ConditionalSearchResult:
     """Search all (U, a) for a transform realizing every desired marginal.
 
-    Exhaustive mode enumerates the affine symplectic group on
-    source ⊕ target ⊕ ancilla, U in ``symplectic_group`` order and for each
-    U every shift a (cap-guarded: Sp(6,2) needs an explicit larger
-    ``group_cap``); otherwise it draws ``samples`` random transforms.  The
-    joint states are built once per call; the pushed-forward known set and
-    its marginal K_U on the target once per U; for each (U, a) only the
-    source valuations are pushed, restricted to the target and reduced mod
-    K_U^⊥ (see ``_target_marginals``).  ``searched`` counts the (U, a)
-    examined up to and including a hit.  The expected outcome for
-    non-orthogonal desired targets is exhaustion without a hit.
+    The marginals read U only through its rows R at the target's
+    coordinates, a symplectic frame, and a only through b = R·a
+    (``_frame_marginals``).  Exhaustive mode therefore walks every frame
+    (``_symplectic_frames``; ``group_cap`` bounds their closed-form count,
+    so two pointer ancillas at d = 2 need an explicit larger cap) and every
+    b.  Each (frame, b) stands for |Sp(2n-2k, p)| · p^(2n-2k) of the (U, a),
+    which ``searched`` counts up to and including a hit (720 · 16 at two
+    toy bits without ancilla).  Otherwise it draws ``samples`` random
+    transforms and reads each through the same kernel.  A hit is completed
+    to a symplectic U (``_complete_frame``) and confirmed by
+    ``classify_conditional_marginals``; a disagreement raises
+    ``InvariantViolation``.  The expected outcome for non-orthogonal desired
+    targets is exhaustion without a hit.  A sampled search over fewer than
+    one sample raises ``ValueError``: it would report a miss on no evidence.
     """
     field = spec.source_space.field
     if not spec.desired_targets:
@@ -549,33 +630,54 @@ def find_conditional_transform(spec: ConditionalPrepSpec,
     desired = tuple(spec.desired_targets)
     if len(desired) != len(spec.source_valuations):
         raise ValueError("need one desired target per source outcome")
-    n_total = (spec.source_space.n_systems
-               + spec.target_initial.space.n_systems + ancilla_systems)
+    k = spec.target_initial.space.n_systems
+    n_total = spec.source_space.n_systems + k + ancilla_systems
     space = PhaseSpace(field, n_total)
-    target_systems = [spec.source_space.n_systems + i
-                      for i in range(spec.target_initial.space.n_systems)]
+    kept = [spec.source_space.n_systems + i for i in range(k)]
+    coords = [c for s in kept for c in space.system_coords(s)]
+    target_space = spec.target_initial.space
     joints = _joint_states(spec, ancilla_systems)
+    support = orthogonal_complement(joints[0].known)
+    valuations = [j.valuation for j in joints]
 
-    searched = 0
-    if exhaustive:
-        from .phase_space import _all_vectors
-        group = symplectic_group(field, n_total, cap=group_cap)
-        shifts = _all_vectors(field, space.ambient_dim)
-        zero = zero_vector(field, space.ambient_dim)
-        for u in group:
-            at = _target_marginals(SymplecticTransform(space, u, zero),
-                                   joints, target_systems)
-            for a in shifts:
-                searched += 1
-                if at(a) == desired:
-                    return ConditionalSearchResult(
-                        SymplecticTransform(space, u, a), searched, True)
-        return ConditionalSearchResult(None, searched, True)
-    if rng is None:
-        raise ValueError("sampled search needs an rng")
-    for _ in range(samples):
-        t = random_symplectic(space, rng)
-        searched += 1
-        if _target_marginals(t, joints, target_systems)(t.shift) == desired:
-            return ConditionalSearchResult(t, searched, False)
-    return ConditionalSearchResult(None, searched, False)
+    if not exhaustive:
+        if rng is None:
+            raise ValueError("sampled search needs an rng")
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        for searched in range(1, samples + 1):
+            t = random_symplectic(space, rng)
+            rows = tuple(t.matrix[c] for c in coords)
+            at = _frame_marginals(target_space, rows, support, valuations)
+            if at(mat_vec(field, rows, t.shift)) == desired:
+                return ConditionalSearchResult(
+                    _check_realizes(spec, t, kept, desired), searched, False,
+                    searched)
+        return ConditionalSearchResult(None, samples, False, samples)
+
+    if not isinstance(field, PrimeField):
+        raise SearchSpaceExceeded("cannot enumerate rational frames")
+    n_frames = sp_order(n_total, field.p) // sp_order(n_total - k, field.p)
+    if n_frames > group_cap:
+        raise SearchSpaceExceeded(
+            f"{n_frames} symplectic frames for the target exceed the cap "
+            f"{group_cap}; pass a larger cap to opt in to a long search")
+    from .phase_space import _all_vectors
+    values = _all_vectors(field, 2 * k)
+    per_value = (sp_order(n_total - k, field.p)
+                 * field.p ** (2 * (n_total - k)))
+    frames = 0
+    for rows in _symplectic_frames(field, n_total, k):
+        frames += 1
+        at = _frame_marginals(target_space, rows, support, valuations)
+        for j, b in enumerate(values):
+            if at(b) == desired:
+                searched = ((frames - 1) * len(values) + j + 1) * per_value
+                u = _complete_frame(field, rows, n_total, kept)
+                shift = solve_linear(field, space.ambient_dim, rows, b)
+                t = SymplecticTransform(space, u, shift)
+                return ConditionalSearchResult(
+                    _check_realizes(spec, t, kept, desired), searched, True,
+                    frames)
+    return ConditionalSearchResult(
+        None, frames * len(values) * per_value, True, frames)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import random
+import zlib
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -750,14 +751,19 @@ def _fr_spot_checks(t: _FrTables, rng: random.Random, n_checks: int,
     exact-subspace conditions; each inference of the operational chain must
     equal its condition pair; `infers` must agree with the set-enumeration
     oracle's conditional probabilities; and the sequential branch reading
-    must never assemble a paradox.
+    must never assemble a paradox.  ``digest`` is the CRC-32 of the drawn
+    tuples, so two reports show whether they checked the same
+    configurations (a checksum is enough to tell draws apart, and
+    ``hashlib`` would load OpenSSL, about 3.6 MB of resident memory).
     """
     from .oracle import oracle_conditional
     result = {"checked": 0, "sequential_checked": 0,
               "conditions_agree": True, "chain_matches_conditions": True,
               "oracle_agrees": True, "sequential_paradoxes": 0}
+    digest = 0
     for i in range(n_checks):
         tup = _random_fr_tuple(t, rng)
+        digest = zlib.crc32(repr(tup).encode(), digest)
         fast = _fr_conditions_single(t, *tup)
         cand = _fr_candidate_from_ints(t, *tup)
         rep = check_fr_conditions(cand)
@@ -781,6 +787,7 @@ def _fr_spot_checks(t: _FrTables, rng: random.Random, n_checks: int,
             if seq["holds"]:
                 result["sequential_paradoxes"] += 1
         result["checked"] += 1
+    result["digest"] = f"{digest:08x}"
     return result
 
 
@@ -916,11 +923,14 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     after the scan.
 
     Raises ValueError when ``workers`` < 1, ``spot_checks`` < 0 or
-    ``sequential_checks`` < 0.
+    ``sequential_checks`` < 0, and in sampled mode when ``samples`` < 1 (a
+    verdict over no samples would pass on no evidence).
     """
-    for name, value, least in (("workers", workers, 1),
-                               ("spot_checks", spot_checks, 0),
-                               ("sequential_checks", sequential_checks, 0)):
+    bounds = [("workers", workers, 1), ("spot_checks", spot_checks, 0),
+              ("sequential_checks", sequential_checks, 0)]
+    if not exhaustive:
+        bounds.append(("samples", samples, 1))
+    for name, value, least in bounds:
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
     config = {"d": d, "blocks": tuple(blocks), "exhaustive": exhaustive,

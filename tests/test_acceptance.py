@@ -18,7 +18,7 @@ from toytheory.dynamics import (
     classify_conditional_marginals, complete_symplectic,
     find_conditional_transform, is_symplectic_matrix,
     observable_copy_transform, position_copy_transform, random_symplectic,
-    symplectic_group,
+    sp_order, symplectic_group,
 )
 from toytheory.measurement import (
     Measurement, infers, inference_conditions, is_certain, make_measurement,
@@ -322,6 +322,69 @@ def test_criterion_06_conditional_preparation_no_go():
                f"(toy0,toy1) and (toy0,toy0) succeed; marginal classes "
                f"always orthogonal-or-identical with equal sizes over "
                f"{trials} random trials at d=2,3 ({dt:.1f}s)")
+
+
+def _realizes(spec, t, kept):
+    traced = [s for s in range(t.space.n_systems) if s not in kept]
+    cls = classify_conditional_marginals(spec, t, traced=traced)
+    got = {i: m for c, m in zip(cls.classes, cls.marginals) for i in c}
+    return tuple(got[i] for i in range(len(got))) == spec.desired_targets
+
+
+def _trit(name):
+    """q0, q1, q2 (known position) or p0 (known momentum 0) at d = 3."""
+    sp = discrete_space(3, 1)
+    if name[0] == "q":
+        return make_state(sp, [(1, 0)], (int(name[1]), 0))
+    return make_state(sp, [(0, 1)], (0, int(name[1])))
+
+
+def _q_trit_spec(names):
+    return ConditionalPrepSpec(
+        source_space=discrete_space(3, 1),
+        source_known=rref(GF(3), 2, [(1, 0)]),
+        source_valuations=((0, 0), (1, 0), (2, 0)),
+        target_initial=_trit("q0"),
+        desired_targets=tuple(_trit(x) for x in names))
+
+
+def test_criterion_06b_conditional_preparation_with_memory_and_at_d3():
+    # Each no-go comes with a realizable control that the same search hits.
+    t0 = time.time()
+    cases = [
+        # (spec, ancilla systems, group cap, realizable, frames if exhausted)
+        (_z_spec((toy_bit("0"), toy_bit("+"))), 1, None, False, 2016),
+        (_z_spec((toy_bit("0"), toy_bit("1"))), 1, None, True, None),
+        (_z_spec((toy_bit("0"), toy_bit("+"))), 2, 32640, False, 32640),
+        (_z_spec((toy_bit("0"), toy_bit("1"))), 2, 32640, True, None),
+        (_q_trit_spec(("q0", "q1", "p0")), 0, None, False, 2160),
+        (_q_trit_spec(("q0", "q0", "p0")), 0, None, False, 2160),
+        (_q_trit_spec(("q0", "q1", "q1")), 0, None, False, 2160),
+        (_q_trit_spec(("q0", "q1", "q2")), 0, None, True, None),
+        (_q_trit_spec(("q0", "q0", "q0")), 0, None, True, None),
+    ]
+    for spec, ancilla, cap, realizable, frames in cases:
+        kwargs = {} if cap is None else {"group_cap": cap}
+        r = find_conditional_transform(spec, ancilla_systems=ancilla,
+                                       exhaustive=True, **kwargs)
+        p = spec.source_space.field.p
+        n = 2 + ancilla
+        covered = sp_order(n, p) * p ** (2 * n)
+        if realizable:
+            t = r.transform
+            assert t is not None and r.searched < covered
+            assert is_symplectic_matrix(t.space.field, t.matrix, 2 * n)
+            assert _realizes(spec, t, [1])
+        else:
+            assert r.transform is None
+            assert (r.frames, r.searched) == (frames, covered)
+    dt = time.time() - t0
+    _report("6b", "conditional preparation over target frames: "
+                  "(toy0,toy+) unrealizable with 1 and 2 pointer ancillas "
+                  "(2016 and 32640 frames) while (toy0,toy1) succeeds; at "
+                  "d=3, (q0,q1,p0), (q0,q0,p0) and (q0,q1,q1) unrealizable "
+                  "over 2160 frames x 9 values while (q0,q1,q2) and "
+                  f"(q0,q0,q0) succeed ({dt:.1f}s)")
 
 
 def test_criterion_07_fr_no_paradox():

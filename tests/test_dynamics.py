@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from toytheory.algebra import GF, QQ, rref, identity_matrix, mat_mul
+from toytheory.algebra import (
+    GF, QQ, identity_matrix, mat_mul, orthogonal_complement, rref,
+)
 from toytheory.dynamics import (
     ConditionalPrepSpec, SymplecticTransform, apply_to_ontic, apply_to_state,
     classify_conditional_marginals, cnot_gate, complete_symplectic,
@@ -310,10 +312,10 @@ def test_find_conditional_identical_and_orthogonal_succeed():
 
 
 def test_find_conditional_respects_group_cap():
-    with pytest.raises(SearchSpaceExceeded):
-        find_conditional_transform(
-            _z_partition_spec((toy_bit("0"), toy_bit("+"))),
-            ancilla_systems=1, exhaustive=True)
+    # two pointer ancillas: 32640 target frames, over the default cap of 12000
+    spec = _z_partition_spec((toy_bit("0"), toy_bit("+")))
+    with pytest.raises(SearchSpaceExceeded, match="32640 symplectic frames"):
+        find_conditional_transform(spec, ancilla_systems=2, exhaustive=True)
 
 
 def _generic_marginals(spec, t, traced):
@@ -323,35 +325,88 @@ def _generic_marginals(spec, t, traced):
     return tuple(got[i] for i in range(len(spec.source_valuations)))
 
 
-@pytest.mark.parametrize("targets, first_hit",
-                         [(("0", "1"), 33), (("0", "0"), 2337)])
-def test_find_conditional_first_hit_matches_generic_route(targets, first_hit):
+@pytest.fixture(scope="module")
+def group_walk():
+    """The brute-force walk: the generic marginals of every (U, a) of the
+    affine symplectic group on two toy bits, keyed by (U, a)."""
+    spec = _z_partition_spec(())
+    return {(u, a): _generic_marginals(spec, SymplecticTransform(SP2, u, a),
+                                       [0])
+            for u in symplectic_group(F2, 2) for a in _all_vectors(F2, 4)}
+
+
+def _kernel_inputs(spec, ancilla=0):
+    joints = dynamics._joint_states(spec, ancilla)
+    return orthogonal_complement(joints[0].known), \
+        [j.valuation for j in joints]
+
+
+def _frame_hits(spec, ancilla=0):
+    """Every (frame, b) at which the frame kernel realizes the targets."""
+    field = spec.source_space.field
+    support, vals = _kernel_inputs(spec, ancilla)
+    return [(rows, b)
+            for rows in dynamics._symplectic_frames(field, 2 + ancilla, 1)
+            for b in _all_vectors(field, 2)
+            if dynamics._frame_marginals(spec.target_initial.space, rows,
+                                         support, vals)(b)
+            == spec.desired_targets]
+
+
+@pytest.mark.parametrize("targets, frame_hits",
+                         [(("0", "+"), 0), (("0", "1"), 32), (("0", "0"), 16)])
+def test_frame_search_matches_the_group_walk(group_walk, targets, frame_hits):
     spec = _z_partition_spec(tuple(toy_bit(x) for x in targets))
-    pairs = itertools.product(symplectic_group(F2, 2), _all_vectors(F2, 4))
-    for searched, (u, a) in enumerate(pairs, 1):
-        t = SymplecticTransform(SP2, u, a)
-        if _generic_marginals(spec, t, [0]) == spec.desired_targets:
-            break
-    else:
-        pytest.fail("the generic route realizes no transform")
+    walk_hits = {k for k, m in group_walk.items() if m == spec.desired_targets}
+    # each (frame, b) stands for |Sp(2)| matrices times 2^2 shifts
+    assert len(walk_hits) == 24 * len(_frame_hits(spec)) == 24 * frame_hits
     r = find_conditional_transform(spec, exhaustive=True)
-    assert (r.searched, r.transform) == (searched, t)
-    assert searched == first_hit
+    assert r.frames <= 120 and r.searched <= 720 * 16
+    if frame_hits == 0:
+        assert r.transform is None
+        assert (r.frames, r.searched) == (120, 720 * 16)
+    else:
+        assert (r.transform.matrix, r.transform.shift) in walk_hits
 
 
-def test_target_marginals_match_generic_route_on_no_go_pair():
+def test_symplectic_frames_counts_and_brackets():
+    for field, n, k in ((F2, 1, 1), (F2, 2, 1), (F2, 3, 1), (F2, 2, 2),
+                        (GF(3), 1, 1), (GF(3), 2, 1)):
+        frames = list(dynamics._symplectic_frames(field, n, k))
+        assert len(frames) == len(set(frames)) == \
+            sp_order(n, field.p) // sp_order(n - k, field.p)
+        for rows in frames[::7]:
+            for i, j in itertools.combinations(range(2 * k), 2):
+                want = 1 if (i % 2 == 0 and j == i + 1) else 0
+                assert dynamics.bracket_vectors(field, rows[i], rows[j]) == want
+    # at k = n the frames are the rows of the whole group
+    assert set(dynamics._symplectic_frames(F2, 2, 2)) == \
+        set(symplectic_group(F2, 2))
+
+
+@pytest.mark.parametrize("d, n, kept", [(2, 2, [1]), (2, 2, [0]),
+                                        (2, 3, [1]), (2, 3, [2, 0]),
+                                        (3, 2, [1])])
+def test_complete_frame_is_symplectic_with_the_frame_rows(d, n, kept):
+    field = GF(d)
+    frames = list(dynamics._symplectic_frames(field, n, len(kept)))
+    coords = [c for s in sorted(kept) for c in (2 * s, 2 * s + 1)]
+    for rows in frames[::max(1, len(frames) // 150)]:
+        u = dynamics._complete_frame(field, rows, n, kept)
+        assert is_symplectic_matrix(field, u, 2 * n)
+        assert tuple(u[c] for c in coords) == rows
+
+
+def test_target_marginals_match_generic_route_on_no_go_pair(group_walk):
     spec = _z_partition_spec((toy_bit("0"), toy_bit("+")))
-    joints = dynamics._joint_states(spec, 0)
-    zero = (F2.zero,) * 4
+    support, vals = _kernel_inputs(spec)
     seen = set()
-    group = symplectic_group(F2, 2)
-    for u in group[::9]:
-        at = dynamics._target_marginals(
-            SymplecticTransform(SP2, u, zero), joints, [1])
+    for u in symplectic_group(F2, 2)[::9]:
+        rows = (u[2], u[3])
+        at = dynamics._frame_marginals(SP1, rows, support, vals)
         for a in _all_vectors(F2, 4):
-            generic = _generic_marginals(spec, SymplecticTransform(SP2, u, a),
-                                         [0])
-            assert at(a) == generic
+            generic = group_walk[(u, a)]
+            assert at(dynamics.mat_vec(F2, rows, a)) == generic
             assert generic != spec.desired_targets
             seen.add(generic)
     # the stride reaches identical, orthogonal and mixed marginal pairs
@@ -371,14 +426,44 @@ def test_target_marginals_match_generic_route_on_random_draws(d, ancilla):
         target_initial=make_state(sp1, [(0, 1)], (0, 1)))
     space = discrete_space(d, 2 + ancilla)
     traced = [0] + [2 + i for i in range(ancilla)]
-    joints = dynamics._joint_states(spec, ancilla)
+    support, vals = _kernel_inputs(spec, ancilla)
     distinct = 0
     for _ in range(60):
         t = random_symplectic(space, rng)
-        hoisted = dynamics._target_marginals(t, joints, [1])(t.shift)
-        assert hoisted == _generic_marginals(spec, t, traced)
-        distinct += len(set(hoisted)) > 1
+        rows = (t.matrix[2], t.matrix[3])
+        got = dynamics._frame_marginals(sp1, rows, support, vals)(
+            dynamics.mat_vec(field, rows, t.shift))
+        assert got == _generic_marginals(spec, t, traced)
+        distinct += len(set(got)) > 1
     assert distinct > 0
+
+
+def test_frame_search_without_the_reduction_misses_hits(monkeypatch):
+    # broken copy (a): marginals not reduced mod R·V^⊥.  The no-go pair is
+    # still not hit (every marginal of one frame shares K = (R·V^⊥)^⊥, and
+    # toy0, toy+ differ in their known sets), but the brute-force count
+    # tells the broken kernel apart on the realizable pairs.
+    specs = [_z_partition_spec((toy_bit("0"), toy_bit(x))) for x in "+10"]
+    monkeypatch.setattr(dynamics, "reduce_mod_subspace", lambda s, x: x)
+    counts = [len(_frame_hits(spec)) for spec in specs]
+    assert counts[0] == 0
+    assert counts[1] < 32 and counts[2] < 16
+
+
+def test_frame_search_reading_the_source_rows_is_caught(monkeypatch):
+    # broken copy (b): the kernel reads R from the source system's rows of
+    # the completed U instead of the target's.  Its hits are false hits,
+    # and the generic cross-check refuses the returned transform.
+    real = dynamics._frame_marginals
+
+    def source_rows(space, rows, support, valuations):
+        u = dynamics._complete_frame(F2, rows, 2, [1])
+        return real(space, u[:2], support, valuations)
+
+    monkeypatch.setattr(dynamics, "_frame_marginals", source_rows)
+    spec = _z_partition_spec((toy_bit("0"), toy_bit("1")))
+    with pytest.raises(InvariantViolation, match="does not realize"):
+        find_conditional_transform(spec, exhaustive=True)
 
 
 def test_sampled_search_matches_generic_route():
@@ -392,6 +477,15 @@ def test_sampled_search_matches_generic_route():
         pytest.fail("no sampled transform realizes the targets")
     r = find_conditional_transform(spec, rng=random.Random(11), samples=2000)
     assert (r.searched, r.transform, r.exhaustive) == (searched, t, False)
+    assert r.frames == searched
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_search_rejects_no_samples(samples):
+    spec = _z_partition_spec((toy_bit("0"), toy_bit("+")))
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        find_conditional_transform(spec, rng=random.Random(1),
+                                   samples=samples)
 
 
 def test_conditional_spec_requires_partition():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from toytheory import scenarios
@@ -410,6 +412,27 @@ def test_failing_spot_checks_stop_the_pool(monkeypatch):
 def test_search_fr_paradox_rejects_bad_counts(name, value, exhaustive):
     with pytest.raises(ValueError, match=f"{name} must be at least"):
         search_fr_paradox(d=2, exhaustive=exhaustive, **{name: value})
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_fr_search_rejects_no_samples(samples):
+    # a verdict over no samples would pass on no evidence
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        search_fr_paradox(d=2, exhaustive=False, samples=samples)
+
+
+def test_spot_check_digest_tells_the_draws_apart():
+    t = scenarios._fr_tables()
+
+    def spots(seed):
+        return scenarios._fr_spot_checks(t, random.Random(seed), 10, 2)
+
+    one, two = spots(1), spots(2)
+    assert one != two and one["digest"] != two["digest"]
+    assert spots(1) == one
+    # the flags and counts alone cannot tell the two runs apart
+    assert {k: v for k, v in one.items() if k != "digest"} == \
+        {k: v for k, v in two.items() if k != "digest"}
 
 
 def test_pool_context_prefers_fork(monkeypatch):

@@ -244,6 +244,25 @@ def test_cli_scenario_bell_and_condprep(files):
     assert doc["verdict"]["matches_no_go"] is True
 
 
+def test_cli_condprep_search_with_a_memory_ancilla():
+    r = _run(["--format", "json", "scenario", "condprep-search",
+              "--targets", "0,+", "--ancilla", "1"])
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["passed"] and doc["verdict"]["matches_no_go"] is True
+    # every (U, a) of Sp(6,2) x Z_2^6 is covered: 1451520 x 64
+    assert doc["verdict"]["searched"] == 92897280 == 1451520 * 64
+    search = next(e for e in doc["events"] if e["kind"] == "search")
+    assert (search["frames"], search["found"]) == (2016, False)
+
+
+def test_cli_condprep_search_frame_cap():
+    r = _run(["scenario", "condprep-search", "--targets", "0,+",
+              "--ancilla", "2"])
+    assert r.returncode == 3
+    assert "32640 symplectic frames" in r.stderr and "12000" in r.stderr
+
+
 def test_cli_scenario_fr_sampled(files):
     r = _run(["scenario", "fr-search", "--samples", "25", "--seed", "3"])
     assert r.returncode == 0
@@ -254,6 +273,8 @@ def test_cli_scenario_fr_sampled(files):
     (["--exhaustive", "--workers", "0"], "workers must be at least 1"),
     (["--exhaustive", "--workers", "-2"], "workers must be at least 1"),
     (["--spot-checks", "-5"], "spot_checks must be at least 0"),
+    (["--samples", "0"], "samples must be at least 1"),
+    (["--samples", "-3"], "samples must be at least 1"),
 ])
 def test_cli_scenario_fr_rejects_bad_counts(flags, message):
     r = _run(["scenario", "fr-search", *flags])

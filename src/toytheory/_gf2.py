@@ -2,8 +2,10 @@
 
 Vectors are ints with bit i = coordinate i (coordinate 2i is q of system i,
 coordinate 2i+1 its p, matching the package-wide convention).  Sets of
-vectors are masks: bit v of the mask marks membership of vector v.  Only used
-for d = 2; the generic exact layer handles everything else.
+vectors are masks: bit v of the mask marks membership of vector v.  Only the
+d = 2 FR scan (`scenarios`' tables and condition kernel) runs on these
+routines.  The generic exact layer handles everything else, and the ontic
+oracle that spot-checks the scan uses none of them.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ def _odd_mask(m: int) -> int:
     return _even_mask(m) << 1
 
 
-def bracket2(f: int, g: int, m: int) -> int:
-    return dot2(f, pairswap(g, m))
-
-
 def span_elements(basis) -> list[int]:
     elems = [0]
     for b in basis:
@@ -46,27 +44,14 @@ def span_elements(basis) -> list[int]:
     return elems
 
 
-def span_mask(basis) -> int:
-    mask = 1
-    for b in basis:
-        low = 0
-        for e in _mask_bits(mask):
-            low |= 1 << (e ^ b)
-        mask |= low
-    return mask
-
-
-def _mask_bits(mask: int) -> list[int]:
+def mask_elements(mask: int) -> list[int]:
+    """The vectors whose bits are set in ``mask``, ascending."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def mask_elements(mask: int) -> list[int]:
-    return _mask_bits(mask)
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,8 +89,8 @@ def isotropic_bases(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     `phase_space.all_isotropic_subspaces`: a child of a basis adds a row v
     whose pivot lies above the parent's pivots and is unset in every parent
     row, and which commutes with every parent row.  Kept because the FR
-    tables and the d = 2 oracle need packed ints and span masks, and it
-    builds m = 8 about three times faster than packing the generic list.
+    tables need packed ints, and it builds m = 8 about 3.5 times faster
+    than packing the generic list.
     """
     table = ortho_table(m)
     full = (1 << (1 << m)) - 1
@@ -128,7 +113,7 @@ def isotropic_bases(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
             for p in range(start, m):
                 if not (used >> p) & 1:
                     allowed |= by_pivot[p]
-            children.extend(basis + (v,) for v in _mask_bits(comm & allowed))
+            children.extend(basis + (v,) for v in mask_elements(comm & allowed))
         # sorted by construction: parents come in order, children of one
         # parent in ascending v
         by_dim.append(tuple(children))
@@ -138,10 +123,3 @@ def isotropic_bases(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 def int_to_vector(v: int, m: int) -> tuple[int, ...]:
     return tuple((v >> i) & 1 for i in range(m))
 
-
-def vector_to_int(vec) -> int:
-    out = 0
-    for i, x in enumerate(vec):
-        if int(x) % 2:
-            out |= 1 << i
-    return out

@@ -344,6 +344,8 @@ def _condprep_search(args):
     from .phase_space import discrete_space
     from .scenarios import ScenarioReport
     from .states import toy_bit
+    if args.d != 2:
+        raise ValueError(f"condprep-search supports only --d 2, got {args.d}")
     names = (args.targets or "0,+").split(",")
     targets = tuple(toy_bit(n.strip()) for n in names)
     if len(targets) != 2:
@@ -359,7 +361,7 @@ def _condprep_search(args):
         group_cap=args.group_cap)
     report = ScenarioReport(
         "condprep_search",
-        {"targets": names, "ancilla": args.ancilla})
+        {"d": args.d, "targets": names, "ancilla": args.ancilla})
     report.log("search", searched=result.searched, frames=result.frames,
                found=result.transform is not None)
     orthogonal_or_identical = names[0] == names[1] or \

@@ -29,7 +29,7 @@ from .phase_space import (
     Observable, PhaseSpace, bracket_vectors, compose as compose_spaces,
     symplectic_dual,
 )
-from .states import EpistemicState, make_state, marginal, tensor
+from .states import EpistemicState, make_state, marginal, tensor_all
 
 
 def is_symplectic_matrix(field: FieldT, m: tuple, ambient_dim: int) -> bool:
@@ -205,11 +205,11 @@ def position_copy_transform(space: PhaseSpace) -> SymplecticTransform:
 def complete_symplectic(field: FieldT, w: Iterable) -> tuple:
     """A symplectic matrix whose first column is w (w nonzero).
 
-    Construction: truncated copies of w starting at each nonzero coordinate
-    pair all commute; each is paired with a conjugate vector of symplectic
-    product 1 built from one entry of the pair below and one of its own,
-    preferring the momentum entry when it is nonzero.  Zero pairs keep their
-    standard basis vectors.  Deterministic.
+    w and a partner p of [w, p] = 1, the first standard basis vector e_j
+    with [w, e_j] != 0 scaled by 1 / [w, e_j], are a frame on one system;
+    `_complete_frame` extends it to a symplectic basis whose first pair is
+    (w, p) (Witt's extension theorem), and the matrix takes that basis as
+    its columns.  Deterministic.
     """
     w = tuple(field.coerce(x) for x in w)
     n = len(w)
@@ -217,34 +217,10 @@ def complete_symplectic(field: FieldT, w: Iterable) -> tuple:
         raise DimensionMismatch("phase-space vectors have even length")
     if all(x == field.zero for x in w):
         raise DimensionMismatch("cannot complete the zero vector")
-    pairs = [i for i in range(n // 2)
-             if w[2 * i] != field.zero or w[2 * i + 1] != field.zero]
-    cols: list[VectorT] = []
-    for k, i in enumerate(pairs):
-        trunc = [field.zero] * (2 * i) + list(w[2 * i:])
-        d = [field.zero] * n
-        if w[2 * i + 1] != field.zero:
-            d[2 * i] = field.neg(field.inv(w[2 * i + 1]))
-        else:
-            d[2 * i + 1] = field.inv(w[2 * i])
-        if k > 0:
-            j = pairs[k - 1]
-            if w[2 * j + 1] != field.zero:
-                d[2 * j] = field.inv(w[2 * j + 1])
-            else:
-                d[2 * j + 1] = field.neg(field.inv(w[2 * j]))
-        cols.append(tuple(trunc))
-        cols.append(tuple(d))
-    nonzero = set(pairs)
-    for i in range(n // 2):
-        if i not in nonzero:
-            e_q = [field.zero] * n
-            e_q[2 * i] = field.one
-            e_p = [field.zero] * n
-            e_p[2 * i + 1] = field.one
-            cols.append(tuple(e_q))
-            cols.append(tuple(e_p))
-    return mat_transpose(tuple(cols))
+    e = next(e for e in identity_matrix(field, n)
+             if bracket_vectors(field, w, e) != field.zero)
+    partner = field.scale_row(field.inv(bracket_vectors(field, w, e)), e)
+    return mat_transpose(_complete_frame(field, (w, partner), n // 2, [0]))
 
 
 def _block_diag(field: FieldT, a: tuple, b: tuple) -> tuple:
@@ -444,14 +420,8 @@ def classify_conditional_marginals(spec: ConditionalPrepSpec,
     keep = [i for i in range(total_systems) if i not in traced]
     if not keep or any(i < 0 or i >= total_systems for i in traced):
         raise ValueError("invalid traced-system set")
-    ancilla = total_systems - base_systems
-    marginals = []
-    for src in spec.source_states():
-        joint = tensor(src, spec.target_initial)
-        for _ in range(ancilla):
-            joint = tensor(joint, _pointer_state(t.space.field))
-        final = apply_to_state(t, joint)
-        marginals.append(marginal(final, keep))
+    marginals = [marginal(apply_to_state(t, joint), keep)
+                 for joint in _joint_states(spec, total_systems - base_systems)]
     groups: dict = {}
     for idx, m in enumerate(marginals):
         groups.setdefault(m, []).append(idx)
@@ -469,12 +439,6 @@ def classify_conditional_marginals(spec: ConditionalPrepSpec,
     )
 
 
-def _pointer_state(field: FieldT) -> EpistemicState:
-    space = PhaseSpace(field, 1)
-    return make_state(space, [(field.one, field.zero)],
-                      zero_vector(field, 2))
-
-
 @dataclass(frozen=True)
 class ConditionalSearchResult:
     transform: Optional[SymplecticTransform]
@@ -485,16 +449,14 @@ class ConditionalSearchResult:
 
 def _joint_states(spec: ConditionalPrepSpec,
                   ancilla_systems: int) -> tuple[EpistemicState, ...]:
-    """source_i ⊗ target ⊗ pointer ancillas, one per source valuation; they
-    all share one known set."""
+    """source_i ⊗ target ⊗ pointer ancillas (position known, value 0), one
+    per source valuation; they all share one known set."""
     field = spec.source_space.field
-    joints = []
-    for src in spec.source_states():
-        joint = tensor(src, spec.target_initial)
-        for _ in range(ancilla_systems):
-            joint = tensor(joint, _pointer_state(field))
-        joints.append(joint)
-    return tuple(joints)
+    pointer = make_state(PhaseSpace(field, 1), [(field.one, field.zero)],
+                         zero_vector(field, 2))
+    return tuple(tensor_all([src, spec.target_initial]
+                            + [pointer] * ancilla_systems)
+                 for src in spec.source_states())
 
 
 def _symplectic_frames(field: PrimeField, n_systems: int, k: int):
@@ -555,7 +517,7 @@ def _frame_marginals(space: PhaseSpace, rows: tuple, support: Subspace,
     return at
 
 
-def _complete_frame(field: PrimeField, rows: tuple, n_systems: int,
+def _complete_frame(field: FieldT, rows: tuple, n_systems: int,
                     kept: Sequence[int]) -> tuple:
     """A symplectic U whose rows at the ``kept`` systems' coordinates are
     the frame ``rows`` (Witt's extension theorem).
@@ -623,6 +585,7 @@ def find_conditional_transform(spec: ConditionalPrepSpec,
     ``InvariantViolation``.  The expected outcome for non-orthogonal desired
     targets is exhaustion without a hit.  A sampled search over fewer than
     one sample raises ``ValueError``: it would report a miss on no evidence.
+    So does a negative ``ancilla_systems``.
     """
     field = spec.source_space.field
     if not spec.desired_targets:
@@ -630,6 +593,9 @@ def find_conditional_transform(spec: ConditionalPrepSpec,
     desired = tuple(spec.desired_targets)
     if len(desired) != len(spec.source_valuations):
         raise ValueError("need one desired target per source outcome")
+    if ancilla_systems < 0:
+        raise ValueError(
+            f"ancilla_systems must be at least 0, got {ancilla_systems}")
     k = spec.target_initial.space.n_systems
     n_total = spec.source_space.n_systems + k + ancilla_systems
     space = PhaseSpace(field, n_total)

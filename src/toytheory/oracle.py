@@ -4,8 +4,9 @@ Everything here enumerates explicit ontic sets and scans explicit catalogs of
 valid states; it is deliberately independent of the algebraic update and
 probability rules so it can certify them.  An outcome is tested at each
 ontic point by the values of the measured observables there, its literal
-definition, not by a reduction modulo V_π^⊥.  Exponential cost, test-side
-only (and the CLI's --verify mode).
+definition, not by a reduction modulo V_π^⊥.  Every prime takes the same
+generic route, which shares no code with the bit-packed FR scan it checks.
+Exponential cost, test-side only (and the CLI's --verify mode).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import (
-    PrimeField, Subspace, _pivot_columns, enumerate_subspace,
+    PrimeField, Subspace, _pivot_columns, _rref_rows, enumerate_subspace,
     orthogonal_complement, reduce_mod_subspace, rref,
 )
 from .errors import EnumerationCapExceeded, InvariantViolation
@@ -75,38 +76,11 @@ def _isotropics_containing(space: PhaseSpace, v_pi: Subspace) -> list[Subspace]:
         found = []
         for per_dim in reversed(isotropic_subspaces_within(
                 field, n, enumerate_subspace(within))):
-            found += sorted((rref(field, n, v_pi.basis + u.basis)
-                             for u in per_dim), key=lambda w: w.basis)
+            found += sorted((Subspace(field, n, tuple(
+                _rref_rows(field, v_pi.basis + u.basis)[0]))
+                for u in per_dim), key=lambda w: w.basis)
         _SUPERSPACE_CACHE[key] = found
     return _SUPERSPACE_CACHE[key]
-
-
-_GF2_CATALOG_CACHE: dict = {}
-_GF2_SUPER_CACHE: dict = {}
-
-
-def _gf2_catalog(n_bits: int) -> list:
-    """(basis ints, span mask) of every isotropic subspace, big dims first."""
-    if n_bits not in _GF2_CATALOG_CACHE:
-        from . import _gf2
-        entries = []
-        for per_dim in _gf2.isotropic_bases(n_bits):
-            for basis in per_dim:
-                entries.append((basis, _gf2.span_mask(basis)))
-        entries.sort(key=lambda e: -len(e[0]))
-        _GF2_CATALOG_CACHE[n_bits] = entries
-    return _GF2_CATALOG_CACHE[n_bits]
-
-
-def _gf2_isotropics_containing(n_bits: int, v_pi_basis_ints: tuple) -> list:
-    key = (n_bits, v_pi_basis_ints)
-    if key not in _GF2_SUPER_CACHE:
-        from . import _gf2
-        pi_mask = _gf2.span_mask(v_pi_basis_ints)
-        _GF2_SUPER_CACHE[key] = [
-            (basis, mask) for basis, mask in _gf2_catalog(n_bits)
-            if pi_mask & ~mask == 0]
-    return _GF2_SUPER_CACHE[key]
 
 
 def oracle_smallest_update(s: EpistemicState, m: Measurement, out: Outcome,
@@ -134,19 +108,9 @@ def _smallest_support(s: EpistemicState, m: Measurement, pre_post: list,
     field = s.field
     x0 = min(pre_post)
     diffs = [field.sub_rows(x, x0) for x in pre_post]
-    if field.p == 2:
-        from . import _gf2
-        n_bits = s.space.ambient_dim
-        pi_ints = tuple(_gf2.vector_to_int(g) for g in m.observables.basis)
-        diff_ints = [_gf2.vector_to_int(d) for d in diffs]
-        fits = (rref(field, n_bits,
-                     [_gf2.int_to_vector(b, n_bits) for b in basis])
-                for basis, _mask in _gf2_isotropics_containing(n_bits, pi_ints)
-                if all(_gf2.dot2(b, d) == 0 for b in basis for d in diff_ints))
-    else:
-        fits = (w for w in _isotropics_containing(s.space, m.observables)
-                if not any(field.dot(b, d) for b in w.basis for d in diffs))
-    w = next(fits, None)
+    w = next((w for w in _isotropics_containing(s.space, m.observables)
+              if not any(field.dot(b, d) for b in w.basis for d in diffs)),
+             None)
     if w is None:
         raise InvariantViolation("no valid support found; this must not happen")
     shift = reduce_mod_subspace(orthogonal_complement(w), x0)

@@ -318,6 +318,16 @@ def test_find_conditional_respects_group_cap():
         find_conditional_transform(spec, ancilla_systems=2, exhaustive=True)
 
 
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_find_conditional_rejects_negative_ancilla(exhaustive):
+    spec = _z_partition_spec((toy_bit("0"), toy_bit("+")))
+    with pytest.raises(ValueError,
+                       match="ancilla_systems must be at least 0, got -1"):
+        find_conditional_transform(spec, ancilla_systems=-1,
+                                   exhaustive=exhaustive,
+                                   rng=random.Random(1))
+
+
 def _generic_marginals(spec, t, traced):
     """Each source outcome's marginal through classify_conditional_marginals."""
     cls = classify_conditional_marginals(spec, t, traced)

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from toytheory.algebra import enumerate_coset
 from toytheory.errors import EnumerationCapExceeded
 from toytheory.measurement import (
-    Measurement, make_measurement, outcome_for_label, outcome_probability,
-    outcomes, update_state,
+    Measurement, infers, make_measurement, outcome_for_label,
+    outcome_from_valuation, outcome_probability, outcomes, update_state,
 )
 from toytheory.oracle import (
     OnticEnsemble, _isotropics_containing, _outcome_points,
@@ -157,3 +158,45 @@ def test_isotropics_containing_is_the_filtered_catalog(d, n, rng):
                            if all(w.contains(g) for g in v_pi.basis)),
                           key=lambda w: -w.dim)
         assert _isotropics_containing(space, v_pi) == filtered
+
+
+# Every isotropic subspace at d in {2, 3, 5} and n in {1, 2}: the known
+# sets of the drawn states and the measured subspaces.
+_CATALOGS = [(sp, all_isotropic_subspaces(sp))
+             for sp in (discrete_space(d, n) for d in (2, 3, 5)
+                        for n in (1, 2))]
+
+
+@st.composite
+def _state_and_measurements(draw):
+    """A valid state and two measurements with one outcome each.  About
+    half of the time the premise's outcome is the one at a drawn support
+    point, so that possible premises, and with them updates, come up
+    often."""
+    space, subs = draw(st.sampled_from(_CATALOGS))
+    field = space.field
+    known = draw(st.sampled_from(subs))
+    valuation = draw(st.tuples(*[st.integers(0, field.p - 1)]
+                               * space.ambient_dim))
+    s = make_state(space, known.basis, valuation)
+    measured = [sub for sub in subs if sub.dim]
+    m_a = Measurement(space, draw(st.sampled_from(measured)))
+    m_b = Measurement(space, draw(st.sampled_from(measured)))
+    if draw(st.booleans()):
+        point = draw(st.sampled_from(sorted(ontic_support(s).members)))
+        out_a = outcome_from_valuation(m_a, point)
+    else:
+        out_a = draw(st.sampled_from(outcomes(m_a)))
+    return s, m_a, out_a, m_b, draw(st.sampled_from(outcomes(m_b)))
+
+
+@given(_state_and_measurements())
+def test_algebraic_rules_match_the_oracle(case):
+    s, m_a, out_a, m_b, out_b = case
+    p = outcome_probability(s, m_a, out_a)
+    assert p == oracle_probability(s, m_a, out_a)
+    assert infers(s, m_a, out_a, m_b, out_b) == \
+        (oracle_conditional(s, m_a, out_a, m_b, out_b) == 1)
+    if p:
+        assert ontic_support(update_state(s, m_a, out_a)).members == \
+            oracle_smallest_update(s, m_a, out_a).members

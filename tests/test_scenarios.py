@@ -435,6 +435,43 @@ def test_spot_check_digest_tells_the_draws_apart():
         {k: v for k, v in two.items() if k != "digest"}
 
 
+def test_broken_packed_kernel_fails_the_scan_and_spares_the_oracle(
+        monkeypatch):
+    # The oracle that spot-checks the bit-packed FR tables must share no
+    # code with them: with `_gf2.dot2` wrong, freshly built tables must
+    # disagree with the exact conditions, while the oracle still matches
+    # the algebraic rules on the same configurations.
+    from toytheory import _gf2
+    from toytheory.measurement import (
+        infers, outcome_probability, outcomes,
+    )
+    from toytheory.oracle import oracle_conditional, oracle_probability
+
+    good = _fr_tables()  # drawn from and turned into candidates, unbroken
+    rng = random.Random(5)
+    tuples = [_random_fr_tuple(good, rng) for _ in range(12)]
+    cands = [_fr_candidate_from_ints(good, *tup) for tup in tuples]
+    monkeypatch.setattr(_gf2, "dot2", lambda a, b: 0)
+    _gf2.ortho_table.cache_clear()  # rebuilt below on the wrong kernel
+    try:
+        broken = scenarios._FrTables()
+        assert any(_fr_conditions_single(broken, *tup)
+                   != check_fr_conditions(cand).conditions
+                   for tup, cand in zip(tuples, cands))
+        for cand in cands:
+            m = cand.measurements()
+            for key, pa, po, ca, co in scenarios._FR_CHAIN:
+                args = (cand.initial, m[pa], cand.outcome(po), m[ca],
+                        cand.outcome(co))
+                assert (oracle_conditional(*args) == 1) == infers(*args)
+            for meas in m.values():
+                for out in outcomes(meas):
+                    assert oracle_probability(cand.initial, meas, out) == \
+                        outcome_probability(cand.initial, meas, out)
+    finally:
+        _gf2.ortho_table.cache_clear()  # drop the tables of the wrong kernel
+
+
 def test_pool_context_prefers_fork(monkeypatch):
     import multiprocessing as mp
     asked = []

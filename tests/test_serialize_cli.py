@@ -242,6 +242,7 @@ def test_cli_scenario_bell_and_condprep(files):
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["verdict"]["matches_no_go"] is True
+    assert doc["config"] == {"d": 2, "targets": ["0", "1"], "ancilla": 0}
 
 
 def test_cli_condprep_search_with_a_memory_ancilla():
@@ -254,6 +255,18 @@ def test_cli_condprep_search_with_a_memory_ancilla():
     assert doc["verdict"]["searched"] == 92897280 == 1451520 * 64
     search = next(e for e in doc["events"] if e["kind"] == "search")
     assert (search["frames"], search["found"]) == (2016, False)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--d", "3"], "supports only --d 2, got 3"),
+    (["--ancilla", "-1"], "ancilla_systems must be at least 0, got -1"),
+    (["--ancilla", "-2"], "ancilla_systems must be at least 0, got -2"),
+])
+def test_cli_condprep_search_rejects_bad_input(flags, message):
+    r = _run(["scenario", "condprep-search", "--targets", "0,1", *flags])
+    assert r.returncode == 1
+    assert "input error" in r.stderr and message in r.stderr
+    assert r.stdout == ""
 
 
 def test_cli_condprep_search_frame_cap():

@@ -20,7 +20,8 @@ print(__doc__)
 report = search_fr_paradox(d=2, exhaustive=True, workers=1, spot_checks=40,
                            sequential_checks=8)
 scan = [e for e in report.events if e["kind"] == "scan"][0]
-print(f"pure states scanned:            {scan['states']}")
+print(f"pure states covered:            {scan['states']}")
+print(f"orbit representatives scanned:  {scan['representatives']}")
 print(f"candidate space:                {report.config['candidate_space']}")
 print(f"paradoxes found:                {scan['paradox_count']}")
 print(f"benign all-conditions configs:  {scan['benign_all_seven']}")

@@ -34,8 +34,8 @@ from .measurement import (
 )
 from .oracle import oracle_probability, oracle_smallest_update
 from .scenarios import (
-    DEFAULT_SPOT_CHECKS, run_bell, run_forgetting, run_wigner_friend,
-    search_fr_paradox,
+    DEFAULT_SPOT_CHECKS, check_fr_request, run_bell, run_forgetting,
+    run_wigner_friend, search_fr_paradox,
 )
 from .states import (
     is_valid_support, knowledge_bits, marginal, mixture_support,
@@ -307,13 +307,16 @@ def _cmd_scenario(args) -> int:
     elif name == "forgetting":
         report = run_forgetting()
     elif name == "fr-search":
+        request = {"d": args.d, "exhaustive": args.exhaustive,
+                   "workers": args.workers, "samples": args.samples,
+                   "spot_checks": args.spot_checks}
+        check_fr_request(**request)  # no progress line for a bad request
         if args.exhaustive and args.format == "text":
-            print("scanning 2295 pure known-sets x 16 valuations x "
-                  "block-local measurements...", file=sys.stderr)
-        report = search_fr_paradox(
-            d=args.d, exhaustive=args.exhaustive, workers=args.workers,
-            seed=args.seed, samples=args.samples,
-            weaken_condition1=args.mutated, spot_checks=args.spot_checks)
+            print("scanning 18 orbit representatives of 2295 pure known-sets "
+                  "x 16 valuations x block-local measurements...",
+                  file=sys.stderr)
+        report = search_fr_paradox(**request, seed=args.seed,
+                                   weaken_condition1=args.mutated)
     elif name == "condprep-search":
         report = _condprep_search(args)
     else:

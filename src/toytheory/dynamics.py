@@ -585,7 +585,8 @@ def find_conditional_transform(spec: ConditionalPrepSpec,
     ``InvariantViolation``.  The expected outcome for non-orthogonal desired
     targets is exhaustion without a hit.  A sampled search over fewer than
     one sample raises ``ValueError``: it would report a miss on no evidence.
-    So does a negative ``ancilla_systems``.
+    So do a negative ``ancilla_systems`` and, in exhaustive mode, a
+    ``group_cap`` below 1.
     """
     field = spec.source_space.field
     if not spec.desired_targets:
@@ -596,6 +597,8 @@ def find_conditional_transform(spec: ConditionalPrepSpec,
     if ancilla_systems < 0:
         raise ValueError(
             f"ancilla_systems must be at least 0, got {ancilla_systems}")
+    if exhaustive and group_cap < 1:
+        raise ValueError(f"group_cap must be at least 1, got {group_cap}")
     k = spec.target_initial.space.n_systems
     n_total = spec.source_space.n_systems + k + ancilla_systems
     space = PhaseSpace(field, n_total)

@@ -433,8 +433,16 @@ def fr_chain_sequential(c: FRCandidate) -> dict:
 # Per known-set the scan keeps the masks of conditions 5-7 in lists indexed
 # by premise (t5 by V_B, t7 by V_A), holding only the pairs whose subset
 # condition passes, so no lookup is spent on a pair that was never stored.
-# A pool of N workers splits the known-sets by stride, worker i scanning
-# every N-th one from i (`_fr_partition` says why).
+#
+# Local symplectic maps on R, A, S and B, with the translations, map each
+# measurement menu onto itself, outcomes onto outcomes, and keep all seven
+# conditions (Spekkens, PRA 75, 032110, 2007).  So every counter of a
+# known-set is the same on its Sp(2,2)^4 orbit, and the 2295 known-sets fall
+# into 18 orbits (`_fr_orbits`).  The scan takes (known-set, weight) items:
+# the verdict scans one representative per orbit, weighted by the orbit size,
+# and one seeded other member of each orbit at weight 0, whose counters must
+# equal its representative's.  A pool of N workers strides that item list,
+# worker i scanning every N-th item from i.
 
 
 def _perp_of_elems(ortho, full: int, elems) -> int:
@@ -479,6 +487,28 @@ def _fr_block_measurements(offset: int, width: int, total_bits: int) -> list:
     return out
 
 
+def _block_support(x: int) -> int:
+    """The 4-bit set of the blocks R, A, S, B that the packed x touches."""
+    return sum(1 << i for i in range(4) if (x >> 2 * i) & 3)
+
+
+def _fr_orbits(lagrangians, support=_block_support) -> tuple:
+    """The Lagrangians' classes under the key of `support`, as index tuples
+    in enumerator order (each class and the classes by first member).
+
+    The key of V is the multiset of the block supports of V's 16 elements,
+    packed as the sum of 1 << 5·support(e).  An invertible local map keeps
+    every vector's block support, so the key is an orbit invariant; the tests
+    check that its classes are exactly the Sp(2,2)^4 orbits.
+    """
+    weight = [1 << 5 * support(x) for x in range(256)]
+    classes: dict = {}
+    for li, basis in enumerate(lagrangians):
+        key = sum([weight[e] for e in _gf2.span_elements(basis)])
+        classes.setdefault(key, []).append(li)
+    return tuple(tuple(c) for c in classes.values())
+
+
 class _FrTables:
     """All state- and measurement-independent precomputation for the scan."""
 
@@ -486,6 +516,8 @@ class _FrTables:
         self.full = (1 << 256) - 1
         self.ortho = _gf2.ortho_table(8)
         self.lagrangians = _gf2.isotropic_bases(8)[4]
+        # the first member of each orbit stands for it in the verdict's scan
+        self.orbits = _fr_orbits(self.lagrangians)
         self.meas_a = _fr_block_measurements(0, 2, 8)
         self.meas_b = _fr_block_measurements(4, 2, 8)
         self.meas_u = _fr_block_measurements(0, 4, 8)
@@ -561,38 +593,45 @@ class _FrKernel:
         return self._perp(self.t.sum_aw[a][w], self.k_a[a])
 
 
-# Benign all-seven tuples each scan range keeps for the exact re-derivation:
-# in each of this many strata of its known-sets (cut by position in the
-# range, which may be strided), the first one whose valuation is nonzero
-# and not yet in the range's sample.  A known-set's
+# Benign all-seven tuples each scan keeps for the exact re-derivation:
+# in each of this many strata of its items (cut by position in the item
+# list), the first one whose valuation is nonzero and not yet in the scan's
+# sample.  A known-set's
 # first benign tuple is always at v = 0, and its first at v != 0 is at v = 1
 # for 1134 of the 1251 known-sets with one, hence both rules.
 _FR_BENIGN_SAMPLES = 4
 
+# The per-known-set counters of a scan, each summed with the item's weight.
+_FR_COUNTERS = ("states", "valuation_tests", "quad_tests", "benign_all_seven")
 
-def _fr_scan_range(t: _FrTables, start: int, stop: int,
-                   weaken_condition1: bool = False,
-                   stop_after: int | None = None, step: int = 1) -> dict:
-    """Scan the pure known-sets range(start, stop, step); exact, no
-    sampling."""
+
+def _fr_scan(t: _FrTables, items: Sequence[tuple],
+             weaken_condition1: bool = False,
+             stop_after: int | None = None) -> dict:
+    """Scan the pure known-sets of ``items``, (known-set index, weight)
+    pairs; exact, no sampling.
+
+    Each known-set adds its counters ``weight`` times to the totals;
+    ``counters`` lists them unweighted, as (index, counts in `_FR_COUNTERS`
+    order) pairs.  Paradoxes and the benign sample come from every item.
+    """
     meas_a, meas_b, meas_u, meas_w = t.meas_a, t.meas_b, t.meas_u, t.meas_w
     n_a, n_b, n_u, n_w = len(meas_a), len(meas_b), len(meas_u), len(meas_w)
-    known = range(start, stop, step)
     paradoxes: list[tuple] = []
     benign: list[tuple] = []
     stats = {"states": 0, "valuation_tests": 0, "quad_tests": 0,
              "benign_all_seven": 0, "paradoxes": paradoxes,
-             "benign_sample": benign}
+             "benign_sample": benign, "counters": []}
 
-    def tally(valuation_tests, quad_tests, benign_all_seven) -> dict:
-        stats["valuation_tests"] += valuation_tests
-        stats["quad_tests"] += quad_tests
-        stats["benign_all_seven"] += benign_all_seven
+    def tally(li: int, weight: int, counts: tuple) -> dict:
+        stats["counters"].append((li, counts))
+        for key, n in zip(_FR_COUNTERS, counts):
+            stats[key] += weight * n
         return stats
 
     sampled = -1  # the last stratum that kept a benign tuple
-    for pos, li in enumerate(known):
-        stratum = pos * _FR_BENIGN_SAMPLES // len(known)
+    for pos, (li, weight) in enumerate(items):
+        stratum = pos * _FR_BENIGN_SAMPLES // len(items)
         basis = t.lagrangians[li]
         k = _FrKernel(t, basis)
         vperp_elems = _gf2.mask_elements(
@@ -603,7 +642,6 @@ def _fr_scan_range(t: _FrTables, start: int, stop: int,
             if not (seen >> x) & 1:
                 reps.append(x)
                 seen |= _gf2.coset_mask(vperp_elems, x)
-        stats["states"] += len(reps)
 
         # Conditions 5-7 are kept, per premise, only where their subset
         # condition holds, unless the control drops conditions 1-3.
@@ -664,27 +702,35 @@ def _fr_scan_range(t: _FrTables, start: int, stop: int,
                                              w, wok, wfail))
                                         if stop_after is not None and \
                                                 len(paradoxes) >= stop_after:
-                                            return tally(valuation_tests,
-                                                         quad_tests,
-                                                         benign_all_seven)
-        tally(valuation_tests, quad_tests, benign_all_seven)
+                                            return tally(li, weight, (
+                                                len(reps), valuation_tests,
+                                                quad_tests, benign_all_seven))
+        tally(li, weight,
+              (len(reps), valuation_tests, quad_tests, benign_all_seven))
     return stats
 
 
-def _fr_partition(n: int, workers: int) -> list:
-    """The known-sets of each worker: worker i scans range(i, n, workers).
+def _fr_partition(items: Sequence[tuple], workers: int) -> list:
+    """The items of each worker: worker i scans items[i::workers].
 
-    In the enumerator's order the known-sets with the most tests cluster
-    in the first half: contiguous halves split the scan's valuation and quad
-    tests 73 : 27, strided halves, which take an even share of every region,
-    51 : 49."""
-    return [range(i, n, workers) for i in range(workers)]
+    A strided part takes an even share of every region of the list.  Over
+    all 2295 known-sets at weight 1, where the ones with the most tests
+    cluster in the first half, contiguous halves split the valuation and
+    quad tests 73 : 27 and strided halves 51 : 49.  Over the 18 orbit
+    representatives the scan is a few tens of milliseconds, so the split
+    no longer decides the wall time."""
+    return [list(items[i::workers]) for i in range(workers)]
 
 
 def _fr_worker(args) -> dict:
-    known, weaken, stop_after = args
-    return _fr_scan_range(_fr_tables(), known.start, known.stop, weaken,
-                          stop_after, known.step)
+    items, weaken, stop_after = args
+    return _fr_scan(_fr_tables(), items, weaken, stop_after)
+
+
+def _fr_orbit_draws(orbits: Sequence[tuple], rng: random.Random) -> list:
+    """(representative, member) for one random other member of every orbit
+    larger than 1."""
+    return [(cls[0], rng.choice(cls[1:])) for cls in orbits if len(cls) > 1]
 
 
 def _fr_conditions_single(t: _FrTables, li: int, v: int, a: int, a1: int,
@@ -793,7 +839,8 @@ def _fr_spot_checks(t: _FrTables, rng: random.Random, n_checks: int,
 
 def _merge_fr_stats(parts: Sequence[dict]) -> dict:
     merged = {"states": 0, "valuation_tests": 0, "quad_tests": 0,
-              "benign_all_seven": 0, "paradoxes": [], "benign_sample": []}
+              "benign_all_seven": 0, "paradoxes": [], "benign_sample": [],
+              "counters": []}
     for p in parts:
         for k in merged:
             merged[k] += p[k]
@@ -897,6 +944,32 @@ def _pool_context():
 DEFAULT_SPOT_CHECKS = 200
 
 
+def check_fr_request(d: int = 2, blocks: tuple = (1, 1, 1, 1),
+                     exhaustive: bool = False, workers: int = 1,
+                     samples: int = 2000,
+                     spot_checks: int = DEFAULT_SPOT_CHECKS,
+                     sequential_checks: int = 48) -> None:
+    """Raise what `search_fr_paradox` raises for these arguments, before
+    any work.
+
+    ValueError when ``workers`` < 1, ``spot_checks`` < 0 or
+    ``sequential_checks`` < 0, and in sampled mode when ``samples`` < 1 (a
+    verdict over no samples would pass on no evidence); SearchSpaceExceeded
+    for an exhaustive search other than d = 2 with one toy bit per block.
+    """
+    bounds = [("workers", workers, 1), ("spot_checks", spot_checks, 0),
+              ("sequential_checks", sequential_checks, 0)]
+    if not exhaustive:
+        bounds.append(("samples", samples, 1))
+    for name, value, least in bounds:
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    if exhaustive and (d != 2 or tuple(blocks) != (1, 1, 1, 1)):
+        raise SearchSpaceExceeded(
+            "exhaustive mode covers d=2 with one toy bit per block; "
+            "use sampled mode elsewhere")
+
+
 def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
                       exhaustive: bool = False, workers: int = 1,
                       seed: int = 0, samples: int = 2000,
@@ -906,33 +979,32 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
                       stop_after: int | None = None) -> ScenarioReport:
     """Search for a four-agent configuration assembling the full paradox.
 
-    Exhaustive mode (d=2, one toy bit per block) scans every pure state and
+    Exhaustive mode (d=2, one toy bit per block) covers every pure state and
     every block-local measurement with every ok/fail labeling; the verdict
     records that no configuration passes the chain with distinct Wigner
     outcomes, while configurations where all seven conditions hold benignly
-    (ok and fail labeling the same outcome) do exist.  With
-    ``weaken_condition1`` the subset conditions are dropped, which must
-    produce false positives (search sensitivity control).
+    (ok and fail labeling the same outcome) do exist.  It scans one
+    representative known-set of each of the 18 Sp(2,2)^4 orbits and weights
+    its counters by the orbit size, so the ``scan`` event's counters are
+    those of all 2295 known-sets.  It also scans one other member of every
+    orbit larger than 1, drawn with ``seed``; the ``orbit_weights_verified``
+    verdict holds when each member's counters equal its representative's
+    and the orbits partition the known-sets.
+    With ``weaken_condition1`` the subset conditions are dropped, which must
+    produce false positives (search sensitivity control); that run skips
+    the orbit and spot checks.
 
-    With ``workers`` > 1 the known-sets are split by stride, worker i taking
-    every ``workers``-th one from i (`_fr_partition`), in one call per worker;
-    each worker keeps its own benign sample and ``stop_after`` counts the
-    paradoxes of each worker.  The spot checks then run in the calling
-    process while the pool scans (they stay out of the workers, whose
-    caches die with the pool); the report is the one they give when run
-    after the scan.
+    With ``workers`` > 1 the workers stride the item list (`_fr_partition`),
+    in one call per worker; each worker keeps its own benign sample and
+    ``stop_after`` counts the paradoxes of each worker.  The spot checks,
+    drawn from all 2295 known-sets, then run in the calling process while
+    the pool scans (they stay out of the workers, whose caches die with the
+    pool); the report is the one they give when run after the scan.
 
-    Raises ValueError when ``workers`` < 1, ``spot_checks`` < 0 or
-    ``sequential_checks`` < 0, and in sampled mode when ``samples`` < 1 (a
-    verdict over no samples would pass on no evidence).
+    Raises what `check_fr_request` raises.
     """
-    bounds = [("workers", workers, 1), ("spot_checks", spot_checks, 0),
-              ("sequential_checks", sequential_checks, 0)]
-    if not exhaustive:
-        bounds.append(("samples", samples, 1))
-    for name, value, least in bounds:
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
+    check_fr_request(d, blocks, exhaustive, workers, samples, spot_checks,
+                     sequential_checks)
     config = {"d": d, "blocks": tuple(blocks), "exhaustive": exhaustive,
               "workers": workers, "seed": seed,
               "weaken_condition1": weaken_condition1}
@@ -947,10 +1019,6 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
         report.verdict["no_sequential_paradox"] = stats["sequential_paradoxes"] == 0
         return report
 
-    if d != 2 or tuple(blocks) != (1, 1, 1, 1):
-        raise SearchSpaceExceeded(
-            "exhaustive mode covers d=2 with one toy bit per block; "
-            "use sampled mode elsewhere")
     t = _fr_tables()
     n_lagr = len(t.lagrangians)
     outs_u = sum(len(m.outs) for m in t.meas_u)
@@ -958,10 +1026,14 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     config["lagrangians"] = n_lagr
     config["candidate_space"] = (n_lagr * 16) * 36 * outs_u * pairs_w
     run_spot_checks = spot_checks > 0 and not weaken_condition1
+    draws = ([] if weaken_condition1
+             else _fr_orbit_draws(t.orbits, random.Random(seed)))
+    items = [(cls[0], len(cls)) for cls in t.orbits] + \
+        [(member, 0) for _, member in draws]
     spots = None
     if workers > 1:
-        args = [(known, weaken_condition1, stop_after)
-                for known in _fr_partition(n_lagr, workers)]
+        args = [(part, weaken_condition1, stop_after)
+                for part in _fr_partition(items, workers)]
         with _pool_context().Pool(workers) as pool:
             scan = pool.map_async(_fr_worker, args)
             if run_spot_checks:
@@ -970,14 +1042,21 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
             parts = scan.get()
         stats = _merge_fr_stats(parts)
     else:
-        stats = _fr_scan_range(t, 0, n_lagr, weaken_condition1, stop_after)
+        stats = _fr_scan(t, items, weaken_condition1, stop_after)
     paradoxes = stats.pop("paradoxes")
     benign = stats.pop("benign_sample")
-    report.log("scan", **stats, paradox_count=len(paradoxes),
-               paradox_sample=paradoxes[:5])
+    counters = dict(stats.pop("counters"))
+    report.log("scan", **stats, representatives=len(t.orbits),
+               paradox_count=len(paradoxes), paradox_sample=paradoxes[:5])
     if weaken_condition1:
         report.verdict["mutation_finds_false_positives"] = len(paradoxes) > 0
         return report
+    agree = all(rep in counters and counters.get(member) == counters[rep]
+                for rep, member in draws)
+    covers = sorted(li for cls in t.orbits for li in cls) == \
+        list(range(n_lagr))
+    report.log("orbit_check", checked=len(draws), agree=agree, covers=covers)
+    report.verdict["orbit_weights_verified"] = agree and covers
     report.verdict["no_paradox_found"] = len(paradoxes) == 0
     report.verdict["benign_all_seven_exist"] = stats["benign_all_seven"] > 0
     derived = _fr_rederive(t, benign)

@@ -397,6 +397,8 @@ def test_criterion_07_fr_no_paradox():
     scan = [e for e in report.events if e["kind"] == "scan"][0]
     assert report.config["lagrangians"] == 2295
     assert scan["states"] == 2295 * 16
+    assert scan["representatives"] == 18
+    assert report.verdict["orbit_weights_verified"]
     assert scan["paradox_count"] == 0
     assert scan["benign_all_seven"] > 0
     derivation = [e for e in report.events if e["kind"] == "derivation"][0]
@@ -412,7 +414,8 @@ def test_criterion_07_fr_no_paradox():
     assert mutated.verdict["mutation_finds_false_positives"]
     dt = time.time() - t0
     assert dt < 600
-    _report(7, f"no paradox among {scan['states']} pure states x all "
+    _report(7, f"no paradox among {scan['states']} pure states "
+               f"({scan['representatives']} orbit representatives) x all "
                f"block-local measurements and ok/fail labelings "
                f"(candidate space {report.config['candidate_space']}); "
                f"all-seven configurations force equal Wigner outcomes "

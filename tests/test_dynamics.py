@@ -328,6 +328,14 @@ def test_find_conditional_rejects_negative_ancilla(exhaustive):
                                    rng=random.Random(1))
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_find_conditional_rejects_a_cap_below_one(cap):
+    spec = _z_partition_spec((toy_bit("0"), toy_bit("+")))
+    with pytest.raises(ValueError,
+                       match=f"group_cap must be at least 1, got {cap}"):
+        find_conditional_transform(spec, exhaustive=True, group_cap=cap)
+
+
 def _generic_marginals(spec, t, traced):
     """Each source outcome's marginal through classify_conditional_marginals."""
     cls = classify_conditional_marginals(spec, t, traced)

@@ -63,6 +63,15 @@ def is_canonical(basis) -> bool:
     return all(not (b & piv) for piv in pivots for b in basis if b & -b != piv)
 
 
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_ortho_table_matches_the_dot_product(m):
+    table = _gf2.ortho_table(m)
+    assert len(table) == 1 << m
+    for v in range(1 << m):
+        assert table[v] == sum(1 << x for x in range(1 << m)
+                               if not _gf2.dot2(x, v))
+
+
 def test_closed_form_counts():
     assert [isotropic_count(4, k) for k in range(5)] == [1, 255, 5355, 11475, 2295]
 

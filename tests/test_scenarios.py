@@ -9,13 +9,30 @@ from toytheory.phase_space import discrete_space
 from toytheory.scenarios import (
     FRCandidate, check_fr_conditions, fr_chain_initial,
     fr_chain_sequential, run_bell, run_forgetting, run_wigner_friend,
-    search_fr_paradox, _FR_BENIGN_SAMPLES, _fr_candidate_from_ints,
-    _fr_conditions_single, _fr_partition, _fr_rederive, _fr_scan_range,
+    search_fr_paradox, _FR_BENIGN_SAMPLES, _FR_COUNTERS,
+    _block_support, _fr_candidate_from_ints, _fr_conditions_single,
+    _fr_orbit_draws, _fr_orbits, _fr_partition, _fr_rederive, _fr_scan,
     _fr_tables, _merge_fr_stats, _random_fr_tuple,
 )
 from toytheory.states import make_state, state_from_values
 
 F2 = GF(2)
+
+# The exhaustive d = 2 totals over all 2295 known-sets.
+FR_TOTALS = {"states": 36720, "valuation_tests": 1551744,
+             "quad_tests": 3779136, "benign_all_seven": 1568160}
+
+
+def _ones(*bounds) -> list:
+    """The known-sets range(*bounds) as scan items of weight 1."""
+    return [(li, 1) for li in range(*bounds)]
+
+
+@pytest.fixture(scope="module")
+def full_scan():
+    """The unreduced scan: all 2295 known-sets at weight 1, in one process."""
+    t = _fr_tables()
+    return _fr_scan(t, _ones(len(t.lagrangians)))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -149,8 +166,8 @@ def test_correlated_pairs_candidate_fails_a_subset_condition():
 
 def test_fast_scan_slice_agrees_with_merge_and_finds_nothing():
     t = _fr_tables()
-    whole = _fr_scan_range(t, 0, 60)
-    parts = [_fr_scan_range(t, 0, 29), _fr_scan_range(t, 29, 60)]
+    whole = _fr_scan(t, _ones(60))
+    parts = [_fr_scan(t, _ones(29)), _fr_scan(t, _ones(29, 60))]
     merged = _merge_fr_stats(parts)
     whole.pop("paradoxes")
     merged_paradoxes = merged.pop("paradoxes")
@@ -171,19 +188,22 @@ def test_fast_scan_slice_agrees_with_merge_and_finds_nothing():
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_fr_partition_covers_every_known_set_once(workers):
-    parts = _fr_partition(2295, workers)
+    parts = _fr_partition(_ones(2295), workers)
     assert len(parts) == workers
-    assert sorted(li for part in parts for li in part) == list(range(2295))
+    assert sorted(li for part in parts for li, _ in part) == \
+        list(range(2295))
+    assert parts[0][:2] == [(0, 1), (workers, 1)]
 
 
 def test_strided_scans_merge_to_the_contiguous_scan():
     t = _fr_tables()
-    whole = _fr_scan_range(t, 0, 60)
-    parts = [_fr_scan_range(t, i, 60, step=3) for i in range(3)]
+    whole = _fr_scan(t, _ones(60))
+    parts = [_fr_scan(t, part) for part in _fr_partition(_ones(60), 3)]
     merged = _merge_fr_stats(parts)
     for key in ("states", "valuation_tests", "quad_tests",
                 "benign_all_seven", "paradoxes"):
         assert merged[key] == whole[key]
+    assert sorted(merged["counters"]) == whole["counters"]
     # each part samples its own known-sets, one tuple per stratum of its
     # positions
     for i, part in enumerate(parts):
@@ -196,19 +216,172 @@ def test_strided_scans_merge_to_the_contiguous_scan():
         assert _fr_rederive(t, sample)
 
 
-def test_strided_scan_balances_the_workers():
-    t = _fr_tables()
-    loads = []
-    for known in _fr_partition(len(t.lagrangians), 2):
-        part = _fr_scan_range(t, known.start, known.stop, step=known.step)
-        loads.append(part["valuation_tests"] + part["quad_tests"])
+def test_strided_scan_balances_the_workers(full_scan):
+    # a known-set's counters do not depend on the list it is scanned in, so
+    # each worker's load is the sum of its known-sets' counters
+    counters = dict(full_scan["counters"])
+    loads = [sum(counters[li][1] + counters[li][2] for li, _ in part)
+             for part in _fr_partition(_ones(2295), 2)]
+    assert sum(loads) == FR_TOTALS["valuation_tests"] + \
+        FR_TOTALS["quad_tests"]
     # the contiguous halves split the same work about 73 : 27
     assert max(loads) <= 0.52 * sum(loads)
 
 
+def test_orbit_table_partitions_the_lagrangians():
+    orbits = _fr_tables().orbits
+    assert len(orbits) == 18
+    assert sorted(len(cls) for cls in orbits) == \
+        [36] * 3 + [54] * 6 + [81] + [162] * 5 + [324] * 3
+    assert sorted(li for cls in orbits for li in cls) == list(range(2295))
+    # enumerator order: members ascending, classes by representative
+    assert all(list(cls) == sorted(cls) for cls in orbits)
+    assert [cls[0] for cls in orbits] == sorted(cls[0] for cls in orbits)
+
+
+def _classes_with_distinct_counters(classes, counters) -> int:
+    return sum(len({counters[li] for li in cls}) > 1 for cls in classes)
+
+
+def test_full_scan_counters_are_constant_on_orbits(full_scan):
+    t = _fr_tables()
+    assert {k: full_scan[k] for k in _FR_COUNTERS} == FR_TOTALS
+    assert full_scan["paradoxes"] == []
+    counters = dict(full_scan["counters"])
+    assert len(counters) == 2295
+    assert _classes_with_distinct_counters(t.orbits, counters) == 0
+    # so the representatives, weighted by orbit size, give the same totals
+    reduced = _fr_scan(t, [(cls[0], len(cls)) for cls in t.orbits])
+    assert {k: reduced[k] for k in _FR_COUNTERS} == FR_TOTALS
+    assert len(reduced["counters"]) == 18
+
+
+def _local_generators() -> list:
+    """A shear (p += q) and a q <-> p swap on each block, on packed ints."""
+    gens = []
+    for i in range(4):
+        q, p = 1 << 2 * i, 1 << 2 * i + 1
+        gens.append(lambda x, q=q, p=p: x ^ p if x & q else x)
+        gens.append(lambda x, q=q, p=p: x & ~(q | p) | (p if x & q else 0)
+                    | (q if x & p else 0))
+    return gens
+
+
+def test_orbits_are_the_orbits_of_local_symplectic_maps():
+    from toytheory import _gf2
+    t = _fr_tables()
+    gens = _local_generators()
+    units = [1 << i for i in range(8)]
+    for g in gens:  # linear and symplectic on every pair of unit vectors
+        for a in units:
+            for b in units:
+                assert g(a ^ b) == g(a) ^ g(b)
+                assert _gf2.dot2(g(a), _gf2.pairswap(g(b), 8)) == \
+                    _gf2.dot2(a, _gf2.pairswap(b, 8))
+    spans = [frozenset(_gf2.span_elements(b)) for b in t.lagrangians]
+    index = {elems: li for li, elems in enumerate(spans)}
+    seen, orbits = set(), []
+    for li in range(len(spans)):
+        if li in seen:
+            continue
+        orbit = [li]
+        seen.add(li)
+        for x in orbit:  # breadth-first, the list grows as it is walked
+            for g in gens:
+                y = index[frozenset(map(g, spans[x]))]
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        orbits.append(tuple(sorted(orbit)))
+    assert orbits == list(t.orbits)
+
+
+def _swap_r_s(s: int) -> int:
+    return s & 0b1010 | (s & 1) << 2 | (s >> 2) & 1
+
+
+def test_key_coarsened_by_the_r_s_swap_fails_the_orbit_gate(full_scan):
+    # R <-> S maps the menus of A and U onto those of B and W, so it is no
+    # symmetry of the chain: merging its classes must merge unequal counters
+    t = _fr_tables()
+    coarse = _fr_orbits(t.lagrangians, lambda x: min(
+        _block_support(x), _swap_r_s(_block_support(x))))
+    assert len(coarse) == 13
+    assert _classes_with_distinct_counters(
+        coarse, dict(full_scan["counters"])) == 3
+
+
+def test_unit_weights_miss_the_state_count(monkeypatch):
+    t = _fr_tables()
+    monkeypatch.setattr(t, "orbits", tuple((cls[0],) for cls in t.orbits))
+    r = search_fr_paradox(d=2, exhaustive=True, spot_checks=0)
+    assert _event(r, "scan")["states"] == 18 * 16 != FR_TOTALS["states"]
+    assert _event(r, "orbit_check") == {"kind": "orbit_check", "checked": 0,
+                                        "agree": True, "covers": False}
+    assert r.verdict["orbit_weights_verified"] is False
+    assert not r.passed
+
+
+def test_mutation_control_finds_false_positives_on_representatives():
+    t = _fr_tables()
+    r = search_fr_paradox(d=2, exhaustive=True, weaken_condition1=True,
+                          stop_after=3)
+    assert r.verdict["mutation_finds_false_positives"]
+    scan = _event(r, "scan")
+    assert scan["paradox_count"] == 3 and scan["representatives"] == 18
+    assert [e["kind"] for e in r.events] == ["scan"]  # no orbit check
+    reps = {cls[0] for cls in t.orbits}
+    for tup in scan["paradox_sample"]:
+        assert tup[0] in reps
+        conds = _fr_conditions_single(t, *tup)
+        assert not all(conds[:3]) and all(conds[3:])
+
+
+def test_orbit_draws_are_seeded_other_members():
+    orbits = _fr_tables().orbits
+    draws = _fr_orbit_draws(orbits, random.Random(4))
+    assert draws == _fr_orbit_draws(orbits, random.Random(4))
+    assert draws != _fr_orbit_draws(orbits, random.Random(5))
+    assert [rep for rep, _ in draws] == [cls[0] for cls in orbits]
+    assert all(member in cls[1:] for (_, member), cls in zip(draws, orbits))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_orbit_check_fails_on_foreign_members(monkeypatch, workers):
+    # swap the non-representative members of two orbits whose counters
+    # differ: the table still partitions the known-sets, but each drawn
+    # member disagrees with its representative
+    t = _fr_tables()
+    reps = dict(_fr_scan(t, [(cls[0], 1) for cls in t.orbits])["counters"])
+    x = t.orbits[0]
+    j, y = next((j, cls) for j, cls in enumerate(t.orbits)
+                if reps[cls[0]] != reps[x[0]])
+    bad = list(t.orbits)
+    bad[0], bad[j] = x[:1] + y[1:], y[:1] + x[1:]
+    monkeypatch.setattr(t, "orbits", tuple(bad))
+    r = search_fr_paradox(d=2, exhaustive=True, workers=workers,
+                          spot_checks=0)
+    assert _event(r, "orbit_check") == {"kind": "orbit_check", "checked": 18,
+                                        "agree": False, "covers": True}
+    assert r.verdict["orbit_weights_verified"] is False
+    assert r.verdict["no_paradox_found"]
+    assert not r.passed
+
+
+def test_exhaustive_report_names_the_orbit_reduction():
+    r = search_fr_paradox(d=2, exhaustive=True, spot_checks=0)
+    scan = _event(r, "scan")
+    assert {k: scan[k] for k in _FR_COUNTERS} == FR_TOTALS
+    assert scan["representatives"] == 18
+    assert _event(r, "orbit_check") == {"kind": "orbit_check", "checked": 18,
+                                        "agree": True, "covers": True}
+    assert r.verdict["orbit_weights_verified"] is True
+    assert r.passed
+
+
 def test_benign_sample_spreads_over_the_range():
     t = _fr_tables()
-    sample = _fr_scan_range(t, 0, 40)["benign_sample"]
+    sample = _fr_scan(t, _ones(40))["benign_sample"]
     lis = [tup[0] for tup in sample]
     assert len(sample) <= _FR_BENIGN_SAMPLES
     assert len(set(lis)) >= 2
@@ -220,19 +393,19 @@ def test_benign_sample_spreads_over_the_range():
 
 def test_benign_sample_has_nonzero_valuations():
     t = _fr_tables()
-    sample = _fr_scan_range(t, 0, 40)["benign_sample"]
+    sample = _fr_scan(t, _ones(40))["benign_sample"]
     assert len(sample) == _FR_BENIGN_SAMPLES
     assert all(tup[1] != 0 for tup in sample)
     assert _fr_rederive(t, sample)
     # a known-set scanned alone keeps a tuple (at v != 0) exactly when it
     # has benign tuples at all
     for li in range(40):
-        alone = _fr_scan_range(t, li, li + 1)
+        alone = _fr_scan(t, [(li, 1)])
         assert bool(alone["benign_sample"]) == (alone["benign_all_seven"] > 0)
 
 
 def test_benign_sample_spreads_over_valuations():
-    sample = _fr_scan_range(_fr_tables(), 0, 40)["benign_sample"]
+    sample = _fr_scan(_fr_tables(), _ones(40))["benign_sample"]
     valuations = [tup[1] for tup in sample]
     assert len(valuations) >= 2
     assert len(set(valuations)) == len(valuations)
@@ -307,7 +480,7 @@ def test_sequential_reading_never_assembles_paradox(rng):
 
 def test_mutated_search_finds_false_positives():
     t = _fr_tables()
-    stats = _fr_scan_range(t, 0, 40, weaken_condition1=True, stop_after=3)
+    stats = _fr_scan(t, _ones(40), weaken_condition1=True, stop_after=3)
     assert len(stats["paradoxes"]) >= 1
     # and each false positive indeed fails one of the dropped conditions
     for tup in stats["paradoxes"]:
@@ -318,8 +491,8 @@ def test_mutated_search_finds_false_positives():
 
 def test_mutated_search_on_a_strided_part_finds_false_positives():
     t = _fr_tables()
-    stats = _fr_scan_range(t, 1, 2295, weaken_condition1=True, stop_after=3,
-                           step=2)
+    stats = _fr_scan(t, _fr_partition(_ones(2295), 2)[1],
+                     weaken_condition1=True, stop_after=3)
     assert len(stats["paradoxes"]) == 3
     for tup in stats["paradoxes"]:
         assert tup[0] % 2 == 1
@@ -331,19 +504,19 @@ def test_mutated_search_on_a_strided_part_finds_false_positives():
 def test_search_verdict_fails_on_misclassified_benign_sample(monkeypatch):
     t = _fr_tables()
 
-    honest = len(_fr_scan_range(t, 0, 2)["benign_sample"])
+    honest = len(_fr_scan(t, _ones(2))["benign_sample"])
 
-    def mislabelled_scan(t, start, stop, *rest):
+    def mislabelled_scan(t, items, *rest):
         # one benign tuple again, with Wigner's fail moved to the other
         # outcome: the exact conditions must refuse it
-        stats = _fr_scan_range(t, 0, 2, *rest)
+        stats = _fr_scan(t, _ones(2), *rest)
         li, v, a, a1, b, b1, u, uok, w, wok, wfail = stats["benign_sample"][0]
         other = next(x for x in t.meas_w[w].outs if x != wfail)
         stats["benign_sample"].append(
             (li, v, a, a1, b, b1, u, uok, w, wok, other))
         return stats
 
-    monkeypatch.setattr(scenarios, "_fr_scan_range", mislabelled_scan)
+    monkeypatch.setattr(scenarios, "_fr_scan", mislabelled_scan)
     r = search_fr_paradox(d=2, exhaustive=True, workers=1, spot_checks=0)
     derivation = [e for e in r.events if e["kind"] == "derivation"][0]
     assert derivation == {"kind": "derivation",
@@ -364,8 +537,8 @@ def test_search_fr_paradox_workers_agree():
     reports = [search_fr_paradox(d=2, exhaustive=True, workers=w,
                                  spot_checks=40, seed=5) for w in (1, 2, 3)]
     assert [[e["kind"] for e in r.events] for r in reports] == \
-        [["scan", "derivation", "spot_checks"]] * 3
-    for kind in ("scan", "spot_checks"):
+        [["scan", "orbit_check", "derivation", "spot_checks"]] * 3
+    for kind in ("scan", "orbit_check", "spot_checks"):
         events = [_event(r, kind) for r in reports]
         assert events[1] == events[0] and events[2] == events[0]
     assert _event(reports[0], "spot_checks")["checked"] == 40

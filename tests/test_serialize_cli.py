@@ -261,6 +261,8 @@ def test_cli_condprep_search_with_a_memory_ancilla():
     (["--d", "3"], "supports only --d 2, got 3"),
     (["--ancilla", "-1"], "ancilla_systems must be at least 0, got -1"),
     (["--ancilla", "-2"], "ancilla_systems must be at least 0, got -2"),
+    (["--group-cap", "0"], "group_cap must be at least 1, got 0"),
+    (["--group-cap", "-1"], "group_cap must be at least 1, got -1"),
 ])
 def test_cli_condprep_search_rejects_bad_input(flags, message):
     r = _run(["scenario", "condprep-search", "--targets", "0,1", *flags])
@@ -294,6 +296,18 @@ def test_cli_scenario_fr_rejects_bad_counts(flags, message):
     assert r.returncode == 1
     assert "input error" in r.stderr and message in r.stderr
     assert r.stdout == ""
+
+
+def test_cli_scenario_fr_rejected_exhaustive_request_prints_no_progress():
+    r = _run(["scenario", "fr-search", "--d", "3", "--exhaustive"])
+    assert r.returncode == 3
+    assert "exhaustive mode covers d=2" in r.stderr
+    assert "scanning" not in r.stderr
+    assert r.stdout == ""
+    # a valid request announces its scan
+    r = _run(["scenario", "fr-search", "--exhaustive", "--spot-checks", "0"])
+    assert r.returncode == 0
+    assert "scanning 18 orbit representatives of 2295" in r.stderr
 
 
 @pytest.mark.parametrize("overrides, message", [

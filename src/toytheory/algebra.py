@@ -500,26 +500,44 @@ def solve_linear(field: FieldT, n: int, rows: Sequence[VectorT], rhs: Sequence) 
     return None if solved is None else solved[1]
 
 
+def _meet(field: FieldT, n: int,
+          parts: Iterable[tuple[Sequence[VectorT], Sequence]]
+          ) -> Optional[tuple[MatrixT, VectorT]]:
+    """Meet of value constraints in one elimination.
+
+    Each part is (rows, values) of canonical field elements: the
+    constraints g.x = value for each row g.  The parts are stacked and
+    solved at once.
+    Returns None when no x satisfies them all; otherwise the RREF of the
+    stacked rows (its length is the rank r, and the solution set is a coset
+    of dimension n - r) and one solution point.
+    """
+    rows = []
+    rhs = []
+    for basis, values in parts:
+        rows.extend(basis)
+        rhs.extend(values)
+    return _solve_augmented(field, n, rows, rhs)
+
+
 def coset_intersection(c1: Coset, c2: Coset) -> Optional[Coset]:
     """(S1+u1) ∩ (S2+u2) as a coset of S1∩S2, or None when empty.
 
-    One elimination of the stacked constraints [S_i^⊥ | S_i^⊥.u_i]: its left
-    block is the RREF of S1^⊥ + S2^⊥, whose complement is S1∩S2.
+    The meet of the constraints g.x = g.u_i for g in S_i^⊥: the stacked
+    rows span S1^⊥ + S2^⊥, whose complement is S1∩S2.
     """
     _check_same_ambient(c1.subspace, c2.subspace)
     field = c1.field
     n = c1.ambient_dim
-    constraints = []
-    rhs = []
+    parts = []
     for c in (c1, c2):
-        for row in orthogonal_complement(c.subspace).basis:
-            constraints.append(row)
-            rhs.append(field.dot(row, c.shift))
-    solved = _solve_augmented(field, n, constraints, rhs)
-    if solved is None:
+        rows = orthogonal_complement(c.subspace).basis
+        parts.append((rows, [field.dot(row, c.shift) for row in rows]))
+    met = _meet(field, n, parts)
+    if met is None:
         return None
-    left, u = solved
-    return make_coset(orthogonal_complement(Subspace(field, n, left)), u)
+    rows, u = met
+    return make_coset(orthogonal_complement(Subspace(field, n, rows)), u)
 
 
 def enumerate_coset(c: Coset) -> Iterator[VectorT]:

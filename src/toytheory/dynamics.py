@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
-    FieldT, PrimeField, Subspace, VectorT,
+    FieldT, PrimeField, Subspace, VectorT, _meet,
     enumerate_subspace, identity_matrix, mat_inverse, mat_mul, mat_transpose,
     mat_vec, matrix, orthogonal_complement, reduce_mod_subspace, rref,
     solve_linear, vec_add, vector, zero_vector,
@@ -398,8 +398,8 @@ class MarginalClassification:
 
 
 def _supports_disjoint(s1: EpistemicState, s2: EpistemicState) -> bool:
-    from .algebra import coset_intersection
-    return coset_intersection(s1.support_coset(), s2.support_coset()) is None
+    return _meet(s1.field, s1.space.ambient_dim,
+                 (s1.constraints(), s2.constraints())) is None
 
 
 def classify_conditional_marginals(spec: ConditionalPrepSpec,

@@ -1,11 +1,15 @@
 """Measurements as valuated observable spaces.
 
 A measurement is an isotropic subspace V_π of jointly measurable observables;
-an outcome is a coset V_π^⊥ + v_π of compatible ontic states, addressed by
-the tuple of values the canonical generators take.  Outcomes partition the
-ontic space.  Probabilities are exact rationals obtained by coset dimension
-counting; the update rule keeps the commuting part of prior knowledge and
-adjoins the measured observables.
+an outcome fixes the value each canonical generator g of V_π takes, the
+constraints g.x = label.  A state (V, v) states the constraints g.x = g.v for
+g in V.  Every query is one elimination of stacked constraints (`_meet`):
+the probability counts the dimension the outcome's constraints cut from the
+support, the update keeps the commuting part of prior knowledge and adjoins
+the measured observables at a point of the meet, and an inference asks
+whether the retained, premise and conclusion constraints are solvable
+together.  Outcomes partition the ontic space; `Outcome.coset` is the
+solution set V_π^⊥ + v_π of an outcome's constraints.
 
 Note on outcome labels: the label records the values of the measured
 observables themselves.  Measuring <q> on a state that knows 2q = 6 yields
@@ -21,9 +25,9 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .algebra import (
-    Coset, PrimeField, Subspace,
-    coset_intersection, dot, orthogonal_complement,
-    reduce_mod_subspace, rref, solve_linear, subspace_sum,
+    Coset, PrimeField, Subspace, VectorT, _meet,
+    dot, orthogonal_complement, reduce_mod_subspace, rref, solve_linear,
+    subspace_sum,
 )
 from .errors import (
     ContinuousNotEnumerable, DimensionMismatch, ImpossibleOutcome,
@@ -52,6 +56,10 @@ class Outcome:
     def coset(self) -> Coset:
         return Coset(orthogonal_complement(self.measurement.observables),
                      self.valuation)
+
+    def constraints(self) -> tuple[tuple, tuple]:
+        """The measured rows g and the values g.x = label they take."""
+        return self.measurement.observables.basis, self.label
 
     def __repr__(self):
         return f"Outcome(label={self.label})"
@@ -99,28 +107,45 @@ def outcomes(m: Measurement) -> list[Outcome]:
     return [outcome_for_label(m, lab) for lab in labels]
 
 
-def _support_meet(s: EpistemicState, m: Measurement,
-                  out: Outcome) -> tuple[Optional[Coset], Fraction]:
-    """support ∩ outcome coset (None when empty) and its probability."""
+def _check_outcome(s: EpistemicState, m: Measurement, out: Outcome):
     if s.space != m.space:
         raise DimensionMismatch("state and measurement live on different spaces")
+    if out.measurement != m:
+        raise DimensionMismatch(f"{out} belongs to {out.measurement}, not {m}")
+
+
+def _outcome_meet(s: EpistemicState, m: Measurement,
+                  out: Outcome) -> tuple[Optional[VectorT], Fraction]:
+    """A point of the meet of the state's and the outcome's constraints
+    (None when there is none) and the outcome's probability."""
+    _check_outcome(s, m, out)
     field = s.field
-    inter = coset_intersection(s.support_coset(), out.coset())
-    if inter is None:
+    met = _meet(field, s.space.ambient_dim,
+                (s.constraints(), out.constraints()))
+    if met is None:
         return None, Fraction(0)
-    support_dim = s.space.ambient_dim - s.known.dim
+    rows, point = met
+    # the support has dimension N - dim V, its meet with the outcome N - rank
+    gained = len(rows) - s.known.dim
     if isinstance(field, PrimeField):
-        return inter, Fraction(1, field.p ** (support_dim - inter.subspace.dim))
-    if inter.subspace.dim == support_dim:
-        return inter, Fraction(1)
+        return point, Fraction(1, field.p ** gained)
+    if gained == 0:
+        return point, Fraction(1)
     raise NotPointMass(
         "rational-case probability is neither 0 nor 1; only point masses "
         "are algebraically determined")
 
 
 def outcome_probability(s: EpistemicState, m: Measurement, out: Outcome) -> Fraction:
-    """|support ∩ outcome coset| / |support| by exact dimension counting."""
-    return _support_meet(s, m, out)[1]
+    """P(out) = d^-(rank - dim V), or 0 when the constraints conflict.
+
+    The support is the solution set of g.x = g.v (g in V); the outcome adds
+    g.x = label (g in V_π).  If the stacked system of rank r is solvable its
+    solutions are a d^-(r - dim V) share of the support.  Over QQ only the
+    point masses are determined: 1 when r = dim V, else `NotPointMass`.
+    Raises `DimensionMismatch` when ``out`` is not an outcome of ``m``.
+    """
+    return _outcome_meet(s, m, out)[1]
 
 
 def sample_outcome(s: EpistemicState, m: Measurement, seed: int = 0) -> Outcome:
@@ -144,31 +169,32 @@ def sample_outcome(s: EpistemicState, m: Measurement, seed: int = 0) -> Outcome:
 def update_state(s: EpistemicState, m: Measurement, out: Outcome) -> EpistemicState:
     """Post-measurement state: keep commuting knowledge, adjoin the outcome.
 
-    V' = V_π ⊕ V_commute with the valuation a point of support ∩ outcome.
-    That point also satisfies the retained values, because V_commute ⊆ V;
-    all choices describe the same state, and the stored one is canonical.
+    V' = V_π ⊕ V_commute with the valuation any point that meets the state's
+    and the outcome's constraints.  That point also satisfies the retained
+    values, because V_commute ⊆ V; all choices describe the same state, and
+    `make_state` stores the canonical one.
     """
-    meet, _ = _support_meet(s, m, out)
-    if meet is None:
+    point, _ = _outcome_meet(s, m, out)
+    if point is None:
         raise ImpossibleOutcome(f"outcome {out.label} has probability 0")
     v_comm = commutant_within(s.known, m.observables)
     new_known = subspace_sum(m.observables, v_comm)
-    return make_state(s.space, new_known.basis, meet.shift)
+    return make_state(s.space, new_known.basis, point)
 
 
 def is_certain(s: EpistemicState, m: Measurement, out: Outcome) -> bool:
     """True iff the outcome occurs with probability 1.
 
     Two conditions: the measured observables are already known
-    (V_π ⊆ V), and the outcome values agree with the known values
-    (nonempty intersection of the support with the outcome coset).
+    (V_π ⊆ V), and the outcome's values agree with the known ones (the
+    constraints g.x = g.v, g in V, and g.x = label, g in V_π, are solvable).
     """
-    if s.space != m.space:
-        raise DimensionMismatch("state and measurement live on different spaces")
+    _check_outcome(s, m, out)
     known = s.known
     if not all(known.contains(g) for g in m.observables.basis):
         return False
-    return coset_intersection(s.support_coset(), out.coset()) is not None
+    return _meet(s.field, s.space.ambient_dim,
+                 (s.constraints(), out.constraints())) is not None
 
 
 def inference_conditions(s: EpistemicState, m_a: Measurement, out_a: Outcome,
@@ -176,16 +202,19 @@ def inference_conditions(s: EpistemicState, m_a: Measurement, out_a: Outcome,
     """The two conditions behind "A = out_a implies B = out_b".
 
     (1) V_B ⊆ V_commute,A ⊕ V_A: some outcome of B is inferable at all;
-    (2) (V_commute,A^⊥ + v) ∩ (V_A^⊥ + v_A) ∩ (V_B^⊥ + v_B) ≠ ∅: the
-        inferable outcome is out_b (and the premise is possible).
+    (2) the constraints g.x = g.v (g in V_commute,A), g.x = label_A
+        (g in V_A) and g.x = label_B (g in V_B) are solvable: the inferable
+        outcome is out_b (and the premise is possible).
     """
+    _check_outcome(s, m_a, out_a)
+    _check_outcome(s, m_b, out_b)
     v_comm = commutant_within(s.known, m_a.observables)
     reach = subspace_sum(v_comm, m_a.observables)
     cond1 = all(reach.contains(g) for g in m_b.observables.basis)
-    c12 = coset_intersection(
-        Coset(orthogonal_complement(v_comm), s.valuation), out_a.coset())
-    cond2 = c12 is not None and \
-        coset_intersection(c12, out_b.coset()) is not None
+    comm_values = [s.field.dot(g, s.valuation) for g in v_comm.basis]
+    cond2 = _meet(s.field, s.space.ambient_dim,
+                  ((v_comm.basis, comm_values),
+                   out_a.constraints(), out_b.constraints())) is not None
     return cond1, cond2
 
 

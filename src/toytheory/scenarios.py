@@ -382,9 +382,10 @@ def fr_chain_sequential(c: FRCandidate) -> dict:
     branches = [({}, c.initial, Fraction(1))]
     for agent in order:
         meas = m[agent]
+        agent_outs = outcomes(meas)
         grown = []
         for outs, state, prob in branches:
-            for out in outcomes(meas):
+            for out in agent_outs:
                 p = outcome_probability(state, meas, out)
                 if p == 0:
                     continue

@@ -48,6 +48,12 @@ class EpistemicState:
     def support_coset(self) -> Coset:
         return Coset(orthogonal_complement(self.known), self.valuation)
 
+    def constraints(self) -> tuple[tuple, tuple]:
+        """The known rows g and their values g.v: the support is the
+        solution set of g.x = g.v."""
+        basis = self.known.basis
+        return basis, tuple([self.field.dot(g, self.valuation) for g in basis])
+
     def value_of(self, obs: Union[Observable, Sequence]):
         """Value of a known observable on this state; None if not known."""
         coeffs = obs.coeffs if isinstance(obs, Observable) else vector(self.field, obs)

@@ -4,7 +4,8 @@ import pytest
 
 from toytheory.algebra import GF
 from toytheory.errors import (
-    ContinuousNotEnumerable, ImpossibleOutcome, NotIsotropic, NotPointMass,
+    ContinuousNotEnumerable, DimensionMismatch, ImpossibleOutcome,
+    NotIsotropic, NotPointMass,
 )
 from toytheory.measurement import (
     infers, inference_conditions, is_certain, make_measurement,
@@ -226,3 +227,43 @@ def test_update_repeatability_sweep():
                     continue
                 post = update_state(s, m, o)
                 assert outcome_probability(post, m, o) == 1
+
+
+MP1 = make_measurement(SP1, [(0, 1)])
+
+
+def test_probability_rejects_an_outcome_of_another_measurement():
+    out_p = outcome_for_label(MP1, (0,))
+    with pytest.raises(DimensionMismatch):
+        outcome_probability(toy_bit("0"), MZ1, out_p)
+    # an equal measurement built again is the same measurement
+    again = make_measurement(SP1, [(1, 0)])
+    assert outcome_probability(
+        toy_bit("0"), again, outcome_for_label(MZ1, (0,))) == 1
+
+
+def test_update_rejects_an_outcome_of_another_measurement():
+    with pytest.raises(DimensionMismatch):
+        update_state(toy_bit("0"), MZ1, outcome_for_label(MP1, (0,)))
+
+
+def test_is_certain_rejects_an_outcome_of_another_measurement():
+    # <p> on toy0 is a fair coin, so neither outcome may pass as certain
+    for label in (0, 1):
+        with pytest.raises(DimensionMismatch):
+            is_certain(toy_bit("0"), MZ1, outcome_for_label(MP1, (label,)))
+
+
+def test_infers_rejects_an_outcome_of_another_measurement():
+    mzB = make_measurement(SP2, [(0, 0, 1, 0)])
+    mzA = make_measurement(SP2, [(1, 0, 0, 0)])
+    b0 = outcome_for_label(mzB, (0,))
+    a0 = outcome_for_label(mzA, (0,))
+    pair = bell_pair(2)
+    assert infers(pair, mzB, b0, mzA, a0)
+    for args in ((mzA, b0, mzA, a0), (mzB, b0, mzB, a0),
+                 (mzB, a0, mzA, b0)):
+        with pytest.raises(DimensionMismatch):
+            infers(pair, *args)
+        with pytest.raises(DimensionMismatch):
+            inference_conditions(pair, *args)

@@ -38,7 +38,7 @@ from .dynamics import (
     transvection,
 )
 from .measurement import (
-    Measurement, Outcome, inference_conditions, infers, is_certain,
+    Measurement, Outcome, branches, inference_conditions, infers, is_certain,
     make_measurement,
     outcome_for_label, outcome_from_valuation, outcome_probability, outcomes,
     sample_outcome, update_state,

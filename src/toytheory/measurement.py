@@ -8,8 +8,10 @@ the probability counts the dimension the outcome's constraints cut from the
 support, the update keeps the commuting part of prior knowledge and adjoins
 the measured observables at a point of the meet, and an inference asks
 whether the retained, premise and conclusion constraints are solvable
-together.  Outcomes partition the ontic space; `Outcome.coset` is the
-solution set V_π^⊥ + v_π of an outcome's constraints.
+together.  `branches` gives every outcome's probability and post-state at
+once, building V_π ⊕ V_commute a single time.  Outcomes partition the
+ontic space; `Outcome.coset` is the solution set V_π^⊥ + v_π of an
+outcome's constraints.
 
 Note on outcome labels: the label records the values of the measured
 observables themselves.  Measuring <q> on a state that knows 2q = 6 yields
@@ -22,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     Coset, PrimeField, Subspace, VectorT, _meet,
@@ -34,7 +36,7 @@ from .errors import (
     InvariantViolation, NotIsotropic, NotPointMass,
 )
 from .phase_space import Observable, PhaseSpace, commutant_within, is_isotropic
-from .states import EpistemicState, make_state
+from .states import EpistemicState
 
 
 @dataclass(frozen=True)
@@ -166,20 +168,60 @@ def sample_outcome(s: EpistemicState, m: Measurement, seed: int = 0) -> Outcome:
     raise InvariantViolation("outcome probabilities did not sum to 1")
 
 
+def _post_states(s: EpistemicState, m: Measurement):
+    """The post-measurement state as a function of a point of the meet.
+
+    V' = V_π ⊕ V_commute is canonical (one RREF) and isotropic by
+    construction: V_π is, V_commute ⊆ V is, and the two commute.  So each
+    post-state is built directly, its point reduced modulo V'^⊥, without
+    `make_state`'s re-validation.
+    """
+    v_comm = commutant_within(s.known, m.observables)
+    known = subspace_sum(m.observables, v_comm)
+    perp = orthogonal_complement(known)
+    return lambda point: EpistemicState(
+        s.space, known, reduce_mod_subspace(perp, point))
+
+
 def update_state(s: EpistemicState, m: Measurement, out: Outcome) -> EpistemicState:
     """Post-measurement state: keep commuting knowledge, adjoin the outcome.
 
     V' = V_π ⊕ V_commute with the valuation any point that meets the state's
     and the outcome's constraints.  That point also satisfies the retained
     values, because V_commute ⊆ V; all choices describe the same state, and
-    `make_state` stores the canonical one.
+    the canonical one (the point reduced modulo V'^⊥) is stored.  This is
+    the one-outcome case of `branches`.
     """
     point, _ = _outcome_meet(s, m, out)
     if point is None:
         raise ImpossibleOutcome(f"outcome {out.label} has probability 0")
-    v_comm = commutant_within(s.known, m.observables)
-    new_known = subspace_sum(m.observables, v_comm)
-    return make_state(s.space, new_known.basis, point)
+    return _post_states(s, m)(point)
+
+
+def _branches(s: EpistemicState, m: Measurement,
+              outs: Sequence[Outcome]) -> list[tuple]:
+    """`branches` over the given outcomes of m, whose space is s's."""
+    post = _post_states(s, m)
+    found = []
+    for out in outs:
+        point, p = _outcome_meet(s, m, out)
+        if point is not None:
+            found.append((out, p, post(point)))
+    return found
+
+
+def branches(s: EpistemicState, m: Measurement) -> list[tuple]:
+    """(outcome, probability, post-state) for every outcome of positive
+    probability, in `outcomes` order (discrete fields only).
+
+    Equals ``update_state`` and ``outcome_probability`` outcome by outcome,
+    but V' = V_π ⊕ V_commute and V'^⊥ are computed once for all outcomes,
+    and each outcome costs one meet.  Raises `DimensionMismatch` when m
+    lives on another space and `ContinuousNotEnumerable` over QQ.
+    """
+    if s.space != m.space:
+        raise DimensionMismatch("state and measurement live on different spaces")
+    return _branches(s, m, outcomes(m))
 
 
 def is_certain(s: EpistemicState, m: Measurement, out: Outcome) -> bool:

@@ -107,7 +107,9 @@ def _smallest_support(s: EpistemicState, m: Measurement, pre_post: list,
     list of support points inside the outcome coset."""
     field = s.field
     x0 = min(pre_post)
-    diffs = [field.sub_rows(x, x0) for x in pre_post]
+    # W is orthogonal to every difference exactly when it is orthogonal to
+    # a basis of their span
+    diffs = _rref_rows(field, [field.sub_rows(x, x0) for x in pre_post])[0]
     w = next((w for w in _isotropics_containing(s.space, m.observables)
               if not any(field.dot(b, d) for b in w.basis for d in diffs)),
              None)

@@ -34,9 +34,11 @@ from .dynamics import (
     apply_to_state, cnot_gate, compose_transforms, random_symplectic,
     swap_gate,
 )
-from .errors import DimensionMismatch, SearchSpaceExceeded
+from .errors import (
+    DimensionMismatch, InvariantViolation, SearchSpaceExceeded,
+)
 from .measurement import (
-    Measurement, Outcome, infers, is_certain, make_measurement,
+    Measurement, Outcome, _branches, infers, is_certain, make_measurement,
     outcome_for_label, outcome_from_valuation, outcome_probability, outcomes,
     update_state,
 )
@@ -378,25 +380,18 @@ def fr_chain_sequential(c: FRCandidate) -> dict:
     (ok, ok) branch together with branchwise-valid inferences; consistency of
     the single branch tree rules that out identically."""
     m = c.measurements()
-    order = ["A", "B", "U", "W"]
-    branches = [({}, c.initial, Fraction(1))]
-    for agent in order:
+    tree = [({}, c.initial, Fraction(1))]
+    for agent in ("A", "B", "U", "W"):
         meas = m[agent]
         agent_outs = outcomes(meas)
-        grown = []
-        for outs, state, prob in branches:
-            for out in agent_outs:
-                p = outcome_probability(state, meas, out)
-                if p == 0:
-                    continue
-                grown.append((dict(outs, **{agent: out}),
-                              update_state(state, meas, out), prob * p))
-        branches = grown
+        tree = [(dict(outs, **{agent: out}), post, prob * p)
+                for outs, state, prob in tree
+                for out, p, post in _branches(state, meas, agent_outs)]
     u_ok, w_ok, b_1, a_1, w_fail = map(
         c.outcome, ("U=ok", "W=ok", "B=1", "A=1", "W=fail"))
     p_ok_ok = Fraction(0)
     stmt_u_b = stmt_b_a = stmt_a_w = True
-    for outs, _, prob in branches:
+    for outs, _, prob in tree:
         if outs["U"] == u_ok and outs["W"] == w_ok:
             p_ok_ok += prob
         if outs["U"] == u_ok and outs["B"] != b_1:
@@ -409,7 +404,7 @@ def fr_chain_sequential(c: FRCandidate) -> dict:
         "p_ok_ok": p_ok_ok,
         "stmt_u_b": stmt_u_b, "stmt_b_a": stmt_b_a, "stmt_a_w": stmt_a_w,
         "holds": p_ok_ok > 0 and stmt_u_b and stmt_b_a and stmt_a_w,
-        "branch_count": len(branches),
+        "branch_count": len(tree),
     }
 
 
@@ -443,7 +438,10 @@ def fr_chain_sequential(c: FRCandidate) -> dict:
 # the verdict scans one representative per orbit, weighted by the orbit size,
 # and one seeded other member of each orbit at weight 0, whose counters must
 # equal its representative's.  A pool of N workers strides that item list,
-# worker i scanning every N-th item from i.
+# worker i scanning every N-th item from i; the same worker call then runs
+# share i of the spot checks, the draws i, i + N, i + 2N, ...  The scan is
+# a few tens of milliseconds and the checks most of a second, so the checks
+# are what the pool divides.
 
 
 def _perp_of_elems(ortho, full: int, elems) -> int:
@@ -719,13 +717,23 @@ def _fr_partition(items: Sequence[tuple], workers: int) -> list:
     cluster in the first half, contiguous halves split the valuation and
     quad tests 73 : 27 and strided halves 51 : 49.  Over the 18 orbit
     representatives the scan is a few tens of milliseconds, so the split
-    no longer decides the wall time."""
+    of the items no longer decides the wall time; the spot-check shares,
+    strided the same way (`_fr_spot_checks`), do."""
     return [list(items[i::workers]) for i in range(workers)]
 
 
-def _fr_worker(args) -> dict:
-    items, weaken, stop_after = args
-    return _fr_scan(_fr_tables(), items, weaken, stop_after)
+def _fr_worker(args) -> tuple:
+    """One worker's part: (scan stats of its items, its spot-check share or
+    None).  ``args`` is (items, weaken, stop_after, spot), with spot None or
+    (seed, checks, sequential checks, share, shares)."""
+    items, weaken, stop_after, spot = args
+    t = _fr_tables()
+    stats = _fr_scan(t, items, weaken, stop_after)
+    if spot is None:
+        return stats, None
+    seed, n_checks, n_sequential, share, shares = spot
+    return stats, _fr_spot_checks(t, random.Random(seed), n_checks,
+                                  n_sequential, share, shares)
 
 
 def _fr_orbit_draws(orbits: Sequence[tuple], rng: random.Random) -> list:
@@ -791,7 +799,8 @@ def _random_fr_tuple(t: _FrTables, rng: random.Random) -> tuple:
 
 
 def _fr_spot_checks(t: _FrTables, rng: random.Random, n_checks: int,
-                    n_sequential: int) -> dict:
+                    n_sequential: int, share: int = 0,
+                    shares: int = 1) -> dict:
     """Cross-validate the bit-packed scan against the general machinery.
 
     For random configurations: the seven bit-level conditions must equal the
@@ -802,6 +811,12 @@ def _fr_spot_checks(t: _FrTables, rng: random.Random, n_checks: int,
     tuples, so two reports show whether they checked the same
     configurations (a checksum is enough to tell draws apart, and
     ``hashlib`` would load OpenSSL, about 3.6 MB of resident memory).
+
+    Share ``share`` of ``shares`` checks the draws share, share + shares,
+    ..., and runs the sequential chain on those of them below
+    ``n_sequential``.  Every share draws all ``n_checks`` tuples, which is
+    cheap, so each computes the digest of all of them; `_merge_spot_checks`
+    joins the shares into the one-share result.
     """
     from .oracle import oracle_conditional
     result = {"checked": 0, "sequential_checked": 0,
@@ -811,6 +826,8 @@ def _fr_spot_checks(t: _FrTables, rng: random.Random, n_checks: int,
     for i in range(n_checks):
         tup = _random_fr_tuple(t, rng)
         digest = zlib.crc32(repr(tup).encode(), digest)
+        if i % shares != share:
+            continue
         fast = _fr_conditions_single(t, *tup)
         cand = _fr_candidate_from_ints(t, *tup)
         rep = check_fr_conditions(cand)
@@ -836,6 +853,27 @@ def _fr_spot_checks(t: _FrTables, rng: random.Random, n_checks: int,
         result["checked"] += 1
     result["digest"] = f"{digest:08x}"
     return result
+
+
+_SPOT_COUNTS = ("checked", "sequential_checked", "sequential_paradoxes")
+_SPOT_FLAGS = ("conditions_agree", "chain_matches_conditions",
+               "oracle_agrees")
+
+
+def _merge_spot_checks(parts: Sequence[dict]) -> dict:
+    """The spot-check shares joined: counts summed, flags and-ed.  Raises
+    `InvariantViolation` when the shares drew different configurations."""
+    digests = sorted({p["digest"] for p in parts})
+    if len(digests) != 1:
+        raise InvariantViolation(
+            f"spot-check shares drew different configurations: {digests}")
+    merged = dict(parts[0])
+    for p in parts[1:]:
+        for key in _SPOT_COUNTS:
+            merged[key] += p[key]
+        for key in _SPOT_FLAGS:
+            merged[key] = merged[key] and p[key]
+    return merged
 
 
 def _merge_fr_stats(parts: Sequence[dict]) -> dict:
@@ -995,12 +1033,14 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     produce false positives (search sensitivity control); that run skips
     the orbit and spot checks.
 
-    With ``workers`` > 1 the workers stride the item list (`_fr_partition`),
-    in one call per worker; each worker keeps its own benign sample and
-    ``stop_after`` counts the paradoxes of each worker.  The spot checks,
-    drawn from all 2295 known-sets, then run in the calling process while
-    the pool scans (they stay out of the workers, whose caches die with the
-    pool); the report is the one they give when run after the scan.
+    With ``workers`` = N the workers stride the item list (`_fr_partition`),
+    in one `_fr_worker` call per worker; each worker keeps its own benign
+    sample and ``stop_after`` counts the paradoxes of each worker.  The
+    spot checks, drawn from all 2295 known-sets, are split the same way:
+    worker i checks the draws i, i + N, i + 2N, ... after its scan, and the
+    calling process only merges the shares (`_merge_spot_checks`), so the
+    report is the same for every N.  With one worker the single part runs
+    in the calling process.
 
     Raises what `check_fr_request` raises.
     """
@@ -1031,19 +1071,16 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
              else _fr_orbit_draws(t.orbits, random.Random(seed)))
     items = [(cls[0], len(cls)) for cls in t.orbits] + \
         [(member, 0) for _, member in draws]
-    spots = None
+    args = [(part, weaken_condition1, stop_after,
+             (seed + 1, spot_checks, sequential_checks, share, workers)
+             if run_spot_checks else None)
+            for share, part in enumerate(_fr_partition(items, workers))]
     if workers > 1:
-        args = [(part, weaken_condition1, stop_after)
-                for part in _fr_partition(items, workers)]
         with _pool_context().Pool(workers) as pool:
-            scan = pool.map_async(_fr_worker, args)
-            if run_spot_checks:
-                spots = _fr_spot_checks(t, random.Random(seed + 1),
-                                        spot_checks, sequential_checks)
-            parts = scan.get()
-        stats = _merge_fr_stats(parts)
+            parts = pool.map(_fr_worker, args)
     else:
-        stats = _fr_scan(t, items, weaken_condition1, stop_after)
+        parts = [_fr_worker(args[0])]
+    stats = _merge_fr_stats([scan for scan, _ in parts])
     paradoxes = stats.pop("paradoxes")
     benign = stats.pop("benign_sample")
     counters = dict(stats.pop("counters"))
@@ -1064,9 +1101,7 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     report.log("derivation", samples=len(benign), all_hold=derived)
     report.verdict["derivation_verified"] = derived
     if run_spot_checks:
-        if spots is None:
-            spots = _fr_spot_checks(t, random.Random(seed + 1), spot_checks,
-                                    sequential_checks)
+        spots = _merge_spot_checks([share for _, share in parts])
         report.log("spot_checks", **spots)
         report.verdict["spot_checks_agree"] = (
             spots["conditions_agree"] and spots["chain_matches_conditions"]

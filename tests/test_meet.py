@@ -4,21 +4,24 @@
 elimination.  These properties check it against the complement route
 (cosets V^⊥ + v, sums and intersections of complements), and check the
 measurement queries built on it: probabilities sum to 1 over the outcomes,
-an update repeats its outcome, and an inference is an update followed by a
-certainty test.  They run at d ∈ {2, 3, 5, 7} and n ∈ {1, 2} systems, and
+an update repeats its outcome, an inference is an update followed by a
+certainty test, and `branches` is the probability and the update taken
+outcome by outcome.  They run at d ∈ {2, 3, 5, 7} and n ∈ {1, 2} systems, and
 over QQ on point masses, where the rational probabilities are determined.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from toytheory.algebra import (
     GF, QQ, Coset, _meet, dot, orthogonal_complement, reduce_mod_subspace,
     rref, subspace_intersection, subspace_sum, vec_sub,
 )
+from toytheory.errors import ContinuousNotEnumerable, DimensionMismatch
 from toytheory.measurement import (
-    infers, is_certain, make_measurement, outcome_for_label,
+    branches, infers, is_certain, make_measurement, outcome_for_label,
     outcome_from_valuation, outcome_probability, outcomes, update_state,
 )
 from toytheory.phase_space import (
@@ -199,3 +202,39 @@ def test_infers_is_update_then_certain(case, data):
     want = possible and \
         is_certain(update_state(s, m_a, out_a), m_b, out_b)
     assert infers(s, m_a, out_a, m_b, out_b) == want
+
+
+@given(_discrete_query())
+def test_branches_are_probability_and_update_per_outcome(case):
+    s, m = case
+    want = [(o, outcome_probability(s, m, o), update_state(s, m, o))
+            for o in outcomes(m) if outcome_probability(s, m, o)]
+    assert branches(s, m) == want
+
+
+@given(_discrete_query())
+def test_branch_states_are_the_validated_ones(case):
+    # built without make_state, each post-state must still be the one it
+    # builds from the same basis, in any row order, and any point of the
+    # meet
+    s, m = case
+    for out, _, post in branches(s, m):
+        _, point = _meet(s.field, s.space.ambient_dim,
+                         (s.constraints(), out.constraints()))
+        for rows in (post.known.basis, post.known.basis[::-1]):
+            assert make_state(s.space, rows, point) == post
+
+
+@given(_point_mass_query())
+def test_branches_need_a_discrete_field(case):
+    s, m = case
+    with pytest.raises(ContinuousNotEnumerable):
+        branches(s, m)
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 1), (5, 2)])
+def test_branches_reject_a_measurement_of_another_space(p, n):
+    s = make_state(discrete_space(2, 1), [(1, 0)], (0, 0))
+    m = make_measurement(discrete_space(p, n), [(1,) + (0,) * (2 * n - 1)])
+    with pytest.raises(DimensionMismatch):
+        branches(s, m)

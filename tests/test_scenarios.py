@@ -4,7 +4,9 @@ import pytest
 
 from toytheory import scenarios
 from toytheory.algebra import GF, rref
-from toytheory.errors import DimensionMismatch, SearchSpaceExceeded
+from toytheory.errors import (
+    DimensionMismatch, InvariantViolation, SearchSpaceExceeded,
+)
 from toytheory.phase_space import discrete_space
 from toytheory.scenarios import (
     FRCandidate, check_fr_conditions, fr_chain_initial,
@@ -532,21 +534,73 @@ def _event(report, kind: str) -> dict:
 
 
 def test_search_fr_paradox_workers_agree():
-    # with workers > 1 the spot checks overlap the scan; the report must
-    # not show it
-    reports = [search_fr_paradox(d=2, exhaustive=True, workers=w,
-                                 spot_checks=40, seed=5) for w in (1, 2, 3)]
-    assert [[e["kind"] for e in r.events] for r in reports] == \
-        [["scan", "orbit_check", "derivation", "spot_checks"]] * 3
-    for kind in ("scan", "orbit_check", "spot_checks"):
-        events = [_event(r, kind) for r in reports]
-        assert events[1] == events[0] and events[2] == events[0]
-    assert _event(reports[0], "spot_checks")["checked"] == 40
-    for r in reports:
-        assert r.verdict["no_paradox_found"]
-        assert r.verdict["derivation_verified"]
-        assert r.verdict["spot_checks_agree"]
-        assert r.passed
+    # with workers > 1 the spot checks are split across the workers; the
+    # report must not show it.  41 checks split unevenly, and the first 5,
+    # the sequential ones, span the shares.
+    for checks, sequential in ((40, 48), (41, 5)):
+        reports = [search_fr_paradox(d=2, exhaustive=True, workers=w,
+                                     spot_checks=checks,
+                                     sequential_checks=sequential, seed=5)
+                   for w in (1, 2, 3)]
+        assert [[e["kind"] for e in r.events] for r in reports] == \
+            [["scan", "orbit_check", "derivation", "spot_checks"]] * 3
+        for kind in ("scan", "orbit_check", "spot_checks"):
+            events = [_event(r, kind) for r in reports]
+            assert events[1] == events[0] and events[2] == events[0]
+        spots = _event(reports[0], "spot_checks")
+        assert spots["checked"] == checks
+        assert spots["sequential_checked"] == min(checks, sequential)
+        for r in reports:
+            assert r.verdict["no_paradox_found"]
+            assert r.verdict["derivation_verified"]
+            assert r.verdict["spot_checks_agree"]
+            assert r.passed
+
+
+def test_spot_check_shares_merge_to_the_single_share():
+    t = _fr_tables()
+
+    def share(seed, i, n):
+        return scenarios._fr_spot_checks(t, random.Random(seed), 7, 3, i, n)
+
+    whole = share(3, 0, 1)
+    for n in (2, 3, 8):
+        parts = [share(3, i, n) for i in range(n)]
+        assert [p["checked"] for p in parts] == \
+            [len(range(i, 7, n)) for i in range(n)]
+        assert {p["digest"] for p in parts} == {whole["digest"]}
+        merged = scenarios._merge_spot_checks(parts)
+        assert merged == whole
+        assert list(merged) == list(whole)
+        # one disagreeing share fails the merged flag
+        for key in ("conditions_agree", "chain_matches_conditions",
+                    "oracle_agrees"):
+            last = dict(parts[-1], **{key: False})
+            merged = scenarios._merge_spot_checks(parts[:-1] + [last])
+            assert merged[key] is False
+    # shares of different draws must not merge
+    with pytest.raises(InvariantViolation, match="different configurations"):
+        scenarios._merge_spot_checks([share(3, 0, 2), share(4, 1, 2)])
+
+
+@pytest.mark.parametrize("workers, parent_calls", [(1, 3 * 4), (2, 0)])
+def test_spot_checks_run_in_the_workers(monkeypatch, workers, parent_calls):
+    # three oracle conditionals per check; with a pool the calling process
+    # runs none of them
+    from toytheory import oracle
+    calls = []
+    real = oracle.oracle_conditional
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "oracle_conditional", counted)
+    r = search_fr_paradox(d=2, exhaustive=True, workers=workers,
+                          spot_checks=4, sequential_checks=0)
+    assert _event(r, "spot_checks")["checked"] == 4
+    assert r.verdict["spot_checks_agree"]
+    assert len(calls) == parent_calls
 
 
 def test_overlapped_spot_checks_are_the_ones_reported(monkeypatch):
@@ -575,6 +629,15 @@ def test_failing_spot_checks_stop_the_pool(monkeypatch):
     with pytest.raises(RuntimeError, match="spot checks failed"):
         search_fr_paradox(d=2, exhaustive=True, workers=2)
     assert mp.active_children() == []
+
+
+def test_failing_spot_checks_stop_a_single_worker(monkeypatch):
+    def fail(*args):
+        raise RuntimeError("spot checks failed")
+
+    monkeypatch.setattr(scenarios, "_fr_spot_checks", fail)
+    with pytest.raises(RuntimeError, match="spot checks failed"):
+        search_fr_paradox(d=2, exhaustive=True, workers=1)
 
 
 @pytest.mark.parametrize("name, value", [

@@ -239,10 +239,6 @@ def vec_sub(field: FieldT, a: VectorT, b: VectorT) -> VectorT:
     return field.sub_rows(a, b)
 
 
-def vec_scale(field: FieldT, c, a: VectorT) -> VectorT:
-    return field.scale_row(c, a)
-
-
 def dot(field: FieldT, a: VectorT, b: VectorT):
     """Standard dot product; this is how an observable is evaluated on an
     ontic state and how orthogonal complements are taken."""
@@ -435,14 +431,21 @@ def subspace_intersection(s: Subspace, t: Subspace) -> Subspace:
 
 def enumerate_subspace(s: Subspace) -> Iterator[VectorT]:
     """All elements (finite field only); caller is responsible for caps."""
-    field = s.field
+    return _span_from(s.field, zero_vector(s.field, s.ambient_dim), s.basis)
+
+
+def _span_from(field: FieldT, start: VectorT,
+               basis: Sequence[VectorT]) -> Iterator[VectorT]:
+    """start + every combination of the basis rows: each earlier point is
+    followed by its sums with c*row for c = 1..p-1, one row at a time."""
     if not isinstance(field, PrimeField):
         raise TypeError("cannot enumerate a rational subspace")
-    n = s.ambient_dim
-    elems = [zero_vector(field, n)]
-    for row in s.basis:
-        scaled = [vec_scale(field, c, row) for c in field.elements()]
-        elems = [vec_add(field, e, sv) for e in elems for sv in scaled]
+    add_rows = field.add_rows
+    elems = [start]
+    for row in basis:
+        scaled = [field.scale_row(c, row) for c in range(1, field.p)]
+        elems = [v for e in elems
+                 for v in (e, *[add_rows(e, sv) for sv in scaled])]
     return iter(elems)
 
 
@@ -541,6 +544,6 @@ def coset_intersection(c1: Coset, c2: Coset) -> Optional[Coset]:
 
 
 def enumerate_coset(c: Coset) -> Iterator[VectorT]:
-    field = c.field
-    for v in enumerate_subspace(c.subspace):
-        yield vec_add(field, v, c.shift)
+    """All points of the coset (finite field only), in the order of
+    `enumerate_subspace` on its subspace, each shifted."""
+    return _span_from(c.field, c.shift, c.subspace.basis)

@@ -445,6 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.decimal is not None and args.decimal < 0:
+            raise _CliFailure(EXIT_IO, "input error: --decimal must be at "
+                                       f"least 0, got {args.decimal}")
         if args.command == "state":
             return _cmd_state(args)
         if args.command == "evolve":

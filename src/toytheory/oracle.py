@@ -1,12 +1,15 @@
 """Ontic-level reference implementation: ground truth by raw set operations.
 
-Everything here enumerates explicit ontic sets and scans explicit catalogs of
-valid states; it is deliberately independent of the algebraic update and
+Everything here enumerates explicit ontic sets and walks explicit isotropic
+subspaces; it is deliberately independent of the algebraic update and
 probability rules so it can certify them.  An outcome is tested at each
 ontic point by the values of the measured observables there, its literal
-definition, not by a reduction modulo V_π^⊥.  Every prime takes the same
-generic route, which shares no code with the bit-packed FR scan it checks.
-Exponential cost, test-side only (and the CLI's --verify mode).
+definition, not by a reduction modulo V_π^⊥.  An update walks only the
+isotropic W ⊇ V_π orthogonal to the differences of the premise's points,
+grown afresh on each call: there is no catalog and no cache.  Every prime
+takes the same generic route, which shares no code with the bit-packed FR
+scan it checks.  Exponential cost, test-side only (and the CLI's --verify
+mode).
 """
 
 from __future__ import annotations
@@ -53,44 +56,16 @@ def oracle_probability(s: EpistemicState, m: Measurement, out: Outcome,
     return Fraction(len(_outcome_points(sup.members, out)), len(sup.members))
 
 
-_SUPERSPACE_CACHE: dict = {}
-
-
-def _isotropics_containing(space: PhaseSpace, v_pi: Subspace) -> list[Subspace]:
-    """All isotropic subspaces containing V_π, largest dimension first, each
-    dimension sorted by canonical basis (the catalog's order).
-
-    Such a W lies in the symplectic complement C of V_π, whose radical is
-    V_π.  The points of C that vanish in V_π's pivot columns form a
-    complement L of V_π in C, so W = V_π ⊕ (W ∩ L), and the isotropic
-    subspaces of L give each W once.
-    """
-    key = (space, v_pi)
-    if key not in _SUPERSPACE_CACHE:
-        field = space.field
-        n = space.ambient_dim
-        units = [tuple(int(i == c) for i in range(n))
-                 for c in _pivot_columns(v_pi)]
-        within = orthogonal_complement(rref(
-            field, n, [symplectic_dual(field, g) for g in v_pi.basis] + units))
-        found = []
-        for per_dim in reversed(isotropic_subspaces_within(
-                field, n, enumerate_subspace(within))):
-            found += sorted((Subspace(field, n, tuple(
-                _rref_rows(field, v_pi.basis + u.basis)[0]))
-                for u in per_dim), key=lambda w: w.basis)
-        _SUPERSPACE_CACHE[key] = found
-    return _SUPERSPACE_CACHE[key]
-
-
 def oracle_smallest_update(s: EpistemicState, m: Measurement, out: Outcome,
                            cap: int | None = None) -> OnticSupport:
     """Smallest valid support that contains (support ∩ outcome coset) and
-    lies inside the outcome coset, found by scanning the state catalog.
+    lies inside the outcome coset.
 
-    Valid supports are exactly the cosets W^⊥ + x of isotropic W, so the scan
-    runs over isotropic subspaces from large to small dimension; containment
-    in the outcome coset forces V_π ⊆ W.
+    Valid supports are exactly the cosets W^⊥ + x of isotropic W, and
+    containment in the outcome coset forces V_π ⊆ W.  The support contains
+    the premise's points exactly when W is orthogonal to their differences,
+    so the largest such W gives the smallest support; the walk grows only
+    those W (see `_largest_superspace_orthogonal_to`).
     """
     if not isinstance(s.field, PrimeField):
         raise EnumerationCapExceeded("oracle updates need a discrete field")
@@ -103,20 +78,45 @@ def oracle_smallest_update(s: EpistemicState, m: Measurement, out: Outcome,
 
 def _smallest_support(s: EpistemicState, m: Measurement, pre_post: list,
                       cap: int | None) -> OnticSupport:
-    """The catalog scan of `oracle_smallest_update`, given the nonempty
-    list of support points inside the outcome coset."""
+    """The search of `oracle_smallest_update`, given the nonempty list of
+    support points inside the outcome coset."""
     field = s.field
     x0 = min(pre_post)
     # W is orthogonal to every difference exactly when it is orthogonal to
     # a basis of their span
     diffs = _rref_rows(field, [field.sub_rows(x, x0) for x in pre_post])[0]
-    w = next((w for w in _isotropics_containing(s.space, m.observables)
-              if not any(field.dot(b, d) for b in w.basis for d in diffs)),
-             None)
-    if w is None:
-        raise InvariantViolation("no valid support found; this must not happen")
+    w = _largest_superspace_orthogonal_to(s.space, m.observables, diffs)
     shift = reduce_mod_subspace(orthogonal_complement(w), x0)
     return ontic_support(EpistemicState(s.space, w, shift), cap)
+
+
+def _largest_superspace_orthogonal_to(space: PhaseSpace, v_pi: Subspace,
+                                      diffs: list) -> Subspace:
+    """The first isotropic W ⊇ V_π in catalog order (largest dimension
+    first, then by canonical basis) that is orthogonal to D, the span of
+    `diffs`, found without a catalog.
+
+    Such a W lies in the symplectic complement of V_π, whose radical is
+    V_π; the points of it that vanish in V_π's pivot columns form a
+    complement L of V_π there, so W = V_π ⊕ U for one isotropic U ⊆ L.
+    When V_π ⊥ D, as it is for the differences of points that share their
+    values on V_π, W ⊥ D exactly when U ⊆ L ∩ D^⊥: the walk grows the
+    isotropic subspaces of L ∩ D^⊥ alone and takes the least canonical
+    basis of its top dimension.  Otherwise no W exists.
+    """
+    field = space.field
+    n = space.ambient_dim
+    if any(field.dot(g, d) for g in v_pi.basis for d in diffs):
+        raise InvariantViolation("no valid support found; this must not happen")
+    units = [tuple(int(i == c) for i in range(n))
+             for c in _pivot_columns(v_pi)]
+    within = orthogonal_complement(rref(
+        field, n, [symplectic_dual(field, g) for g in v_pi.basis]
+        + units + diffs))
+    top = [per_dim for per_dim in isotropic_subspaces_within(
+        field, n, enumerate_subspace(within)) if per_dim][-1]
+    return Subspace(field, n, min(
+        tuple(_rref_rows(field, v_pi.basis + u.basis)[0]) for u in top))
 
 
 def oracle_conditional(s: EpistemicState, m_a: Measurement, out_a: Outcome,

@@ -35,12 +35,17 @@ class PhaseSpace:
         return self.field.p if isinstance(self.field, PrimeField) else None
 
     def q_index(self, system: int) -> int:
-        return 2 * system
+        return self.system_coords(system)[0]
 
     def p_index(self, system: int) -> int:
-        return 2 * system + 1
+        return self.system_coords(system)[1]
 
     def system_coords(self, system: int) -> tuple[int, int]:
+        """(q, p) coordinates of a 0-based system index in [0, n)."""
+        if not 0 <= system < self.n_systems:
+            raise DimensionMismatch(
+                f"0-based system index {system} is outside "
+                f"0..{self.n_systems - 1} (n={self.n_systems})")
         return (2 * system, 2 * system + 1)
 
     def __repr__(self):
@@ -200,8 +205,9 @@ def all_isotropic_subspaces(space: PhaseSpace,
     Each subspace appears once, with the canonical basis `rref` returns:
     each row's pivot is its first nonzero coordinate, scaled to 1; pivots
     ascend; the other rows are zero in every pivot column.  Within a
-    dimension the subspaces are sorted by that basis; the oracle's
-    `_isotropics_containing` keeps this order, and the tests rely on it.
+    dimension the subspaces are sorted by that basis; the tests read the
+    oracle's update as the first match in this order, largest dimension
+    first.
     Desk-scale: intended for d^(2n) within the enumeration cap.
     """
     field = space.field
@@ -228,7 +234,11 @@ def isotropic_subspaces_within(field: PrimeField, n: int,
     is zero, and which commutes with every parent row.  Each node passes on
     the candidate rows that meet these conditions relative to it too; the
     candidates stay ascending, so the depth-first walk emits each dimension
-    in sorted order.
+    in sorted order.  The oracle's update walks such an L (the points of
+    V_π's symplectic complement that vanish in V_π's pivot columns and are
+    orthogonal to the premise's differences) and keeps only the top
+    dimension; it takes the `min` of the canonical bases of V_π ⊕ U there,
+    since those need not sort as the bases of U do.
     """
     by_dim = [[] for _ in range(n // 2 + 1)]
 

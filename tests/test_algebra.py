@@ -170,6 +170,39 @@ def test_coset_representative_independence(rng):
         assert make_coset(s, a) == c
 
 
+def _nested_enumeration(field, basis, shift):
+    """Every combination of the rows grown from zero, row by row with
+    c = 0..p-1 innermost, and only then shifted."""
+    p = field.p
+    elems = [(0,) * len(shift)]
+    for row in basis:
+        scaled = [tuple(c * x % p for x in row) for c in range(p)]
+        elems = [tuple((x + y) % p for x, y in zip(e, sv))
+                 for e in elems for sv in scaled]
+    return [tuple((x + y) % p for x, y in zip(v, shift)) for v in elems]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_enumerations_keep_the_nested_order(p, rng):
+    field = GF(p)
+    zero = (0,) * 4
+    for _ in range(40):
+        s = random_subspace(field, 4, rng)
+        c = make_coset(s, random_vector(field, 4, rng))
+        assert list(enumerate_subspace(s)) == \
+            _nested_enumeration(field, s.basis, zero)
+        assert list(enumerate_coset(c)) == \
+            _nested_enumeration(field, s.basis, c.shift)
+
+
+def test_enumerations_refuse_the_rationals():
+    s = rref(QQ, 2, [(1, 0)])
+    with pytest.raises(TypeError):
+        enumerate_subspace(s)
+    with pytest.raises(TypeError):
+        enumerate_coset(make_coset(s, (0, 1)))
+
+
 def test_solve_linear_consistency():
     sol = solve_linear(F2, 3, [(1, 1, 0), (0, 1, 1)], [1, 0])
     assert sol is not None

@@ -1,16 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from toytheory.algebra import enumerate_coset
-from toytheory.errors import EnumerationCapExceeded
+from toytheory.algebra import _rref_rows, enumerate_coset
+from toytheory.errors import EnumerationCapExceeded, InvariantViolation
 from toytheory.measurement import (
     Measurement, infers, make_measurement, outcome_for_label,
     outcome_from_valuation, outcome_probability, outcomes, update_state,
 )
 from toytheory.oracle import (
-    OnticEnsemble, _isotropics_containing, _outcome_points,
+    OnticEnsemble, _largest_superspace_orthogonal_to, _outcome_points,
     oracle_conditional, oracle_probability, oracle_smallest_update,
 )
 from toytheory.phase_space import (
@@ -146,18 +146,54 @@ def test_oracle_refuses_rational_states():
         oracle_conditional(s, m, out, m, out)
 
 
+def _premise_diffs(s, out):
+    """An RREF basis of the span of the differences of the premise's
+    points, as the oracle's update takes it."""
+    field = s.field
+    pre_post = _outcome_points(ontic_support(s).members, out)
+    x0 = min(pre_post)
+    return _rref_rows(field, [field.sub_rows(x, x0) for x in pre_post])[0]
+
+
+def _first_in_catalog(catalog, v_pi, diffs):
+    """The reference answer: the first catalog member, largest dimension
+    first and sorted within each, that contains V_π and is orthogonal to
+    every difference."""
+    field = v_pi.field
+    return next(w for w in sorted(catalog, key=lambda w: -w.dim)
+                if all(w.contains(g) for g in v_pi.basis)
+                and not any(field.dot(b, x) for b in w.basis for x in diffs))
+
+
 @pytest.mark.parametrize("d, n", [(2, 2), (3, 2), (5, 2), (3, 3)])
-def test_isotropics_containing_is_the_filtered_catalog(d, n, rng):
+def test_superspace_walk_is_the_filtered_catalog(d, n, rng):
     space = discrete_space(d, n)
     catalog = all_isotropic_subspaces(space)
-    zero = catalog[0]
     line = rng.choice([w for w in catalog if w.dim == 1])
     lagrangian = rng.choice([w for w in catalog if w.dim == n])
-    for v_pi in (zero, line, lagrangian):
-        filtered = sorted((w for w in catalog
-                           if all(w.contains(g) for g in v_pi.basis)),
-                          key=lambda w: -w.dim)
-        assert _isotropics_containing(space, v_pi) == filtered
+    cases = 0
+    for v_pi in (catalog[0], line, lagrangian):
+        # the empty D: a premise of one point
+        assert _largest_superspace_orthogonal_to(space, v_pi, []) == \
+            _first_in_catalog(catalog, v_pi, [])
+        for _ in range(12):
+            known = rng.choice(catalog)
+            s = make_state(space, known.basis,
+                           [rng.randrange(d) for _ in range(2 * n)])
+            point = rng.choice(sorted(ontic_support(s).members))
+            out = outcome_from_valuation(Measurement(space, v_pi), point)
+            diffs = _premise_diffs(s, out)
+            assert _largest_superspace_orthogonal_to(space, v_pi, diffs) == \
+                _first_in_catalog(catalog, v_pi, diffs)
+            cases += bool(diffs)
+    assert cases
+
+
+def test_superspace_walk_refuses_a_premise_off_the_outcome():
+    v_pi = MZ1.observables
+    # (0,0) and (1,0) differ in the measured q: no W ⊇ V_π contains both
+    with pytest.raises(InvariantViolation):
+        _largest_superspace_orthogonal_to(SP1, v_pi, [(1, 0)])
 
 
 # Every isotropic subspace at d in {2, 3, 5} and n in {1, 2}: the known
@@ -200,3 +236,14 @@ def test_algebraic_rules_match_the_oracle(case):
     if p:
         assert ontic_support(update_state(s, m_a, out_a)).members == \
             oracle_smallest_update(s, m_a, out_a).members
+
+
+@given(_state_and_measurements())
+def test_superspace_walk_matches_the_catalog(case):
+    s, m_a, out_a, _, _ = case
+    assume(outcome_probability(s, m_a, out_a))
+    catalog = dict(_CATALOGS)[s.space]
+    diffs = _premise_diffs(s, out_a)
+    assert _largest_superspace_orthogonal_to(s.space, m_a.observables,
+                                             diffs) == \
+        _first_in_catalog(catalog, m_a.observables, diffs)

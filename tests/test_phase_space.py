@@ -5,6 +5,7 @@ import pytest
 from toytheory.algebra import (
     GF, QQ, orthogonal_complement, rref, subspace_intersection, zero_subspace,
 )
+from toytheory.dynamics import gate_library
 from toytheory.errors import DimensionMismatch
 from toytheory.phase_space import (
     all_isotropic_subspaces, bracket_vectors, commutant_within,
@@ -172,3 +173,18 @@ def test_compose_spaces():
     assert compose(a, b).n_systems == 3
     with pytest.raises(DimensionMismatch):
         compose(a, rational_space(1))
+
+
+def test_system_coords_reject_indices_outside_the_space():
+    sp = discrete_space(2, 2)
+    assert [sp.system_coords(i) for i in range(2)] == [(0, 1), (2, 3)]
+    for bad in (-1, 2, 5):
+        with pytest.raises(DimensionMismatch):
+            sp.system_coords(bad)
+    with pytest.raises(DimensionMismatch):
+        q_observable(sp, 2)
+    with pytest.raises(DimensionMismatch):
+        p_observable(sp, -1)
+    for spec in ("cnot:-1,1", "swap:0,4", "qp_swap:-1"):
+        with pytest.raises(DimensionMismatch):
+            gate_library(sp, spec)

@@ -163,6 +163,14 @@ def test_cli_evolve_gate_and_verify(files):
     assert states_equal(got, bell_pair(2))
 
 
+@pytest.mark.parametrize("gate", ["cnot:0,2", "swap:1,5", "qp_swap:0"])
+def test_cli_evolve_rejects_systems_outside_the_state(files, gate):
+    r = _run(["evolve", str(files / "plus_zero.json"), "--gate", gate])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "system index" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_cli_evolve_rejects_nonsymplectic(files):
     r = _run(["evolve", str(files / "plus.json"),
               "--transform", str(files / "bad_transform.json")])
@@ -226,6 +234,16 @@ def test_cli_decimal_formatting(files):
     r = _run(["--decimal", "3", "measure", str(files / "plus.json"),
               str(files / "mz.json"), "--outcome", "0"])
     assert "0.500" in r.stdout
+
+
+@pytest.mark.parametrize("before_command", [True, False])
+def test_cli_rejects_a_negative_decimal(files, before_command):
+    measure = ["measure", str(files / "plus.json"), str(files / "mz.json")]
+    flag = ["--decimal", "-1"]
+    r = _run(flag + measure if before_command else measure + flag)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("input error:") and "--decimal" in r.stderr
 
 
 def test_cli_enum_cap_env_exit3(files):

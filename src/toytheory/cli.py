@@ -89,9 +89,12 @@ def _emit(args, text_fn, json_obj):
 
 
 def _fmt_prob(args, p: Fraction) -> str:
-    if args.decimal is not None:
-        return f"{float(p):.{args.decimal}f}"
-    return str(p)
+    """``p`` exactly, or rounded half up to K decimals (p >= 0)."""
+    if args.decimal is None:
+        return str(p)
+    scale = 10 ** args.decimal
+    whole, digits = divmod(int(p * scale + Fraction(1, 2)), scale)
+    return f"{whole}.{digits:0{args.decimal}d}" if args.decimal else str(whole)
 
 
 def _state_text(s) -> str:

@@ -300,7 +300,10 @@ def sp_order(n_systems: int, p: int) -> int:
 @functools.lru_cache(maxsize=8)
 def symplectic_group(field: FieldT, n_systems: int,
                      cap: int = DEFAULT_GROUP_CAP) -> tuple:
-    """All of Sp(2n, p) by transvection closure (desk-scale orders only)."""
+    """All of Sp(2n, p), sorted: the frame walk at k = n, whose 2n rows are
+    a whole symplectic matrix (``_symplectic_frames``).  ``cap`` gates the
+    closed-form order before any matrix is built, so a long enumeration is
+    opt-in; the walk's count is checked against that order."""
     if not isinstance(field, PrimeField):
         raise SearchSpaceExceeded("cannot enumerate the rational symplectic group")
     order = sp_order(n_systems, field.p)
@@ -308,30 +311,11 @@ def symplectic_group(field: FieldT, n_systems: int,
         raise SearchSpaceExceeded(
             f"|Sp({2*n_systems},{field.p})| = {order} exceeds the cap {cap}; "
             "pass a larger cap to opt in to a long enumeration")
-    n = 2 * n_systems
-    from .phase_space import _all_vectors
-    gens = []
-    for v in _all_vectors(field, n):
-        if all(x == field.zero for x in v):
-            continue
-        for c in range(1, field.p):
-            gens.append(transvection(field, v, field.coerce(c)))
-    ident = identity_matrix(field, n)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = mat_mul(field, g, m)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    if len(seen) != order:
+    group = tuple(sorted(_symplectic_frames(field, n_systems, n_systems)))
+    if len(group) != order:
         raise InvariantViolation(
-            f"group closure found {len(seen)} elements, |Sp| = {order}")
-    return tuple(sorted(seen))
+            f"frame walk found {len(group)} elements, |Sp| = {order}")
+    return group
 
 
 def random_symplectic(space: PhaseSpace, rng, n_factors: int = 12,

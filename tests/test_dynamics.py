@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -23,8 +24,8 @@ from toytheory.phase_space import (
     _all_vectors, discrete_space, observable, rational_space,
 )
 from toytheory.states import (
-    bell_pair, make_state, marginal, maximally_mixed, ontic_support,
-    states_equal, tensor, toy_bit,
+    all_valid_states, bell_pair, make_state, marginal, maximally_mixed,
+    ontic_support, states_equal, tensor, toy_bit,
 )
 
 F2 = GF(2)
@@ -232,14 +233,52 @@ def test_observable_copy_correlates_and_mixes():
     assert states_equal(marginal(out, [0]), maximally_mixed(SP1))
 
 
+@functools.lru_cache(maxsize=None)
+def _transvection_closure(field, n_systems):
+    """The reference for ``symplectic_group``: the breadth-first closure of
+    the identity under every transvection T(x) = x + c[x,v]v, which
+    generate Sp(2n, p).  It shares no code with the library's frame walk."""
+    n = 2 * n_systems
+    gens = [transvection(field, v, field.coerce(c))
+            for v in _all_vectors(field, n) if any(v)
+            for c in range(1, field.p)]
+    ident = identity_matrix(field, n)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = mat_mul(field, g, m)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
 def test_sp_orders_and_groups():
     assert sp_order(1, 2) == 6
     assert sp_order(2, 2) == 720
     assert sp_order(3, 2) == 1451520
+    assert sp_order(1, 3) == 24
+    assert sp_order(2, 3) == 51840
     assert len(symplectic_group(F2, 1)) == 6
     assert len(symplectic_group(F2, 2)) == 720
+    assert len(symplectic_group(GF(3), 1)) == 24
     with pytest.raises(SearchSpaceExceeded):
         symplectic_group(F2, 3)  # gated behind an explicit larger cap
+    with pytest.raises(SearchSpaceExceeded):
+        symplectic_group(GF(3), 2)
+    sp43 = symplectic_group(GF(3), 2, cap=51840)
+    assert len(sp43) == len(set(sp43)) == 51840
+    for u in sp43[::97]:
+        assert is_symplectic_matrix(GF(3), u, 4)
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 1)])
+def test_symplectic_group_is_the_transvection_closure(p, n):
+    assert symplectic_group(GF(p), n) == _transvection_closure(GF(p), n)
 
 
 def test_symplectic_group_closure_mismatch_is_typed(monkeypatch):
@@ -387,6 +426,28 @@ def test_frame_search_matches_the_group_walk(group_walk, targets, frame_hits):
         assert (r.transform.matrix, r.transform.shift) in walk_hits
 
 
+def test_frame_search_finds_exactly_the_pairs_the_walk_reaches(group_walk):
+    # every ordered pair of the 7 valid toy-bit states, the mixed one too
+    states = all_valid_states(SP1)
+    assert len(states) == 7
+    reached = set(group_walk.values())
+    found = set()
+    for pair in itertools.product(states, repeat=2):
+        r = find_conditional_transform(_z_partition_spec(pair), exhaustive=True)
+        if r.transform is not None:
+            found.add(pair)
+            assert group_walk[(r.transform.matrix, r.transform.shift)] == pair
+        else:
+            assert (r.frames, r.searched) == (120, 720 * 16)
+    assert found == {pair for pair in itertools.product(states, repeat=2)
+                     if pair in reached}
+    # exactly the pairs of equal states or of disjoint ontic supports
+    assert len(found) == 13
+    supports = {s: set(ontic_support(s).members) for s in states}
+    assert found == {(a, b) for a, b in itertools.product(states, repeat=2)
+                     if a == b or not supports[a] & supports[b]}
+
+
 def test_symplectic_frames_counts_and_brackets():
     for field, n, k in ((F2, 1, 1), (F2, 2, 1), (F2, 3, 1), (F2, 2, 2),
                         (GF(3), 1, 1), (GF(3), 2, 1)):
@@ -399,7 +460,7 @@ def test_symplectic_frames_counts_and_brackets():
                 assert dynamics.bracket_vectors(field, rows[i], rows[j]) == want
     # at k = n the frames are the rows of the whole group
     assert set(dynamics._symplectic_frames(F2, 2, 2)) == \
-        set(symplectic_group(F2, 2))
+        set(_transvection_closure(F2, 2))
 
 
 @pytest.mark.parametrize("d, n, kept", [(2, 2, [1]), (2, 2, [0]),

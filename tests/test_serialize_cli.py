@@ -1,11 +1,13 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from toytheory import serialize
+from toytheory import cli, serialize
 from toytheory.dynamics import cnot_gate
 from toytheory.measurement import make_measurement
 from toytheory.phase_space import discrete_space, rational_space
@@ -234,6 +236,29 @@ def test_cli_decimal_formatting(files):
     r = _run(["--decimal", "3", "measure", str(files / "plus.json"),
               str(files / "mz.json"), "--outcome", "0"])
     assert "0.500" in r.stdout
+    # exact rounding, half up: 1/2 at K = 0 is 1, not float's even 0
+    r = _run(["--decimal", "0", "measure", str(files / "plus.json"),
+              str(files / "mz.json"), "--outcome", "0"])
+    assert r.returncode == 0
+    assert "  (0,): 1\n  (1,): 1\n" in r.stdout
+    # a Z measurement of every system of three mixed bits: eight 1/8 rows
+    (files / "mixed3.json").write_text(json.dumps(
+        {"field": "prime", "d": 2, "n": 3, "generators": [],
+         "valuation": [0] * 6}))
+    (files / "mz3.json").write_text(json.dumps(
+        {"observables": [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+                         [0, 0, 0, 0, 1, 0]]}))
+    r = _run(["--decimal", "2", "measure", str(files / "mixed3.json"),
+              str(files / "mz3.json"), "--outcome", "0,0,0"])
+    assert r.returncode == 0
+    assert r.stdout.count(": 0.13\n") == 8
+    cases = [(Fraction(1, 2), 0, "1"), (Fraction(1, 8), 2, "0.13"),
+             (Fraction(1, 16), 3, "0.063"), (Fraction(1, 3), 2, "0.33"),
+             (Fraction(2, 3), 0, "1"), (Fraction(0), 0, "0"),
+             (Fraction(0), 3, "0.000"), (Fraction(1), 0, "1"),
+             (Fraction(1), 2, "1.00")]
+    for p, k, text in cases:
+        assert cli._fmt_prob(argparse.Namespace(decimal=k), p) == text
 
 
 @pytest.mark.parametrize("before_command", [True, False])

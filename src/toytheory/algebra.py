@@ -98,9 +98,6 @@ class PrimeField:
             raise ZeroDivisionError("no inverse of 0")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def elements(self) -> range:
         return range(self.p)
 
@@ -174,9 +171,6 @@ class RationalField:
         if a == 0:
             raise ZeroDivisionError("no inverse of 0")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / b
 
     # row kernels: the same rows as over Z_p, in Fraction arithmetic; each
     # Fraction product costs a gcd, so zero entries are passed through

@@ -316,7 +316,8 @@ def _cmd_scenario(args) -> int:
         check_fr_request(**request)  # no progress line for a bad request
         if args.exhaustive and args.format == "text":
             print("scanning 18 orbit representatives of 2295 pure known-sets "
-                  "x 16 valuations x block-local measurements...",
+                  "at one valuation each, weighted x 16 valuations, "
+                  "x block-local measurements...",
                   file=sys.stderr)
         report = search_fr_paradox(**request, seed=args.seed,
                                    weaken_condition1=args.mutated)

@@ -249,16 +249,13 @@ def observable_copy_transform(f: Observable, v: Observable) -> SymplecticTransfo
     field = f.space.field
     if field != v.space.field:
         raise DimensionMismatch("memory and information fields differ")
-    info_dim = f.space.ambient_dim
     total = compose_spaces(v.space, f.space)
 
-    m_f = complete_symplectic(field, f.coeffs)
-    s_m = mat_inverse(field, mat_transpose(m_f))        # (S^M)^T f = q_1
-    m_v = complete_symplectic(field, v.coeffs)
-    t_mem = mat_inverse(field, mat_transpose(m_v))      # T^T v = q_mem
-
-    ident_mem = identity_matrix(field, 2)
-    ident_info = identity_matrix(field, info_dim)
+    # m^T as an ontic basis change carries an observable w to m^-1 w, so
+    # diag(m_v^T, m_f^T) carries v to q_mem and f to q_1
+    there = (mat_transpose(complete_symplectic(field, v.coeffs)),
+             mat_transpose(complete_symplectic(field, f.coeffs)))
+    back = tuple(mat_inverse(field, m) for m in there)
 
     # position copy on (memory, info system 1), identity on the rest
     n = total.ambient_dim
@@ -267,13 +264,8 @@ def observable_copy_transform(f: Observable, v: Observable) -> SymplecticTransfo
     pos[3][1] = field.neg(field.one)     # p_1 -= p_M
     pos = tuple(tuple(r) for r in pos)
 
-    first = _block_diag(field, mat_inverse(field, t_mem), ident_info)
-    second = _block_diag(field, ident_mem, mat_inverse(field, s_m))
-    fourth = _block_diag(field, ident_mem, s_m)
-    fifth = _block_diag(field, t_mem, ident_info)
-
-    u = mat_mul(field, fourth, mat_mul(field, pos, mat_mul(field, second, first)))
-    u = mat_mul(field, fifth, u)
+    u = mat_mul(field, _block_diag(field, *back),
+                mat_mul(field, pos, _block_diag(field, *there)))
     return SymplecticTransform(total, u, zero_vector(field, n))
 
 
@@ -318,22 +310,21 @@ def symplectic_group(field: FieldT, n_systems: int,
     return group
 
 
-def random_symplectic(space: PhaseSpace, rng, n_factors: int = 12,
-                      with_shift: bool = True) -> SymplecticTransform:
-    """Random product of symplectic transvections, optionally with a shift."""
+def random_symplectic(space: PhaseSpace, rng) -> SymplecticTransform:
+    """Random product of 12 symplectic transvections, with a random
+    shift."""
     field = space.field
     n = space.ambient_dim
     u = identity_matrix(field, n)
     if not isinstance(field, PrimeField):
         raise SearchSpaceExceeded("random sampling is for discrete fields")
-    for _ in range(n_factors):
+    for _ in range(12):
         v = tuple(field.coerce(rng.randrange(field.p)) for _ in range(n))
         if all(x == field.zero for x in v):
             continue
         c = field.coerce(rng.randrange(1, field.p))
         u = mat_mul(field, transvection(field, v, c), u)
-    shift = tuple(field.coerce(rng.randrange(field.p)) for _ in range(n)) \
-        if with_shift else zero_vector(field, n)
+    shift = tuple(field.coerce(rng.randrange(field.p)) for _ in range(n))
     return SymplecticTransform(space, u, shift)
 
 

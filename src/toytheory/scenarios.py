@@ -34,9 +34,7 @@ from .dynamics import (
     apply_to_state, cnot_gate, compose_transforms, random_symplectic,
     swap_gate,
 )
-from .errors import (
-    DimensionMismatch, InvariantViolation, SearchSpaceExceeded,
-)
+from .errors import DimensionMismatch, SearchSpaceExceeded
 from .measurement import (
     Measurement, Outcome, _branches, infers, is_certain, make_measurement,
     outcome_for_label, outcome_from_valuation, outcome_probability, outcomes,
@@ -432,16 +430,20 @@ def fr_chain_sequential(c: FRCandidate) -> dict:
 #
 # Local symplectic maps on R, A, S and B, with the translations, map each
 # measurement menu onto itself, outcomes onto outcomes, and keep all seven
-# conditions (Spekkens, PRA 75, 032110, 2007).  So every counter of a
-# known-set is the same on its Sp(2,2)^4 orbit, and the 2295 known-sets fall
-# into 18 orbits (`_fr_orbits`).  The scan takes (known-set, weight) items:
-# the verdict scans one representative per orbit, weighted by the orbit size,
-# and one seeded other member of each orbit at weight 0, whose counters must
-# equal its representative's.  A pool of N workers strides that item list,
-# worker i scanning every N-th item from i; the same worker call then runs
-# share i of the spot checks, the draws i, i + N, i + 2N, ...  The scan is
-# a few tens of milliseconds and the checks most of a second, so the checks
-# are what the pool divides.
+# conditions (Spekkens, PRA 75, 032110, 2007).  So every counter of a state
+# is the same at all valuations of its known-set and on the known-set's
+# Sp(2,2)^4 orbit, and the 2295 known-sets fall into 18 orbits
+# (`_fr_orbits`).  The scan takes (known-set, valuation, weight) items, one
+# state each: the verdict scans one representative per orbit at v = 0,
+# weighted by the orbit size times its valuation classes (2^8 valuations
+# modulo V^⊥: 16), and one seeded other member of each orbit at a seeded
+# nonzero valuation class and weight 0, whose counters, paradox count
+# included, must equal its representative's.  The no-paradox verdict rests
+# on that symmetry for the states it does not scan.  A pool of N workers
+# strides that item list, worker i scanning every N-th item from i; the same
+# worker call then checks the spot-check draws dealt to it, i, i + N,
+# i + 2N, ...  The scan is a few milliseconds and the checks most of a
+# second, so the checks are what the pool divides.
 
 
 def _perp_of_elems(ortho, full: int, elems) -> int:
@@ -592,27 +594,33 @@ class _FrKernel:
         return self._perp(self.t.sum_aw[a][w], self.k_a[a])
 
 
-# Benign all-seven tuples each scan keeps for the exact re-derivation:
-# in each of this many strata of its items (cut by position in the item
-# list), the first one whose valuation is nonzero and not yet in the scan's
-# sample.  A known-set's
-# first benign tuple is always at v = 0, and its first at v != 0 is at v = 1
-# for 1134 of the 1251 known-sets with one, hence both rules.
+# Benign all-seven tuples each scan keeps for the exact re-derivation: the
+# first one in each of this many strata of its items (cut by position in the
+# item list).
 _FR_BENIGN_SAMPLES = 4
 
-# The per-known-set counters of a scan, each summed with the item's weight.
+# The per-state counters of a scan, each summed with the item's weight.
 _FR_COUNTERS = ("states", "valuation_tests", "quad_tests", "benign_all_seven")
+
+
+def _fr_valuation_classes(t: _FrTables, li: int) -> int:
+    """The states of known-set li: the 2^8 valuation vectors modulo V^⊥,
+    whose members all give the same state."""
+    perp = _perp_of_elems(t.ortho, t.full, t.lagrangians[li])
+    return 256 // perp.bit_count()
 
 
 def _fr_scan(t: _FrTables, items: Sequence[tuple],
              weaken_condition1: bool = False,
              stop_after: int | None = None) -> dict:
-    """Scan the pure known-sets of ``items``, (known-set index, weight)
-    pairs; exact, no sampling.
+    """Scan the states of ``items``, (known-set index, valuation, weight)
+    triples; exact, no sampling.
 
-    Each known-set adds its counters ``weight`` times to the totals;
+    Each state adds its counters ``weight`` times to the totals;
     ``counters`` lists them unweighted, as (index, counts in `_FR_COUNTERS`
-    order) pairs.  Paradoxes and the benign sample come from every item.
+    order followed by the item's paradox count) pairs.  Paradoxes and the
+    benign sample come from every item.  A state cut short by
+    ``stop_after`` adds its partial counters once, whatever its weight.
     """
     meas_a, meas_b, meas_u, meas_w = t.meas_a, t.meas_b, t.meas_u, t.meas_w
     n_a, n_b, n_u, n_w = len(meas_a), len(meas_b), len(meas_u), len(meas_w)
@@ -622,25 +630,17 @@ def _fr_scan(t: _FrTables, items: Sequence[tuple],
              "benign_all_seven": 0, "paradoxes": paradoxes,
              "benign_sample": benign, "counters": []}
 
-    def tally(li: int, weight: int, counts: tuple) -> dict:
-        stats["counters"].append((li, counts))
+    def tally(li: int, weight: int, counts: tuple, found: int) -> dict:
+        stats["counters"].append((li, counts + (found,)))
         for key, n in zip(_FR_COUNTERS, counts):
             stats[key] += weight * n
         return stats
 
     sampled = -1  # the last stratum that kept a benign tuple
-    for pos, (li, weight) in enumerate(items):
+    for pos, (li, v, weight) in enumerate(items):
         stratum = pos * _FR_BENIGN_SAMPLES // len(items)
-        basis = t.lagrangians[li]
-        k = _FrKernel(t, basis)
-        vperp_elems = _gf2.mask_elements(
-            _perp_of_elems(t.ortho, t.full, basis))
-        reps = []
-        seen = 0
-        for x in range(256):
-            if not (seen >> x) & 1:
-                reps.append(x)
-                seen |= _gf2.coset_mask(vperp_elems, x)
+        k = _FrKernel(t, t.lagrangians[li])
+        before = len(paradoxes)
 
         # Conditions 5-7 are kept, per premise, only where their subset
         # condition holds, unless the control drops conditions 1-3.
@@ -654,58 +654,54 @@ def _fr_scan(t: _FrTables, items: Sequence[tuple],
         t4: dict = {}
         valuation_tests = quad_tests = benign_all_seven = 0
 
-        for v in reps:
-            l6: dict = {}
-            for b, a, mask6 in t6:
-                for b1 in meas_b[b].outs:
-                    for a1 in meas_a[a].outs:
+        l6: dict = {}
+        for b, a, mask6 in t6:
+            for b1 in meas_b[b].outs:
+                for a1 in meas_a[a].outs:
+                    valuation_tests += 1
+                    if (mask6 >> (b1 ^ a1 ^ v)) & 1:
+                        l6.setdefault((b, b1), []).append((a, a1))
+        for (b, b1), a_list in l6.items():
+            u_cands = []
+            for u, mask5, outs_u in t5[b]:
+                for uok in outs_u:
+                    valuation_tests += 1
+                    if (mask5 >> (b1 ^ uok ^ v)) & 1:
+                        u_cands.append((u, uok))
+            if not u_cands:
+                continue
+            for (a, a1) in a_list:
+                for w, mask7, outs_w, wperp in t7[a]:
+                    for wfail in outs_w:
                         valuation_tests += 1
-                        if (mask6 >> (b1 ^ a1 ^ v)) & 1:
-                            l6.setdefault((b, b1), []).append((a, a1))
-            for (b, b1), a_list in l6.items():
-                u_cands = []
-                for u, mask5, outs_u in t5[b]:
-                    for uok in outs_u:
-                        valuation_tests += 1
-                        if (mask5 >> (b1 ^ uok ^ v)) & 1:
-                            u_cands.append((u, uok))
-                if not u_cands:
-                    continue
-                for (a, a1) in a_list:
-                    for w, mask7, outs_w, wperp in t7[a]:
-                        for wfail in outs_w:
-                            valuation_tests += 1
-                            if not (mask7 >> (a1 ^ wfail ^ v)) & 1:
-                                continue
-                            for (u, uok) in u_cands:
-                                mask4 = t4.get((u, w))
-                                if mask4 is None:
-                                    mask4 = t4[u, w] = k.t4(u, w)
-                                for wok in outs_w:
-                                    quad_tests += 1
-                                    if not (mask4 >> (uok ^ wok ^ v)) & 1:
-                                        continue
-                                    # all seven conditions hold here
-                                    if (wperp >> (wok ^ wfail)) & 1:
-                                        benign_all_seven += 1
-                                        if stratum > sampled and v and \
-                                                all(v != tup[1]
-                                                    for tup in benign):
-                                            benign.append(
-                                                (li, v, a, a1, b, b1, u, uok,
-                                                 w, wok, wfail))
-                                            sampled = stratum
-                                    else:
-                                        paradoxes.append(
-                                            (li, v, a, a1, b, b1, u, uok,
-                                             w, wok, wfail))
-                                        if stop_after is not None and \
-                                                len(paradoxes) >= stop_after:
-                                            return tally(li, weight, (
-                                                len(reps), valuation_tests,
-                                                quad_tests, benign_all_seven))
-        tally(li, weight,
-              (len(reps), valuation_tests, quad_tests, benign_all_seven))
+                        if not (mask7 >> (a1 ^ wfail ^ v)) & 1:
+                            continue
+                        for (u, uok) in u_cands:
+                            mask4 = t4.get((u, w))
+                            if mask4 is None:
+                                mask4 = t4[u, w] = k.t4(u, w)
+                            for wok in outs_w:
+                                quad_tests += 1
+                                if not (mask4 >> (uok ^ wok ^ v)) & 1:
+                                    continue
+                                # all seven conditions hold here
+                                tup = (li, v, a, a1, b, b1, u, uok, w, wok,
+                                       wfail)
+                                if (wperp >> (wok ^ wfail)) & 1:
+                                    benign_all_seven += 1
+                                    if stratum > sampled:
+                                        benign.append(tup)
+                                        sampled = stratum
+                                    continue
+                                paradoxes.append(tup)
+                                if stop_after is not None and \
+                                        len(paradoxes) >= stop_after:
+                                    return tally(li, 1, (
+                                        1, valuation_tests, quad_tests,
+                                        benign_all_seven),
+                                        len(paradoxes) - before)
+        tally(li, weight, (1, valuation_tests, quad_tests, benign_all_seven),
+              len(paradoxes) - before)
     return stats
 
 
@@ -716,30 +712,36 @@ def _fr_partition(items: Sequence[tuple], workers: int) -> list:
     all 2295 known-sets at weight 1, where the ones with the most tests
     cluster in the first half, contiguous halves split the valuation and
     quad tests 73 : 27 and strided halves 51 : 49.  Over the 18 orbit
-    representatives the scan is a few tens of milliseconds, so the split
-    of the items no longer decides the wall time; the spot-check shares,
-    strided the same way (`_fr_spot_checks`), do."""
+    representatives the scan is a few milliseconds, so the split of the
+    items no longer decides the wall time; the spot checks, dealt the same
+    way (`search_fr_paradox`), do."""
     return [list(items[i::workers]) for i in range(workers)]
 
 
 def _fr_worker(args) -> tuple:
-    """One worker's part: (scan stats of its items, its spot-check share or
-    None).  ``args`` is (items, weaken, stop_after, spot), with spot None or
-    (seed, checks, sequential checks, share, shares)."""
-    items, weaken, stop_after, spot = args
+    """One worker's part: (scan stats of its items, its spot-check results
+    or None).  ``args`` is (items, weaken, stop_after, checks), with checks
+    None or the spot checks dealt to this worker (`_fr_spot_checks`)."""
+    items, weaken, stop_after, checks = args
     t = _fr_tables()
     stats = _fr_scan(t, items, weaken, stop_after)
-    if spot is None:
+    if checks is None:
         return stats, None
-    seed, n_checks, n_sequential, share, shares = spot
-    return stats, _fr_spot_checks(t, random.Random(seed), n_checks,
-                                  n_sequential, share, shares)
+    return stats, _fr_spot_checks(t, checks)
 
 
-def _fr_orbit_draws(orbits: Sequence[tuple], rng: random.Random) -> list:
-    """(representative, member) for one random other member of every orbit
-    larger than 1."""
-    return [(cls[0], rng.choice(cls[1:])) for cls in orbits if len(cls) > 1]
+def _fr_orbit_draws(t: _FrTables, rng: random.Random) -> list:
+    """(representative, member, valuation) for one random other member of
+    every orbit larger than 1, at a random valuation outside the member's
+    V^⊥, so a state other than the member's at v = 0."""
+    draws = []
+    for cls in t.orbits:
+        if len(cls) > 1:
+            member = rng.choice(cls[1:])
+            perp = _perp_of_elems(t.ortho, t.full, t.lagrangians[member])
+            v = rng.choice([x for x in range(256) if not (perp >> x) & 1])
+            draws.append((cls[0], member, v))
+    return draws
 
 
 def _fr_conditions_single(t: _FrTables, li: int, v: int, a: int, a1: int,
@@ -798,36 +800,21 @@ def _random_fr_tuple(t: _FrTables, rng: random.Random) -> tuple:
     return (li, v, a, a1, b, b1, u, uok, w, wok, wfail)
 
 
-def _fr_spot_checks(t: _FrTables, rng: random.Random, n_checks: int,
-                    n_sequential: int, share: int = 0,
-                    shares: int = 1) -> dict:
+def _fr_spot_checks(t: _FrTables, checks: Sequence[tuple]) -> dict:
     """Cross-validate the bit-packed scan against the general machinery.
 
-    For random configurations: the seven bit-level conditions must equal the
+    ``checks`` holds (configuration tuple, sequential) pairs.  For each
+    configuration the seven bit-level conditions must equal the
     exact-subspace conditions; each inference of the operational chain must
     equal its condition pair; `infers` must agree with the set-enumeration
-    oracle's conditional probabilities; and the sequential branch reading
-    must never assemble a paradox.  ``digest`` is the CRC-32 of the drawn
-    tuples, so two reports show whether they checked the same
-    configurations (a checksum is enough to tell draws apart, and
-    ``hashlib`` would load OpenSSL, about 3.6 MB of resident memory).
-
-    Share ``share`` of ``shares`` checks the draws share, share + shares,
-    ..., and runs the sequential chain on those of them below
-    ``n_sequential``.  Every share draws all ``n_checks`` tuples, which is
-    cheap, so each computes the digest of all of them; `_merge_spot_checks`
-    joins the shares into the one-share result.
+    oracle's conditional probabilities; and where ``sequential`` is set the
+    sequential branch reading must never assemble a paradox.
     """
     from .oracle import oracle_conditional
     result = {"checked": 0, "sequential_checked": 0,
               "conditions_agree": True, "chain_matches_conditions": True,
               "oracle_agrees": True, "sequential_paradoxes": 0}
-    digest = 0
-    for i in range(n_checks):
-        tup = _random_fr_tuple(t, rng)
-        digest = zlib.crc32(repr(tup).encode(), digest)
-        if i % shares != share:
-            continue
+    for tup, sequential in checks:
         fast = _fr_conditions_single(t, *tup)
         cand = _fr_candidate_from_ints(t, *tup)
         rep = check_fr_conditions(cand)
@@ -845,13 +832,11 @@ def _fr_spot_checks(t: _FrTables, rng: random.Random, n_checks: int,
                                       m[ca], cand.outcome(co))
             if chain[key] != (cond is not None and cond == 1):
                 result["oracle_agrees"] = False
-        if i < n_sequential:
-            seq = fr_chain_sequential(cand)
+        if sequential:
             result["sequential_checked"] += 1
-            if seq["holds"]:
+            if fr_chain_sequential(cand)["holds"]:
                 result["sequential_paradoxes"] += 1
         result["checked"] += 1
-    result["digest"] = f"{digest:08x}"
     return result
 
 
@@ -861,12 +846,7 @@ _SPOT_FLAGS = ("conditions_agree", "chain_matches_conditions",
 
 
 def _merge_spot_checks(parts: Sequence[dict]) -> dict:
-    """The spot-check shares joined: counts summed, flags and-ed.  Raises
-    `InvariantViolation` when the shares drew different configurations."""
-    digests = sorted({p["digest"] for p in parts})
-    if len(digests) != 1:
-        raise InvariantViolation(
-            f"spot-check shares drew different configurations: {digests}")
+    """The spot-check shares joined: counts summed, flags and-ed."""
     merged = dict(parts[0])
     for p in parts[1:]:
         for key in _SPOT_COUNTS:
@@ -991,11 +971,16 @@ def check_fr_request(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     """Raise what `search_fr_paradox` raises for these arguments, before
     any work.
 
-    ValueError when ``workers`` < 1, ``spot_checks`` < 0 or
+    ValueError when ``blocks`` is not four ints of at least 1 (the toy
+    bits of R, A, S and B), when ``workers`` < 1, ``spot_checks`` < 0 or
     ``sequential_checks`` < 0, and in sampled mode when ``samples`` < 1 (a
     verdict over no samples would pass on no evidence); SearchSpaceExceeded
     for an exhaustive search other than d = 2 with one toy bit per block.
     """
+    if not (isinstance(blocks, (tuple, list)) and len(blocks) == 4
+            and all(type(b) is int and b >= 1 for b in blocks)):
+        raise ValueError(
+            f"blocks must be four ints of at least 1, got {blocks!r}")
     bounds = [("workers", workers, 1), ("spot_checks", spot_checks, 0),
               ("sequential_checks", sequential_checks, 0)]
     if not exhaustive:
@@ -1023,12 +1008,15 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     records that no configuration passes the chain with distinct Wigner
     outcomes, while configurations where all seven conditions hold benignly
     (ok and fail labeling the same outcome) do exist.  It scans one
-    representative known-set of each of the 18 Sp(2,2)^4 orbits and weights
-    its counters by the orbit size, so the ``scan`` event's counters are
-    those of all 2295 known-sets.  It also scans one other member of every
-    orbit larger than 1, drawn with ``seed``; the ``orbit_weights_verified``
-    verdict holds when each member's counters equal its representative's
-    and the orbits partition the known-sets.
+    representative known-set of each of the 18 Sp(2,2)^4 orbits at
+    valuation 0 and weights its counters by the orbit size times its
+    valuation classes (`_fr_valuation_classes`, 16), so the ``scan``
+    event's counters are those of all 36720 states.  It also scans, at
+    weight 0, one other member of every orbit larger than 1 at a valuation
+    other than its 0 class, both drawn with ``seed``; the
+    ``orbit_weights_verified`` verdict holds when each such state's
+    counters and paradox count equal its representative's and the orbits
+    partition the known-sets.
     With ``weaken_condition1`` the subset conditions are dropped, which must
     produce false positives (search sensitivity control); that run skips
     the orbit and spot checks.
@@ -1036,11 +1024,15 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     With ``workers`` = N the workers stride the item list (`_fr_partition`),
     in one `_fr_worker` call per worker; each worker keeps its own benign
     sample and ``stop_after`` counts the paradoxes of each worker.  The
-    spot checks, drawn from all 2295 known-sets, are split the same way:
-    worker i checks the draws i, i + N, i + 2N, ... after its scan, and the
-    calling process only merges the shares (`_merge_spot_checks`), so the
-    report is the same for every N.  With one worker the single part runs
-    in the calling process.
+    spot checks, drawn once here from all 2295 known-sets with ``seed`` + 1,
+    are dealt the same way: worker i checks the draws i, i + N, i + 2N, ...
+    after its scan, and the calling process sums the shares
+    (`_merge_spot_checks`), so the report is the same for every N but for
+    the derivation's sample count.  The spot checks' ``digest`` is the
+    CRC-32 of all the drawn tuples, so two reports show whether they
+    checked the same configurations (a checksum is enough to tell draws
+    apart, and ``hashlib`` would load OpenSSL, about 3.6 MB of resident
+    memory).  With one worker the single part runs in the calling process.
 
     Raises what `check_fr_request` raises.
     """
@@ -1064,16 +1056,20 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     n_lagr = len(t.lagrangians)
     outs_u = sum(len(m.outs) for m in t.meas_u)
     pairs_w = sum(len(m.outs) * (len(m.outs) - 1) for m in t.meas_w)
+    reps = [(cls[0], 0, len(cls) * _fr_valuation_classes(t, cls[0]))
+            for cls in t.orbits]
     config["lagrangians"] = n_lagr
-    config["candidate_space"] = (n_lagr * 16) * 36 * outs_u * pairs_w
+    config["candidate_space"] = \
+        sum(w for _, _, w in reps) * 36 * outs_u * pairs_w
     run_spot_checks = spot_checks > 0 and not weaken_condition1
     draws = ([] if weaken_condition1
-             else _fr_orbit_draws(t.orbits, random.Random(seed)))
-    items = [(cls[0], len(cls)) for cls in t.orbits] + \
-        [(member, 0) for _, member in draws]
+             else _fr_orbit_draws(t, random.Random(seed)))
+    items = reps + [(member, v, 0) for _, member, v in draws]
+    rng = random.Random(seed + 1)
+    checks = [(_random_fr_tuple(t, rng), i < sequential_checks)
+              for i in range(spot_checks if run_spot_checks else 0)]
     args = [(part, weaken_condition1, stop_after,
-             (seed + 1, spot_checks, sequential_checks, share, workers)
-             if run_spot_checks else None)
+             checks[share::workers] if run_spot_checks else None)
             for share, part in enumerate(_fr_partition(items, workers))]
     if workers > 1:
         with _pool_context().Pool(workers) as pool:
@@ -1090,7 +1086,7 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
         report.verdict["mutation_finds_false_positives"] = len(paradoxes) > 0
         return report
     agree = all(rep in counters and counters.get(member) == counters[rep]
-                for rep, member in draws)
+                for rep, member, _ in draws)
     covers = sorted(li for cls in t.orbits for li in cls) == \
         list(range(n_lagr))
     report.log("orbit_check", checked=len(draws), agree=agree, covers=covers)
@@ -1102,7 +1098,8 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     report.verdict["derivation_verified"] = derived
     if run_spot_checks:
         spots = _merge_spot_checks([share for _, share in parts])
-        report.log("spot_checks", **spots)
+        digest = zlib.crc32("".join(repr(tup) for tup, _ in checks).encode())
+        report.log("spot_checks", **spots, digest=f"{digest:08x}")
         report.verdict["spot_checks_agree"] = (
             spots["conditions_agree"] and spots["chain_matches_conditions"]
             and spots["oracle_agrees"])

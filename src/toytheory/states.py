@@ -178,6 +178,8 @@ def tensor(s1: EpistemicState, s2: EpistemicState) -> EpistemicState:
 
 
 def tensor_all(states: Sequence[EpistemicState]) -> EpistemicState:
+    if not states:
+        raise DimensionMismatch("empty tensor product")
     out = states[0]
     for s in states[1:]:
         out = tensor(out, s)
@@ -259,6 +261,8 @@ def is_valid_support(sup: OnticSupport) -> Optional[EpistemicState]:
         raise EnumerationCapExceeded("rational supports are not checkable")
     n2 = sup.space.ambient_dim
     size = len(sup.members)
+    if size == 0:
+        return None
     # size must be d^k with n <= k <= 2n (knowledge balance)
     k = 0
     s = size

@@ -4,9 +4,7 @@ import pytest
 
 from toytheory import scenarios
 from toytheory.algebra import GF, rref
-from toytheory.errors import (
-    DimensionMismatch, InvariantViolation, SearchSpaceExceeded,
-)
+from toytheory.errors import DimensionMismatch, SearchSpaceExceeded
 from toytheory.phase_space import discrete_space
 from toytheory.scenarios import (
     FRCandidate, check_fr_conditions, fr_chain_initial,
@@ -14,7 +12,8 @@ from toytheory.scenarios import (
     search_fr_paradox, _FR_BENIGN_SAMPLES, _FR_COUNTERS,
     _block_support, _fr_candidate_from_ints, _fr_conditions_single,
     _fr_orbit_draws, _fr_orbits, _fr_partition, _fr_rederive, _fr_scan,
-    _fr_tables, _merge_fr_stats, _random_fr_tuple,
+    _fr_tables, _fr_valuation_classes, _merge_fr_stats, _perp_of_elems,
+    _random_fr_tuple,
 )
 from toytheory.states import make_state, state_from_values
 
@@ -26,15 +25,39 @@ FR_TOTALS = {"states": 36720, "valuation_tests": 1551744,
 
 
 def _ones(*bounds) -> list:
-    """The known-sets range(*bounds) as scan items of weight 1."""
-    return [(li, 1) for li in range(*bounds)]
+    """The known-sets range(*bounds) as scan items at v = 0, weight 1."""
+    return [(li, 0, 1) for li in range(*bounds)]
+
+
+def _valuation_classes(t, li: int) -> list:
+    """One valuation of each of the 16 classes of known-set li (the least
+    of each coset of V^⊥)."""
+    perp = _perp_of_elems(t.ortho, t.full, t.lagrangians[li])
+    elems = [x for x in range(256) if (perp >> x) & 1]
+    reps, seen = [], set()
+    for x in range(256):
+        if x not in seen:
+            reps.append(x)
+            seen.update(x ^ e for e in elems)
+    return reps
 
 
 @pytest.fixture(scope="module")
 def full_scan():
-    """The unreduced scan: all 2295 known-sets at weight 1, in one process."""
+    """The unreduced scan: all 2295 known-sets at all 16 valuation classes,
+    36720 states at weight 1, in one process."""
     t = _fr_tables()
-    return _fr_scan(t, _ones(len(t.lagrangians)))
+    return _fr_scan(t, [(li, v, 1) for li in range(len(t.lagrangians))
+                        for v in _valuation_classes(t, li)])
+
+
+def _per_known_set(scan) -> dict:
+    """Each known-set's item counters, summed over its scanned states."""
+    sums: dict = {}
+    for li, counts in scan["counters"]:
+        sums[li] = tuple(map(sum, zip(sums.get(li, (0,) * len(counts)),
+                                      counts)))
+    return sums
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -192,9 +215,9 @@ def test_fast_scan_slice_agrees_with_merge_and_finds_nothing():
 def test_fr_partition_covers_every_known_set_once(workers):
     parts = _fr_partition(_ones(2295), workers)
     assert len(parts) == workers
-    assert sorted(li for part in parts for li, _ in part) == \
+    assert sorted(li for part in parts for li, _, _ in part) == \
         list(range(2295))
-    assert parts[0][:2] == [(0, 1), (workers, 1)]
+    assert parts[0][:2] == [(0, 0, 1), (workers, 0, 1)]
 
 
 def test_strided_scans_merge_to_the_contiguous_scan():
@@ -221,8 +244,8 @@ def test_strided_scans_merge_to_the_contiguous_scan():
 def test_strided_scan_balances_the_workers(full_scan):
     # a known-set's counters do not depend on the list it is scanned in, so
     # each worker's load is the sum of its known-sets' counters
-    counters = dict(full_scan["counters"])
-    loads = [sum(counters[li][1] + counters[li][2] for li, _ in part)
+    counters = _per_known_set(full_scan)
+    loads = [sum(counters[li][1] + counters[li][2] for li, _, _ in part)
              for part in _fr_partition(_ones(2295), 2)]
     assert sum(loads) == FR_TOTALS["valuation_tests"] + \
         FR_TOTALS["quad_tests"]
@@ -249,13 +272,33 @@ def test_full_scan_counters_are_constant_on_orbits(full_scan):
     t = _fr_tables()
     assert {k: full_scan[k] for k in _FR_COUNTERS} == FR_TOTALS
     assert full_scan["paradoxes"] == []
-    counters = dict(full_scan["counters"])
-    assert len(counters) == 2295
+    # every valuation class of a known-set has the same counters
+    by_state: dict = {}
+    for li, counts in full_scan["counters"]:
+        by_state.setdefault(li, set()).add(counts)
+    assert len(by_state) == 2295
+    assert all(len(seen) == 1 for seen in by_state.values())
+    counters = _per_known_set(full_scan)
     assert _classes_with_distinct_counters(t.orbits, counters) == 0
-    # so the representatives, weighted by orbit size, give the same totals
-    reduced = _fr_scan(t, [(cls[0], len(cls)) for cls in t.orbits])
+    # so the representatives at v = 0, weighted by orbit size times the
+    # valuation classes, give the same totals
+    reduced = _fr_scan(t, [(cls[0], 0,
+                            len(cls) * _fr_valuation_classes(t, cls[0]))
+                           for cls in t.orbits])
     assert {k: reduced[k] for k in _FR_COUNTERS} == FR_TOTALS
     assert len(reduced["counters"]) == 18
+
+
+def test_representative_counters_are_constant_over_valuations():
+    # the translations keep every counter, so one valuation of each
+    # representative stands for all 16 of its classes
+    t = _fr_tables()
+    for cls in t.orbits:
+        vs = _valuation_classes(t, cls[0])
+        assert len(vs) == _fr_valuation_classes(t, cls[0]) == 16
+        scan = _fr_scan(t, [(cls[0], v, 1) for v in vs])
+        assert len({counts for _, counts in scan["counters"]}) == 1
+        assert scan["paradoxes"] == []
 
 
 def _local_generators() -> list:
@@ -310,18 +353,58 @@ def test_key_coarsened_by_the_r_s_swap_fails_the_orbit_gate(full_scan):
         _block_support(x), _swap_r_s(_block_support(x))))
     assert len(coarse) == 13
     assert _classes_with_distinct_counters(
-        coarse, dict(full_scan["counters"])) == 3
+        coarse, _per_known_set(full_scan)) == 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("index", [3, 4])
+def test_orbit_check_fails_on_valuation_dependent_counters(monkeypatch,
+                                                           index, workers):
+    # a scan whose benign count (index 3) or paradox count (index 4) changes
+    # with the valuation breaks the reduction to v = 0; the drawn members
+    # sit at other valuation classes
+    real = scenarios._fr_scan
+
+    def by_valuation(t, items, *rest):
+        stats = real(t, items, *rest)
+        stats["counters"] = [
+            (li, counts[:index] + (counts[index] + (v != 0),)
+             + counts[index + 1:])
+            for (li, v, _), (_, counts) in zip(items, stats["counters"])]
+        return stats
+
+    monkeypatch.setattr(scenarios, "_fr_scan", by_valuation)
+    r = search_fr_paradox(d=2, exhaustive=True, workers=workers,
+                          spot_checks=0)
+    assert _event(r, "orbit_check") == {"kind": "orbit_check", "checked": 18,
+                                        "agree": False, "covers": True}
+    assert r.verdict["orbit_weights_verified"] is False
+    assert r.verdict["no_paradox_found"]
+    assert not r.passed
+
+
+def test_item_counters_end_with_the_paradox_count():
+    t = _fr_tables()
+    scan = _fr_scan(t, _ones(3), weaken_condition1=True)
+    assert [counts[4] for _, counts in scan["counters"]] == \
+        [sum(tup[0] == li for tup in scan["paradoxes"]) for li in range(3)]
+    assert len(scan["paradoxes"]) > 0
 
 
 def test_unit_weights_miss_the_state_count(monkeypatch):
+    # orbit sizes of 1, then valuation class counts of 1 as well
     t = _fr_tables()
     monkeypatch.setattr(t, "orbits", tuple((cls[0],) for cls in t.orbits))
-    r = search_fr_paradox(d=2, exhaustive=True, spot_checks=0)
-    assert _event(r, "scan")["states"] == 18 * 16 != FR_TOTALS["states"]
-    assert _event(r, "orbit_check") == {"kind": "orbit_check", "checked": 0,
-                                        "agree": True, "covers": False}
-    assert r.verdict["orbit_weights_verified"] is False
-    assert not r.passed
+    for states in (18 * 16, 18):
+        r = search_fr_paradox(d=2, exhaustive=True, spot_checks=0)
+        assert _event(r, "scan")["states"] == states != FR_TOTALS["states"]
+        assert _event(r, "orbit_check") == {
+            "kind": "orbit_check", "checked": 0, "agree": True,
+            "covers": False}
+        assert r.verdict["orbit_weights_verified"] is False
+        assert not r.passed
+        monkeypatch.setattr(scenarios, "_fr_valuation_classes",
+                            lambda t, li: 1)
 
 
 def test_mutation_control_finds_false_positives_on_representatives():
@@ -340,12 +423,19 @@ def test_mutation_control_finds_false_positives_on_representatives():
 
 
 def test_orbit_draws_are_seeded_other_members():
-    orbits = _fr_tables().orbits
-    draws = _fr_orbit_draws(orbits, random.Random(4))
-    assert draws == _fr_orbit_draws(orbits, random.Random(4))
-    assert draws != _fr_orbit_draws(orbits, random.Random(5))
-    assert [rep for rep, _ in draws] == [cls[0] for cls in orbits]
-    assert all(member in cls[1:] for (_, member), cls in zip(draws, orbits))
+    t = _fr_tables()
+    draws = _fr_orbit_draws(t, random.Random(4))
+    assert draws == _fr_orbit_draws(t, random.Random(4))
+    assert draws != _fr_orbit_draws(t, random.Random(5))
+    assert [rep for rep, _, _ in draws] == [cls[0] for cls in t.orbits]
+    assert all(member in cls[1:]
+               for (_, member, _), cls in zip(draws, t.orbits))
+    # each at a valuation outside the member's V^⊥: a state other than the
+    # member's at v = 0
+    for _, member, v in draws:
+        perp = _perp_of_elems(t.ortho, t.full, t.lagrangians[member])
+        assert not (perp >> v) & 1
+    assert len({v for _, _, v in draws}) > 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -354,7 +444,8 @@ def test_orbit_check_fails_on_foreign_members(monkeypatch, workers):
     # differ: the table still partitions the known-sets, but each drawn
     # member disagrees with its representative
     t = _fr_tables()
-    reps = dict(_fr_scan(t, [(cls[0], 1) for cls in t.orbits])["counters"])
+    reps = dict(_fr_scan(t, [(cls[0], 0, 1)
+                             for cls in t.orbits])["counters"])
     x = t.orbits[0]
     j, y = next((j, cls) for j, cls in enumerate(t.orbits)
                 if reps[cls[0]] != reps[x[0]])
@@ -393,24 +484,37 @@ def test_benign_sample_spreads_over_the_range():
     assert _fr_rederive(t, sample)
 
 
-def test_benign_sample_has_nonzero_valuations():
+def test_benign_sample_has_nonzero_valuations(monkeypatch):
+    # the verdict's sample reaches the drawn members, which sit at nonzero
+    # valuations, as well as the representatives at v = 0
     t = _fr_tables()
-    sample = _fr_scan(t, _ones(40))["benign_sample"]
-    assert len(sample) == _FR_BENIGN_SAMPLES
-    assert all(tup[1] != 0 for tup in sample)
-    assert _fr_rederive(t, sample)
-    # a known-set scanned alone keeps a tuple (at v != 0) exactly when it
-    # has benign tuples at all
+    real = scenarios._fr_rederive
+    seen = []
+
+    def kept(t, sample):
+        seen.extend(sample)
+        return real(t, sample)
+
+    monkeypatch.setattr(scenarios, "_fr_rederive", kept)
+    r = search_fr_paradox(d=2, exhaustive=True, spot_checks=0)
+    assert r.verdict["derivation_verified"]
+    assert _event(r, "derivation")["samples"] == len(seen) > 0
+    assert {tup[1] != 0 for tup in seen} == {False, True}
+    # a known-set scanned alone keeps a tuple exactly when it has benign
+    # tuples at all
     for li in range(40):
-        alone = _fr_scan(t, [(li, 1)])
+        alone = _fr_scan(t, [(li, _valuation_classes(t, li)[1], 1)])
         assert bool(alone["benign_sample"]) == (alone["benign_all_seven"] > 0)
 
 
 def test_benign_sample_spreads_over_valuations():
-    sample = _fr_scan(_fr_tables(), _ones(40))["benign_sample"]
-    valuations = [tup[1] for tup in sample]
-    assert len(valuations) >= 2
-    assert len(set(valuations)) == len(valuations)
+    # one known-set at four valuation classes: each class is a stratum of
+    # its own and keeps its first benign tuple
+    t = _fr_tables()
+    vs = _valuation_classes(t, 0)[::4]
+    sample = _fr_scan(t, [(0, v, 1) for v in vs])["benign_sample"]
+    assert [tup[1] for tup in sample] == vs
+    assert _fr_rederive(t, sample)
 
 
 def test_fast_conditions_match_exact_on_fixed_tuples(rng):
@@ -559,16 +663,14 @@ def test_search_fr_paradox_workers_agree():
 
 def test_spot_check_shares_merge_to_the_single_share():
     t = _fr_tables()
-
-    def share(seed, i, n):
-        return scenarios._fr_spot_checks(t, random.Random(seed), 7, 3, i, n)
-
-    whole = share(3, 0, 1)
-    for n in (2, 3, 8):
-        parts = [share(3, i, n) for i in range(n)]
+    rng = random.Random(3)
+    checks = [(_random_fr_tuple(t, rng), i < 3) for i in range(7)]
+    whole = scenarios._fr_spot_checks(t, checks)
+    assert (whole["checked"], whole["sequential_checked"]) == (7, 3)
+    for n in (1, 2, 3, 8):
+        parts = [scenarios._fr_spot_checks(t, checks[i::n]) for i in range(n)]
         assert [p["checked"] for p in parts] == \
             [len(range(i, 7, n)) for i in range(n)]
-        assert {p["digest"] for p in parts} == {whole["digest"]}
         merged = scenarios._merge_spot_checks(parts)
         assert merged == whole
         assert list(merged) == list(whole)
@@ -578,9 +680,6 @@ def test_spot_check_shares_merge_to_the_single_share():
             last = dict(parts[-1], **{key: False})
             merged = scenarios._merge_spot_checks(parts[:-1] + [last])
             assert merged[key] is False
-    # shares of different draws must not merge
-    with pytest.raises(InvariantViolation, match="different configurations"):
-        scenarios._merge_spot_checks([share(3, 0, 2), share(4, 1, 2)])
 
 
 @pytest.mark.parametrize("workers, parent_calls", [(1, 3 * 4), (2, 0)])
@@ -650,6 +749,44 @@ def test_search_fr_paradox_rejects_bad_counts(name, value, exhaustive):
         search_fr_paradox(d=2, exhaustive=exhaustive, **{name: value})
 
 
+@pytest.mark.parametrize("blocks", [(0, 1, 1, 1), (1, 1, 1, -1), (1, 1, 1),
+                                    (1, 1, 1, 1.0), 4])
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_search_fr_paradox_rejects_bad_blocks(blocks, exhaustive):
+    with pytest.raises(ValueError, match="blocks must be four ints"):
+        search_fr_paradox(d=2, exhaustive=exhaustive, blocks=blocks)
+
+
+# The seed-7 exhaustive report: counters, orbit check and spot-check digest
+# are the same at every worker count; each worker keeps its own benign
+# sample, so the derivation's sample count grows with the workers.
+SEED7_DERIVATION_SAMPLES = {1: 4, 2: 6}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_seed7_exhaustive_report_is_pinned(workers):
+    r = search_fr_paradox(d=2, exhaustive=True, workers=workers, seed=7)
+    assert [e["kind"] for e in r.events] == \
+        ["scan", "orbit_check", "derivation", "spot_checks"]
+    scan = _event(r, "scan")
+    assert {k: scan[k] for k in _FR_COUNTERS} == FR_TOTALS
+    assert (scan["representatives"], scan["paradox_count"]) == (18, 0)
+    assert _event(r, "orbit_check") == {"kind": "orbit_check", "checked": 18,
+                                        "agree": True, "covers": True}
+    assert _event(r, "derivation") == {
+        "kind": "derivation", "samples": SEED7_DERIVATION_SAMPLES[workers],
+        "all_hold": True}
+    assert _event(r, "spot_checks") == {
+        "kind": "spot_checks", "checked": 200, "sequential_checked": 48,
+        "conditions_agree": True, "chain_matches_conditions": True,
+        "oracle_agrees": True, "sequential_paradoxes": 0,
+        "digest": "09f1a215"}
+    assert r.verdict == dict.fromkeys(
+        ("orbit_weights_verified", "no_paradox_found",
+         "benign_all_seven_exist", "derivation_verified",
+         "spot_checks_agree", "no_sequential_paradox"), True)
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_sampled_fr_search_rejects_no_samples(samples):
     # a verdict over no samples would pass on no evidence
@@ -658,10 +795,10 @@ def test_sampled_fr_search_rejects_no_samples(samples):
 
 
 def test_spot_check_digest_tells_the_draws_apart():
-    t = scenarios._fr_tables()
-
     def spots(seed):
-        return scenarios._fr_spot_checks(t, random.Random(seed), 10, 2)
+        return _event(search_fr_paradox(d=2, exhaustive=True, seed=seed,
+                                        spot_checks=10, sequential_checks=2),
+                      "spot_checks")
 
     one, two = spots(1), spots(2)
     assert one != two and one["digest"] != two["digest"]

@@ -85,6 +85,8 @@ def files(tmp_path):
         "mz.json": {"observables": [[1, 0]]},
         "bad_support.json": {"field": "prime", "d": 2, "n": 1,
                              "support": [[0, 0], [0, 1], [1, 0]]},
+        "empty_support.json": {"field": "prime", "d": 2, "n": 1,
+                               "support": []},
         "nonisotropic.json": {"field": "prime", "d": 2, "n": 1,
                               "generators": [[1, 0], [0, 1]],
                               "valuation": [0, 0]},
@@ -105,6 +107,15 @@ def test_cli_show_grid_golden(files):
 
 def test_cli_validate_bad_support_exit2(files):
     r = _run(["state", "validate", str(files / "bad_support.json")])
+    assert r.returncode == 2
+    assert "not a valid epistemic state" in r.stdout
+
+
+def test_cli_validate_empty_support_exit2(files):
+    r = subprocess.run(
+        [sys.executable, "-m", "toytheory.cli", "state", "validate",
+         str(files / "empty_support.json")],
+        capture_output=True, text=True, timeout=60)
     assert r.returncode == 2
     assert "not a valid epistemic state" in r.stdout
 

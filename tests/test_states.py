@@ -11,7 +11,7 @@ from toytheory.phase_space import (
 from toytheory.states import (
     all_valid_states, bell_pair, box_number, is_valid_support, knowledge_bits,
     make_state, marginal, maximally_mixed, mixture_support, ontic_support,
-    OnticSupport, render_grid, states_equal, tensor, toy_bit,
+    OnticSupport, render_grid, states_equal, tensor, tensor_all, toy_bit,
 )
 
 F2 = GF(2)
@@ -150,6 +150,18 @@ def test_is_valid_support():
     full = OnticSupport(SP2, frozenset(_all_vectors(F2, 4)))
     got = is_valid_support(full)
     assert got is not None and states_equal(got, maximally_mixed(SP2))
+
+
+def test_empty_support_is_not_a_state():
+    # no power of d is 0: the size test must not loop dividing 0 by d
+    assert is_valid_support(OnticSupport(SP1, frozenset())) is None
+
+
+def test_empty_products_and_mixtures_are_dimension_errors():
+    with pytest.raises(DimensionMismatch, match="empty tensor product"):
+        tensor_all([])
+    with pytest.raises(DimensionMismatch, match="empty mixture"):
+        mixture_support([])
 
 
 def test_validity_matches_support_oracle_exhaustive_n1():

@@ -72,10 +72,10 @@ def ortho_table(m: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def coset_mask(elems: list[int], shift: int) -> int:
+def coset_mask(elems: list[int]) -> int:
     mask = 0
     for e in elems:
-        mask |= 1 << (e ^ shift)
+        mask |= 1 << e
     return mask
 
 

@@ -306,8 +306,10 @@ def _cmd_scenario(args) -> int:
     if name == "bell":
         report = run_bell(args.d, tampered=args.tampered)
     elif name == "wigner":
+        _require_d2(name, args.d)
         report = run_wigner_friend()
     elif name == "forgetting":
+        _require_d2(name, args.d)
         report = run_forgetting()
     elif name == "fr-search":
         request = {"d": args.d, "exhaustive": args.exhaustive,
@@ -345,14 +347,21 @@ def _cmd_scenario(args) -> int:
     return EXIT_OK if report.passed else EXIT_DOMAIN
 
 
+def _require_d2(name: str, d: int) -> None:
+    """The toy-bit scenarios take no other dimension: exit 1 for one."""
+    if d != 2:
+        raise ValueError(f"{name} supports only --d 2, got {d}")
+
+
 def _condprep_search(args):
     from .algebra import GF, rref
-    from .dynamics import ConditionalPrepSpec, find_conditional_transform
+    from .dynamics import (
+        ConditionalPrepSpec, _supports_disjoint, find_conditional_transform,
+    )
     from .phase_space import discrete_space
     from .scenarios import ScenarioReport
     from .states import toy_bit
-    if args.d != 2:
-        raise ValueError(f"condprep-search supports only --d 2, got {args.d}")
+    _require_d2("condprep-search", args.d)
     names = (args.targets or "0,+").split(",")
     targets = tuple(toy_bit(n.strip()) for n in names)
     if len(targets) != 2:
@@ -372,7 +381,7 @@ def _condprep_search(args):
     report.log("search", searched=result.searched, frames=result.frames,
                found=result.transform is not None)
     orthogonal_or_identical = names[0] == names[1] or \
-        _targets_orthogonal(targets)
+        _supports_disjoint(*targets)
     report.verdict["matches_no_go"] = (
         (result.transform is not None) == orthogonal_or_identical)
     report.verdict["searched"] = result.searched
@@ -380,11 +389,6 @@ def _condprep_search(args):
         report.log("result", message=f"NotFound ({result.searched} transforms "
                                      f"searched over {result.frames} frames)")
     return report
-
-
-def _targets_orthogonal(targets) -> bool:
-    a, b = targets
-    return not (set(ontic_support(a).members) & set(ontic_support(b).members))
 
 
 def build_parser() -> argparse.ArgumentParser:

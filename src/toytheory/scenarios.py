@@ -19,6 +19,7 @@ checks branchwise consistency.  Both find no paradox.
 from __future__ import annotations
 
 import functools
+import math
 import random
 import zlib
 from dataclasses import dataclass, field as dc_field
@@ -439,11 +440,10 @@ def fr_chain_sequential(c: FRCandidate) -> dict:
 # modulo V^⊥: 16), and one seeded other member of each orbit at a seeded
 # nonzero valuation class and weight 0, whose counters, paradox count
 # included, must equal its representative's.  The no-paradox verdict rests
-# on that symmetry for the states it does not scan.  A pool of N workers
-# strides that item list, worker i scanning every N-th item from i; the same
-# worker call then checks the spot-check draws dealt to it, i, i + N,
-# i + 2N, ...  The scan is a few milliseconds and the checks most of a
-# second, so the checks are what the pool divides.
+# on that symmetry for the states it does not scan.  The calling process
+# scans the whole item list, a few milliseconds; a pool of N workers divides
+# only the spot checks, most of a second, worker i checking the draws i,
+# i + N, i + 2N, ...
 
 
 def _perp_of_elems(ortho, full: int, elems) -> int:
@@ -454,15 +454,13 @@ def _perp_of_elems(ortho, full: int, elems) -> int:
 
 
 class _FrMeas:
-    __slots__ = ("basis", "elems", "mask", "perp", "jmperp", "outs",
-                 "coset_by_shift")
+    __slots__ = ("basis", "elems", "perp", "jmperp", "outs")
 
     def __init__(self, basis: tuple, total_bits: int, block_bits: tuple):
         ortho = _gf2.ortho_table(total_bits)
         full = (1 << (1 << total_bits)) - 1
         self.basis = basis
         self.elems = _gf2.span_elements(basis)
-        self.mask = _gf2.coset_mask(self.elems, 0)
         # x in perp: ok and fail valuations differing by x label one outcome
         self.perp = _perp_of_elems(ortho, full, basis)
         self.jmperp = _perp_of_elems(
@@ -473,8 +471,6 @@ class _FrMeas:
             if lab not in by_label:
                 by_label[lab] = u
         self.outs = tuple(by_label[lab] for lab in sorted(by_label))
-        self.coset_by_shift = tuple(
-            _gf2.coset_mask(self.elems, a) for a in range(1 << total_bits))
 
 
 def _fr_block_measurements(offset: int, width: int, total_bits: int) -> list:
@@ -558,23 +554,20 @@ class _FrKernel:
     def __init__(self, t: _FrTables, basis: tuple):
         self.t = t
         self.v_elems = _gf2.span_elements(basis)
-        self.v_mask = _gf2.coset_mask(self.v_elems, 0)
+        self.v_mask = _gf2.coset_mask(self.v_elems)
         self.k_u, self.c1 = self._subset_table(t.meas_u, t.meas_b)
         self.k_b, self.c2 = self._subset_table(t.meas_b, t.meas_a)
         self.k_a, self.c3 = self._subset_table(t.meas_a, t.meas_w)
 
     def _subset_table(self, premises, conclusions) -> tuple:
         """The K_X mask of each premise X, and the table [x][y] of
-        V_Y ⊆ K_X ⊕ V_X."""
+        V_Y ⊆ K_X ⊕ V_X, tested as (K_X ⊕ V_X)^⊥ = K_X^⊥ ∩ V_X^⊥ ⊆ V_Y^⊥."""
         kmasks, table = [], []
         for meas in premises:
             kmask = self.v_mask & meas.jmperp
-            reach = 0
-            for e in self.v_elems:
-                if (kmask >> e) & 1:
-                    reach |= meas.coset_by_shift[e]
+            sum_perp = self._perp(self.v_elems, kmask) & meas.perp
             kmasks.append(kmask)
-            table.append([c.mask & ~reach == 0 for c in conclusions])
+            table.append([sum_perp & ~c.perp == 0 for c in conclusions])
         return kmasks, table
 
     def _perp(self, sum_elems, kmask: int) -> int:
@@ -594,7 +587,7 @@ class _FrKernel:
         return self._perp(self.t.sum_aw[a][w], self.k_a[a])
 
 
-# Benign all-seven tuples each scan keeps for the exact re-derivation: the
+# Benign all-seven tuples a scan keeps for the exact re-derivation: the
 # first one in each of this many strata of its items (cut by position in the
 # item list).
 _FR_BENIGN_SAMPLES = 4
@@ -705,29 +698,9 @@ def _fr_scan(t: _FrTables, items: Sequence[tuple],
     return stats
 
 
-def _fr_partition(items: Sequence[tuple], workers: int) -> list:
-    """The items of each worker: worker i scans items[i::workers].
-
-    A strided part takes an even share of every region of the list.  Over
-    all 2295 known-sets at weight 1, where the ones with the most tests
-    cluster in the first half, contiguous halves split the valuation and
-    quad tests 73 : 27 and strided halves 51 : 49.  Over the 18 orbit
-    representatives the scan is a few milliseconds, so the split of the
-    items no longer decides the wall time; the spot checks, dealt the same
-    way (`search_fr_paradox`), do."""
-    return [list(items[i::workers]) for i in range(workers)]
-
-
-def _fr_worker(args) -> tuple:
-    """One worker's part: (scan stats of its items, its spot-check results
-    or None).  ``args`` is (items, weaken, stop_after, checks), with checks
-    None or the spot checks dealt to this worker (`_fr_spot_checks`)."""
-    items, weaken, stop_after, checks = args
-    t = _fr_tables()
-    stats = _fr_scan(t, items, weaken, stop_after)
-    if checks is None:
-        return stats, None
-    return stats, _fr_spot_checks(t, checks)
+def _fr_worker(checks: Sequence[tuple]) -> dict:
+    """One pool worker's share of the spot checks (`_fr_spot_checks`)."""
+    return _fr_spot_checks(_fr_tables(), checks)
 
 
 def _fr_orbit_draws(t: _FrTables, rng: random.Random) -> list:
@@ -856,16 +829,6 @@ def _merge_spot_checks(parts: Sequence[dict]) -> dict:
     return merged
 
 
-def _merge_fr_stats(parts: Sequence[dict]) -> dict:
-    merged = {"states": 0, "valuation_tests": 0, "quad_tests": 0,
-              "benign_all_seven": 0, "paradoxes": [], "benign_sample": [],
-              "counters": []}
-    for p in parts:
-        for k in merged:
-            merged[k] += p[k]
-    return merged
-
-
 def _fr_rederive(t: _FrTables, sample: Sequence[tuple]) -> bool:
     """True iff there is a sample and the exact-subspace conditions hold for
     every sampled tuple the scan counted as benign all-seven."""
@@ -935,12 +898,12 @@ def _fr_sampled_search(d: int, blocks: tuple, rng: random.Random,
             initial=state, blocks=blocks, v_a=v_a, v_b=v_b, v_u=v_u, v_w=v_w,
             a1=pick_outcome(v_a), b1=pick_outcome(v_b),
             u_ok=uok, u_fail=ufail, w_ok=wok, w_fail=wfail)
-        chain = fr_chain_initial(cand)
-        if chain["holds"]:
+        if fr_chain_initial(cand)["holds"]:
             found.append(i)
-        rep = check_fr_conditions(cand)
-        if rep.all_hold and not rep.w_outcomes_equal:
-            found.append(i)
+        else:
+            rep = check_fr_conditions(cand)
+            if rep.all_hold and not rep.w_outcomes_equal:
+                found.append(i)
         if i < sequential_checks:
             if fr_chain_sequential(cand)["holds"]:
                 sequential_paradoxes += 1
@@ -1021,18 +984,23 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     produce false positives (search sensitivity control); that run skips
     the orbit and spot checks.
 
-    With ``workers`` = N the workers stride the item list (`_fr_partition`),
-    in one `_fr_worker` call per worker; each worker keeps its own benign
-    sample and ``stop_after`` counts the paradoxes of each worker.  The
-    spot checks, drawn once here from all 2295 known-sets with ``seed`` + 1,
-    are dealt the same way: worker i checks the draws i, i + N, i + 2N, ...
-    after its scan, and the calling process sums the shares
-    (`_merge_spot_checks`), so the report is the same for every N but for
-    the derivation's sample count.  The spot checks' ``digest`` is the
-    CRC-32 of all the drawn tuples, so two reports show whether they
-    checked the same configurations (a checksum is enough to tell draws
-    apart, and ``hashlib`` would load OpenSSL, about 3.6 MB of resident
-    memory).  With one worker the single part runs in the calling process.
+    The ``orbit_check`` event's ``closed_form`` holds when the known-sets
+    number Π_{i=1..4}(2^i + 1) = 2295 and the weighted ``states`` are that
+    times 2^4 = 36720, both computed from p and n, so a wrong weight fails
+    ``orbit_weights_verified``.  The calling process scans every item once,
+    keeping one benign sample of four strata, and ``stop_after`` counts the
+    paradoxes of that whole scan.
+
+    The spot checks are drawn once here from all 2295 known-sets with
+    ``seed`` + 1.  With ``workers`` = N > 1 a pool maps `_fr_worker` over
+    the N dealt shares, worker i checking the draws i, i + N, i + 2N, ...
+    (empty shares included), and the calling process sums the shares
+    (`_merge_spot_checks`), so the report is the same for every N.  With
+    one worker the single share runs in the calling process.  The spot
+    checks' ``digest`` is the CRC-32 of all the drawn tuples, so two reports
+    show whether they checked the same configurations (a checksum is enough
+    to tell draws apart, and ``hashlib`` would load OpenSSL, about 3.6 MB of
+    resident memory).
 
     Raises what `check_fr_request` raises.
     """
@@ -1068,15 +1036,13 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     rng = random.Random(seed + 1)
     checks = [(_random_fr_tuple(t, rng), i < sequential_checks)
               for i in range(spot_checks if run_spot_checks else 0)]
-    args = [(part, weaken_condition1, stop_after,
-             checks[share::workers] if run_spot_checks else None)
-            for share, part in enumerate(_fr_partition(items, workers))]
+    stats = _fr_scan(t, items, weaken_condition1, stop_after)
+    shares = [checks[i::workers] for i in range(workers)]
     if workers > 1:
         with _pool_context().Pool(workers) as pool:
-            parts = pool.map(_fr_worker, args)
+            spot_parts = pool.map(_fr_worker, shares)
     else:
-        parts = [_fr_worker(args[0])]
-    stats = _merge_fr_stats([scan for scan, _ in parts])
+        spot_parts = [_fr_worker(shares[0])]
     paradoxes = stats.pop("paradoxes")
     benign = stats.pop("benign_sample")
     counters = dict(stats.pop("counters"))
@@ -1089,15 +1055,20 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
                 for rep, member, _ in draws)
     covers = sorted(li for cls in t.orbits for li in cls) == \
         list(range(n_lagr))
-    report.log("orbit_check", checked=len(draws), agree=agree, covers=covers)
-    report.verdict["orbit_weights_verified"] = agree and covers
+    p, n = 2, 4
+    lagrangians = math.prod(p ** i + 1 for i in range(1, n + 1))
+    closed_form = n_lagr == lagrangians and \
+        stats["states"] == lagrangians * p ** n
+    report.log("orbit_check", checked=len(draws), agree=agree, covers=covers,
+               closed_form=closed_form)
+    report.verdict["orbit_weights_verified"] = agree and covers and closed_form
     report.verdict["no_paradox_found"] = len(paradoxes) == 0
     report.verdict["benign_all_seven_exist"] = stats["benign_all_seven"] > 0
     derived = _fr_rederive(t, benign)
     report.log("derivation", samples=len(benign), all_hold=derived)
     report.verdict["derivation_verified"] = derived
     if run_spot_checks:
-        spots = _merge_spot_checks([share for _, share in parts])
+        spots = _merge_spot_checks(spot_parts)
         digest = zlib.crc32("".join(repr(tup) for tup, _ in checks).encode())
         report.log("spot_checks", **spots, digest=f"{digest:08x}")
         report.verdict["spot_checks_agree"] = (

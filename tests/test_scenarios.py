@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,9 +12,8 @@ from toytheory.scenarios import (
     fr_chain_sequential, run_bell, run_forgetting, run_wigner_friend,
     search_fr_paradox, _FR_BENIGN_SAMPLES, _FR_COUNTERS,
     _block_support, _fr_candidate_from_ints, _fr_conditions_single,
-    _fr_orbit_draws, _fr_orbits, _fr_partition, _fr_rederive, _fr_scan,
-    _fr_tables, _fr_valuation_classes, _merge_fr_stats, _perp_of_elems,
-    _random_fr_tuple,
+    _fr_orbit_draws, _fr_orbits, _fr_rederive, _fr_scan, _fr_tables,
+    _fr_valuation_classes, _perp_of_elems, _random_fr_tuple,
 )
 from toytheory.states import make_state, state_from_values
 
@@ -190,67 +190,20 @@ def test_correlated_pairs_candidate_fails_a_subset_condition():
 
 
 def test_fast_scan_slice_agrees_with_merge_and_finds_nothing():
+    # the totals are the merge (the sum) of the item counters
     t = _fr_tables()
-    whole = _fr_scan(t, _ones(60))
-    parts = [_fr_scan(t, _ones(29)), _fr_scan(t, _ones(29, 60))]
-    merged = _merge_fr_stats(parts)
-    whole.pop("paradoxes")
-    merged_paradoxes = merged.pop("paradoxes")
-    whole_benign = whole.pop("benign_sample")
-    merged_benign = merged.pop("benign_sample")
-    assert merged == whole
-    assert merged_paradoxes == []
-    # each range keeps its own sample, at most one tuple per known-set; a
-    # range's first stratum starts at its first known-set
-    for sample in (whole_benign, parts[0]["benign_sample"],
-                   parts[1]["benign_sample"]):
-        assert 0 < len(sample) <= _FR_BENIGN_SAMPLES
-        assert len({tup[0] for tup in sample}) == len(sample)
-    assert merged_benign == parts[0]["benign_sample"] + \
-        parts[1]["benign_sample"]
-    assert merged_benign[0] == whole_benign[0]
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 4])
-def test_fr_partition_covers_every_known_set_once(workers):
-    parts = _fr_partition(_ones(2295), workers)
-    assert len(parts) == workers
-    assert sorted(li for part in parts for li, _, _ in part) == \
-        list(range(2295))
-    assert parts[0][:2] == [(0, 0, 1), (workers, 0, 1)]
-
-
-def test_strided_scans_merge_to_the_contiguous_scan():
-    t = _fr_tables()
-    whole = _fr_scan(t, _ones(60))
-    parts = [_fr_scan(t, part) for part in _fr_partition(_ones(60), 3)]
-    merged = _merge_fr_stats(parts)
-    for key in ("states", "valuation_tests", "quad_tests",
-                "benign_all_seven", "paradoxes"):
-        assert merged[key] == whole[key]
-    assert sorted(merged["counters"]) == whole["counters"]
-    # each part samples its own known-sets, one tuple per stratum of its
-    # positions
-    for i, part in enumerate(parts):
-        sample = part["benign_sample"]
-        assert 0 < len(sample) <= _FR_BENIGN_SAMPLES
-        positions = [(tup[0] - i) // 3 for tup in sample]
-        assert all(tup[0] % 3 == i for tup in sample)
-        strata = [pos * _FR_BENIGN_SAMPLES // 20 for pos in positions]
-        assert len(set(strata)) == len(strata)
-        assert _fr_rederive(t, sample)
-
-
-def test_strided_scan_balances_the_workers(full_scan):
-    # a known-set's counters do not depend on the list it is scanned in, so
-    # each worker's load is the sum of its known-sets' counters
-    counters = _per_known_set(full_scan)
-    loads = [sum(counters[li][1] + counters[li][2] for li, _, _ in part)
-             for part in _fr_partition(_ones(2295), 2)]
-    assert sum(loads) == FR_TOTALS["valuation_tests"] + \
-        FR_TOTALS["quad_tests"]
-    # the contiguous halves split the same work about 73 : 27
-    assert max(loads) <= 0.52 * sum(loads)
+    scan = _fr_scan(t, _ones(60))
+    assert [li for li, _ in scan["counters"]] == list(range(60))
+    assert [scan[k] for k in _FR_COUNTERS] == [
+        sum(counts[i] for _, counts in scan["counters"])
+        for i in range(len(_FR_COUNTERS))]
+    assert scan["paradoxes"] == []
+    # the sample keeps at most one tuple per known-set; its first stratum
+    # starts at the first known-set
+    sample = scan["benign_sample"]
+    assert 0 < len(sample) <= _FR_BENIGN_SAMPLES
+    assert len({tup[0] for tup in sample}) == len(sample)
+    assert sample[0] == _fr_scan(t, _ones(29))["benign_sample"][0]
 
 
 def test_orbit_table_partitions_the_lagrangians():
@@ -377,7 +330,8 @@ def test_orbit_check_fails_on_valuation_dependent_counters(monkeypatch,
     r = search_fr_paradox(d=2, exhaustive=True, workers=workers,
                           spot_checks=0)
     assert _event(r, "orbit_check") == {"kind": "orbit_check", "checked": 18,
-                                        "agree": False, "covers": True}
+                                        "agree": False, "covers": True,
+                                        "closed_form": True}
     assert r.verdict["orbit_weights_verified"] is False
     assert r.verdict["no_paradox_found"]
     assert not r.passed
@@ -392,19 +346,25 @@ def test_item_counters_end_with_the_paradox_count():
 
 
 def test_unit_weights_miss_the_state_count(monkeypatch):
-    # orbit sizes of 1, then valuation class counts of 1 as well
+    # valuation class counts of 1 alone (the orbits still agree and cover the
+    # known-sets, so only the closed form catches it), then orbit sizes of 1,
+    # then both
     t = _fr_tables()
-    monkeypatch.setattr(t, "orbits", tuple((cls[0],) for cls in t.orbits))
-    for states in (18 * 16, 18):
+    real_classes = scenarios._fr_valuation_classes
+    unit_orbits = tuple((cls[0],) for cls in t.orbits)
+    for orbits, classes, states, checked in (
+            (t.orbits, lambda t, li: 1, 2295, 18),
+            (unit_orbits, real_classes, 18 * 16, 0),
+            (unit_orbits, lambda t, li: 1, 18, 0)):
+        monkeypatch.setattr(t, "orbits", orbits)
+        monkeypatch.setattr(scenarios, "_fr_valuation_classes", classes)
         r = search_fr_paradox(d=2, exhaustive=True, spot_checks=0)
         assert _event(r, "scan")["states"] == states != FR_TOTALS["states"]
         assert _event(r, "orbit_check") == {
-            "kind": "orbit_check", "checked": 0, "agree": True,
-            "covers": False}
+            "kind": "orbit_check", "checked": checked, "agree": True,
+            "covers": checked > 0, "closed_form": False}
         assert r.verdict["orbit_weights_verified"] is False
         assert not r.passed
-        monkeypatch.setattr(scenarios, "_fr_valuation_classes",
-                            lambda t, li: 1)
 
 
 def test_mutation_control_finds_false_positives_on_representatives():
@@ -455,7 +415,8 @@ def test_orbit_check_fails_on_foreign_members(monkeypatch, workers):
     r = search_fr_paradox(d=2, exhaustive=True, workers=workers,
                           spot_checks=0)
     assert _event(r, "orbit_check") == {"kind": "orbit_check", "checked": 18,
-                                        "agree": False, "covers": True}
+                                        "agree": False, "covers": True,
+                                        "closed_form": True}
     assert r.verdict["orbit_weights_verified"] is False
     assert r.verdict["no_paradox_found"]
     assert not r.passed
@@ -467,7 +428,8 @@ def test_exhaustive_report_names_the_orbit_reduction():
     assert {k: scan[k] for k in _FR_COUNTERS} == FR_TOTALS
     assert scan["representatives"] == 18
     assert _event(r, "orbit_check") == {"kind": "orbit_check", "checked": 18,
-                                        "agree": True, "covers": True}
+                                        "agree": True, "covers": True,
+                                        "closed_form": True}
     assert r.verdict["orbit_weights_verified"] is True
     assert r.passed
 
@@ -515,6 +477,22 @@ def test_benign_sample_spreads_over_valuations():
     sample = _fr_scan(t, [(0, v, 1) for v in vs])["benign_sample"]
     assert [tup[1] for tup in sample] == vs
     assert _fr_rederive(t, sample)
+
+
+def test_subset_tables_match_the_sum_sets():
+    # c1-c3 test V_Y ⊆ K_X ⊕ V_X on perp masks; here the sum K_X ⊕ V_X is
+    # spelled out element by element, for every pair of each representative
+    t = _fr_tables()
+    for cls in t.orbits:
+        k = scenarios._FrKernel(t, t.lagrangians[cls[0]])
+        for kmasks, table, premises, conclusions in (
+                (k.k_u, k.c1, t.meas_u, t.meas_b),
+                (k.k_b, k.c2, t.meas_b, t.meas_a),
+                (k.k_a, k.c3, t.meas_a, t.meas_w)):
+            for kmask, row, x in zip(kmasks, table, premises):
+                sums = {e ^ f for e in k.v_elems if (kmask >> e) & 1
+                        for f in x.elems}
+                assert row == [set(y.elems) <= sums for y in conclusions]
 
 
 def test_fast_conditions_match_exact_on_fixed_tuples(rng):
@@ -595,18 +573,6 @@ def test_mutated_search_finds_false_positives():
         assert all(conds[3:])
 
 
-def test_mutated_search_on_a_strided_part_finds_false_positives():
-    t = _fr_tables()
-    stats = _fr_scan(t, _fr_partition(_ones(2295), 2)[1],
-                     weaken_condition1=True, stop_after=3)
-    assert len(stats["paradoxes"]) == 3
-    for tup in stats["paradoxes"]:
-        assert tup[0] % 2 == 1
-        conds = _fr_conditions_single(t, *tup)
-        assert not all(conds[:3])
-        assert all(conds[3:])
-
-
 def test_search_verdict_fails_on_misclassified_benign_sample(monkeypatch):
     t = _fr_tables()
 
@@ -637,10 +603,16 @@ def _event(report, kind: str) -> dict:
     return next(e for e in report.events if e["kind"] == kind)
 
 
+def _report_but_workers(report) -> dict:
+    out = report.to_jsonable()
+    del out["config"]["workers"]
+    return out
+
+
 def test_search_fr_paradox_workers_agree():
     # with workers > 1 the spot checks are split across the workers; the
-    # report must not show it.  41 checks split unevenly, and the first 5,
-    # the sequential ones, span the shares.
+    # report, derivation included, must not show it.  41 checks split
+    # unevenly, and the first 5, the sequential ones, span the shares.
     for checks, sequential in ((40, 48), (41, 5)):
         reports = [search_fr_paradox(d=2, exhaustive=True, workers=w,
                                      spot_checks=checks,
@@ -648,9 +620,8 @@ def test_search_fr_paradox_workers_agree():
                    for w in (1, 2, 3)]
         assert [[e["kind"] for e in r.events] for r in reports] == \
             [["scan", "orbit_check", "derivation", "spot_checks"]] * 3
-        for kind in ("scan", "orbit_check", "spot_checks"):
-            events = [_event(r, kind) for r in reports]
-            assert events[1] == events[0] and events[2] == events[0]
+        whole = [_report_but_workers(r) for r in reports]
+        assert whole[1] == whole[0] and whole[2] == whole[0]
         spots = _event(reports[0], "spot_checks")
         assert spots["checked"] == checks
         assert spots["sequential_checked"] == min(checks, sequential)
@@ -757,10 +728,9 @@ def test_search_fr_paradox_rejects_bad_blocks(blocks, exhaustive):
         search_fr_paradox(d=2, exhaustive=exhaustive, blocks=blocks)
 
 
-# The seed-7 exhaustive report: counters, orbit check and spot-check digest
-# are the same at every worker count; each worker keeps its own benign
-# sample, so the derivation's sample count grows with the workers.
-SEED7_DERIVATION_SAMPLES = {1: 4, 2: 6}
+# The seed-7 exhaustive report is the same at every worker count: the
+# calling process scans once and keeps one benign sample of four strata.
+SEED7_DERIVATION_SAMPLES = 4
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -772,9 +742,10 @@ def test_seed7_exhaustive_report_is_pinned(workers):
     assert {k: scan[k] for k in _FR_COUNTERS} == FR_TOTALS
     assert (scan["representatives"], scan["paradox_count"]) == (18, 0)
     assert _event(r, "orbit_check") == {"kind": "orbit_check", "checked": 18,
-                                        "agree": True, "covers": True}
+                                        "agree": True, "covers": True,
+                                        "closed_form": True}
     assert _event(r, "derivation") == {
-        "kind": "derivation", "samples": SEED7_DERIVATION_SAMPLES[workers],
+        "kind": "derivation", "samples": SEED7_DERIVATION_SAMPLES,
         "all_hold": True}
     assert _event(r, "spot_checks") == {
         "kind": "spot_checks", "checked": 200, "sequential_checked": 48,
@@ -860,20 +831,42 @@ def test_pool_context_prefers_fork(monkeypatch):
 
 
 def test_mutation_control_same_under_spawn_and_fork(monkeypatch):
+    # the pool runs only the spot checks, so they are what a start method
+    # could change; the mutation control scans in the calling process and
+    # hands the pool empty shares
     import multiprocessing as mp
 
-    def scan_event():
-        r = search_fr_paradox(d=2, exhaustive=True, workers=2,
-                              weaken_condition1=True, stop_after=3)
-        assert r.verdict["mutation_finds_false_positives"]
-        return [e for e in r.events if e["kind"] == "scan"][0]
+    def events():
+        r = search_fr_paradox(d=2, exhaustive=True, workers=2, seed=3,
+                              spot_checks=5, sequential_checks=1)
+        mutation = search_fr_paradox(d=2, exhaustive=True, workers=2,
+                                     weaken_condition1=True, stop_after=3)
+        assert r.verdict["spot_checks_agree"]
+        assert mutation.verdict["mutation_finds_false_positives"]
+        return _event(r, "spot_checks"), _event(mutation, "scan")
 
-    forked = scan_event()
+    forked = events()
     monkeypatch.setattr(scenarios, "_pool_context",
                         lambda: mp.get_context("spawn"))
-    spawned = scan_event()
+    spawned = events()
     assert spawned == forked
-    assert forked["paradox_count"] == 6       # stop_after=3 in each worker
+    assert (forked[0]["checked"], forked[0]["sequential_checked"]) == (5, 1)
+    # stop_after counts the paradoxes of the one scan
+    assert forked[1]["paradox_count"] == 3
+
+
+@pytest.mark.parametrize("chain_holds", [True, False])
+def test_sampled_search_counts_each_paradox_once(monkeypatch, chain_holds):
+    # a draw is one paradox whether the chain, the seven conditions or both
+    # assemble it
+    monkeypatch.setattr(scenarios, "fr_chain_initial",
+                        lambda cand: {"holds": chain_holds})
+    monkeypatch.setattr(scenarios, "check_fr_conditions",
+                        lambda cand: SimpleNamespace(
+                            all_hold=True, w_outcomes_equal=False))
+    r = search_fr_paradox(d=2, seed=1, samples=3, sequential_checks=0)
+    assert _event(r, "sampled")["paradox_count"] == 3
+    assert r.verdict["no_paradox_found"] is False
 
 
 def test_search_fr_paradox_sampled_d3():

@@ -325,6 +325,19 @@ def test_cli_condprep_search_rejects_bad_input(flags, message):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("name, d", [("wigner", "5"), ("wigner", "3"),
+                                     ("forgetting", "3")])
+def test_cli_toy_bit_scenarios_reject_other_dimensions(name, d):
+    # like condprep-search, they would otherwise print the d = 2 report
+    r = _run(["scenario", name, "--d", d])
+    assert r.returncode == 1
+    assert "input error" in r.stderr
+    assert f"{name} supports only --d 2, got {d}" in r.stderr
+    assert r.stdout == ""
+    r = _run(["scenario", name, "--d", "2"])
+    assert r.returncode == 0 and "PASS" in r.stdout
+
+
 def test_cli_condprep_search_frame_cap():
     r = _run(["scenario", "condprep-search", "--targets", "0,+",
               "--ancilla", "2"])

@@ -32,7 +32,7 @@ def _bound(module: str, function: str):
 
 
 def test_traced_and_cached_functions_exist(harness):
-    import toytheory  # noqa: F401  (the harness imports the package so)
+    import toytheory  # noqa: F401  (loads every module the names live in)
     tracer, run = harness
     missing = [f"{m}.{f}" for m, f, _ in tracer.TRACED
                if not callable(_bound(m, f))]

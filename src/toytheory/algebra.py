@@ -10,7 +10,11 @@ Row arithmetic lives in the field classes.  `PrimeField` and `RationalField`
 each own the same row kernels (`vector`, `dot`, `add_rows`, `sub_rows`,
 `scale_row`, `sub_scaled`), and the functions below call them once per row,
 never once per scalar.  Over Z_p a kernel is one whole-row expression with
-one ``% p`` per entry; over Q it is plain `Fraction` arithmetic.
+one ``% p`` per entry.  Over Q a kernel builds at most one `Fraction` per
+output entry (`dot` and `sub_scaled` work on numerators and denominators as
+ints), and `RationalField.rref_rows` eliminates over Z: each row is scaled
+to ints by the lcm of its denominators and kept divided by its content gcd,
+and the canonical rows come back as `Fraction`s over their pivots.
 
 Scalar contract (`coerce` and `vector`): ints (reduced mod p, negative ones
 too), `Fraction`s (reduced mod p through the inverse of the denominator),
@@ -25,6 +29,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -172,15 +177,27 @@ class RationalField:
             raise ZeroDivisionError("no inverse of 0")
         return 1 / Fraction(a)
 
-    # row kernels: the same rows as over Z_p, in Fraction arithmetic; each
-    # Fraction product costs a gcd, so zero entries are passed through
+    # row kernels: the same rows as over Z_p; each built Fraction costs a
+    # gcd, so a kernel builds at most one per output entry, working on
+    # numerators and denominators as ints, and passes zero entries through
 
     def vector(self, entries: Iterable) -> VectorT:
         return tuple([x if type(x) is Fraction else self.coerce(x)
                       for x in entries])
 
     def dot(self, a: VectorT, b: VectorT) -> Fraction:
-        return sum([x * y for x, y in zip(a, b) if x and y], _Q0)
+        num, den = 0, 1
+        for x, y in zip(a, b):
+            if x and y:
+                d = x.denominator * y.denominator
+                if d == den:
+                    num += x.numerator * y.numerator
+                else:
+                    g = gcd(den, d)
+                    num = (num * (d // g)
+                           + x.numerator * y.numerator * (den // g))
+                    den = den // g * d
+        return Fraction(num, den)
 
     def add_rows(self, a: VectorT, b: VectorT) -> VectorT:
         return tuple([x + y for x, y in zip(a, b)])
@@ -193,7 +210,55 @@ class RationalField:
 
     def sub_scaled(self, a: VectorT, c, b: VectorT) -> VectorT:
         """a - c*b."""
-        return tuple([x - c * y if y else x for x, y in zip(a, b)])
+        cn, cd = c.numerator, c.denominator
+        return tuple([Fraction(x.numerator * cd * y.denominator
+                               - cn * y.numerator * x.denominator,
+                               x.denominator * cd * y.denominator) if y else x
+                      for x, y in zip(a, b)])
+
+    def rref_rows(self, rows: Sequence[VectorT]) -> tuple[list, list]:
+        """`_rref_rows` over Q, eliminated over Z.
+
+        Each row is scaled to ints by the lcm of its denominators, and
+        Gauss-Jordan runs on ints (a*row_i - f*row_r, divided by the new
+        row's content gcd, so entries stay small).  Each output entry is
+        then built once, as the int over its row's pivot.
+        """
+        work = []
+        for row in rows:
+            dens = [x.denominator for x in row]
+            den = lcm(*dens)
+            work.append([x.numerator for x in row] if den == 1 else
+                        [x.numerator * (den // d) for x, d in zip(row, dens)])
+        m = len(work)
+        n = len(work[0]) if m else 0
+        pivots = []
+        r = 0
+        for c in range(n):
+            for piv in range(r, m):
+                if work[piv][c]:
+                    break
+            else:
+                continue
+            row = work[piv]
+            work[piv] = work[r]
+            work[r] = row
+            a = row[c]
+            for i in range(m):
+                other = work[i]
+                f = other[c]
+                if f and i != r:
+                    g = gcd(a, f)
+                    ag, fg = a // g, f // g
+                    new = [ag * x - fg * y for x, y in zip(other, row)]
+                    g = gcd(*new)
+                    work[i] = [x // g for x in new] if g > 1 else new
+            pivots.append(c)
+            r += 1
+            if r == m:
+                break
+        return [tuple([Fraction(x, row[c]) if x else _Q0 for x in row])
+                for row, c in zip(work, pivots)], pivots
 
     def __repr__(self):
         return "QQ"
@@ -313,6 +378,8 @@ class Subspace:
 def _rref_rows(field: FieldT, rows: Sequence[VectorT]) -> tuple[list, list]:
     """RREF of tuples of canonical elements; returns (nonzero rows as
     tuples, pivot columns)."""
+    if type(field) is RationalField:
+        return field.rref_rows(rows)
     rows = list(rows)
     m = len(rows)
     n = len(rows[0]) if m else 0

@@ -592,6 +592,11 @@ class _FrKernel:
 # item list).
 _FR_BENIGN_SAMPLES = 4
 
+# Paradox tuples a scan keeps as its sample, the first ones it finds; past
+# them it only counts, so a weakened scan's millions of false positives
+# take no memory.
+_FR_PARADOX_SAMPLES = 5
+
 # The per-state counters of a scan, each summed with the item's weight.
 _FR_COUNTERS = ("states", "valuation_tests", "quad_tests", "benign_all_seven")
 
@@ -611,29 +616,34 @@ def _fr_scan(t: _FrTables, items: Sequence[tuple],
 
     Each state adds its counters ``weight`` times to the totals;
     ``counters`` lists them unweighted, as (index, counts in `_FR_COUNTERS`
-    order followed by the item's paradox count) pairs.  Paradoxes and the
-    benign sample come from every item.  A state cut short by
-    ``stop_after`` adds its partial counters once, whatever its weight.
+    order followed by the item's paradox count) pairs.  ``paradox_count``
+    counts the paradoxes of every item, ``paradox_sample`` keeps the first
+    `_FR_PARADOX_SAMPLES` of them, and the benign sample comes from every
+    item.  A state cut short by ``stop_after`` adds its partial counters
+    once, whatever its weight.
     """
     meas_a, meas_b, meas_u, meas_w = t.meas_a, t.meas_b, t.meas_u, t.meas_w
     n_a, n_b, n_u, n_w = len(meas_a), len(meas_b), len(meas_u), len(meas_w)
     paradoxes: list[tuple] = []
     benign: list[tuple] = []
     stats = {"states": 0, "valuation_tests": 0, "quad_tests": 0,
-             "benign_all_seven": 0, "paradoxes": paradoxes,
-             "benign_sample": benign, "counters": []}
+             "benign_all_seven": 0, "paradox_count": 0,
+             "paradox_sample": paradoxes, "benign_sample": benign,
+             "counters": []}
+    found = 0
 
-    def tally(li: int, weight: int, counts: tuple, found: int) -> dict:
-        stats["counters"].append((li, counts + (found,)))
+    def tally(li: int, weight: int, counts: tuple, item_found: int) -> dict:
+        stats["counters"].append((li, counts + (item_found,)))
         for key, n in zip(_FR_COUNTERS, counts):
             stats[key] += weight * n
+        stats["paradox_count"] = found
         return stats
 
     sampled = -1  # the last stratum that kept a benign tuple
     for pos, (li, v, weight) in enumerate(items):
         stratum = pos * _FR_BENIGN_SAMPLES // len(items)
         k = _FrKernel(t, t.lagrangians[li])
-        before = len(paradoxes)
+        before = found
 
         # Conditions 5-7 are kept, per premise, only where their subset
         # condition holds, unless the control drops conditions 1-3.
@@ -686,15 +696,16 @@ def _fr_scan(t: _FrTables, items: Sequence[tuple],
                                         benign.append(tup)
                                         sampled = stratum
                                     continue
-                                paradoxes.append(tup)
+                                found += 1
+                                if found <= _FR_PARADOX_SAMPLES:
+                                    paradoxes.append(tup)
                                 if stop_after is not None and \
-                                        len(paradoxes) >= stop_after:
+                                        found >= stop_after:
                                     return tally(li, 1, (
                                         1, valuation_tests, quad_tests,
-                                        benign_all_seven),
-                                        len(paradoxes) - before)
+                                        benign_all_seven), found - before)
         tally(li, weight, (1, valuation_tests, quad_tests, benign_all_seven),
-              len(paradoxes) - before)
+              found - before)
     return stats
 
 
@@ -996,7 +1007,8 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     the N dealt shares, worker i checking the draws i, i + N, i + 2N, ...
     (empty shares included), and the calling process sums the shares
     (`_merge_spot_checks`), so the report is the same for every N.  With
-    one worker the single share runs in the calling process.  The spot
+    one worker the single share runs in the calling process, and with no
+    draws (the mutation control, ``spot_checks=0``) no pool starts.  The spot
     checks' ``digest`` is the CRC-32 of all the drawn tuples, so two reports
     show whether they checked the same configurations (a checksum is enough
     to tell draws apart, and ``hashlib`` would load OpenSSL, about 3.6 MB of
@@ -1037,19 +1049,22 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     checks = [(_random_fr_tuple(t, rng), i < sequential_checks)
               for i in range(spot_checks if run_spot_checks else 0)]
     stats = _fr_scan(t, items, weaken_condition1, stop_after)
-    shares = [checks[i::workers] for i in range(workers)]
-    if workers > 1:
+    if not checks:
+        spot_parts = []
+    elif workers > 1:
         with _pool_context().Pool(workers) as pool:
-            spot_parts = pool.map(_fr_worker, shares)
+            spot_parts = pool.map(_fr_worker, [checks[i::workers]
+                                               for i in range(workers)])
     else:
-        spot_parts = [_fr_worker(shares[0])]
-    paradoxes = stats.pop("paradoxes")
+        spot_parts = [_fr_worker(checks)]
+    paradox_count = stats.pop("paradox_count")
+    paradox_sample = stats.pop("paradox_sample")
     benign = stats.pop("benign_sample")
     counters = dict(stats.pop("counters"))
     report.log("scan", **stats, representatives=len(t.orbits),
-               paradox_count=len(paradoxes), paradox_sample=paradoxes[:5])
+               paradox_count=paradox_count, paradox_sample=paradox_sample)
     if weaken_condition1:
-        report.verdict["mutation_finds_false_positives"] = len(paradoxes) > 0
+        report.verdict["mutation_finds_false_positives"] = paradox_count > 0
         return report
     agree = all(rep in counters and counters.get(member) == counters[rep]
                 for rep, member, _ in draws)
@@ -1062,7 +1077,7 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     report.log("orbit_check", checked=len(draws), agree=agree, covers=covers,
                closed_form=closed_form)
     report.verdict["orbit_weights_verified"] = agree and covers and closed_form
-    report.verdict["no_paradox_found"] = len(paradoxes) == 0
+    report.verdict["no_paradox_found"] = paradox_count == 0
     report.verdict["benign_all_seven_exist"] = stats["benign_all_seven"] > 0
     derived = _fr_rederive(t, benign)
     report.log("derivation", samples=len(benign), all_hold=derived)

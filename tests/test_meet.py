@@ -183,22 +183,51 @@ def test_point_masses_over_the_rationals(case, shift):
         assert not is_certain(s, m, other)
 
 
-@given(_discrete_query(), st.data())
+def _premise(data, s, m):
+    """An outcome of m.  Over Z_p any outcome, or one of the possible ones;
+    over QQ, where m is a point mass, its certain outcome or one shifted
+    off it, which has probability 0."""
+    if s.field is QQ:
+        out = outcome_from_valuation(m, s.valuation)
+        if data.draw(st.booleans()):
+            return out
+        label = list(out.label)
+        label[0] += data.draw(st.integers(1, 3))
+        return outcome_for_label(m, label)
+    outs = outcomes(m)
+    if data.draw(st.booleans()):
+        outs = [o for o in outs if outcome_probability(s, m, o)]
+    return data.draw(st.sampled_from(outs))
+
+
+def _any_outcome(data, m):
+    dim = m.observables.dim
+    if m.space.field is QQ:
+        return outcome_for_label(m, data.draw(st.lists(
+            _scalars(QQ), min_size=dim, max_size=dim)))
+    return data.draw(st.sampled_from(outcomes(m)))
+
+
+@given(st.one_of(_discrete_query(), _point_mass_query()), st.data())
 def test_infers_is_update_then_certain(case, data):
+    # over Z_p at any state, over QQ at point masses of random rank; the
+    # conclusion measures random commuting rows, or combinations of the
+    # premise's or the state's rows, so inferences hold as well as fail
     s, m_a = case
     space = s.space
-    m_b = make_measurement(space, data.draw(_isotropic(space, min_dim=1)))
-    outs_a = outcomes(m_a)
-    if data.draw(st.booleans()):   # a possible premise
-        outs_a = [o for o in outs_a if outcome_probability(s, m_a, o)]
-    out_a = data.draw(st.sampled_from(outs_a))
+    out_a = _premise(data, s, m_a)
     possible = bool(outcome_probability(s, m_a, out_a))
+    pool = data.draw(st.sampled_from([None] + [
+        rows for rows in (m_a.observables.basis, s.known.basis) if rows]))
+    m_b = make_measurement(space, data.draw(
+        _isotropic(space, min_dim=1) if pool is None
+        else _combos(space, pool)))
     if possible and data.draw(st.booleans()):
         # the conclusion the updated state's own valuation gives
         out_b = outcome_from_valuation(
             m_b, update_state(s, m_a, out_a).valuation)
     else:
-        out_b = data.draw(st.sampled_from(outcomes(m_b)))
+        out_b = _any_outcome(data, m_b)
     want = possible and \
         is_certain(update_state(s, m_a, out_a), m_b, out_b)
     assert infers(s, m_a, out_a, m_b, out_b) == want

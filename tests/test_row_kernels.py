@@ -8,11 +8,13 @@ it checks.
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from toytheory.algebra import (
-    GF, QQ, coset_intersection, dot, enumerate_coset, make_coset,
-    reduce_mod_subspace, rref, subspace_intersection,
+    GF, QQ, _meet, coset_intersection, dot, enumerate_coset, make_coset,
+    mat_inverse, reduce_mod_subspace, rref, solve_linear,
+    subspace_intersection,
 )
 from toytheory.phase_space import bracket_vectors
 
@@ -178,3 +180,125 @@ def test_coset_intersection_over_any_field(case):
         off = list(c1.shift)
         off[free[0]] = _canon(field, off[free[0]] + 1)
         assert coset_intersection(c1, make_coset(s2, off)) is None
+
+
+# Wide rational entries: numerators up to 10^6 and denominators up to 10^3,
+# so the elimination over Q works on large ints and its content reduction
+# has something to divide out.
+
+_WIDE = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                  st.integers(1, 10 ** 3))
+_WIDE_OR_ZERO = st.one_of(st.just(Fraction(0)), _WIDE)
+
+
+def _all_fractions(rows) -> bool:
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@st.composite
+def _wide_stack(draw, n=None, max_rows=5):
+    """Up to 8 rows of wide entries: up to `max_rows` drawn ones plus up to
+    3 copies or combinations of them, shuffled, so rank-deficient stacks
+    and negative pivots occur."""
+    if n is None:
+        n = draw(st.integers(1, 7))
+    row = st.lists(_WIDE_OR_ZERO, min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=max_rows))
+    if rows:
+        for _ in range(draw(st.integers(0, 3))):
+            a = draw(st.sampled_from(rows))
+            b = draw(st.sampled_from(rows))
+            c = draw(_WIDE_OR_ZERO)
+            rows.append([x + c * y for x, y in zip(a, b)])
+    return n, draw(st.permutations(rows))
+
+
+@given(_wide_stack())
+def test_wide_rref_matches_reference(case):
+    n, rows = case
+    got = rref(QQ, n, rows).basis
+    assert got == ref_rref(QQ, n, rows)
+    assert _all_fractions(got)
+    assert_canonical(QQ, got)
+
+
+@given(_wide_stack(), st.data())
+def test_wide_dot_and_reduce_match_reference(case, data):
+    n, rows = case
+    x = data.draw(st.lists(_WIDE_OR_ZERO, min_size=n, max_size=n))
+    for r in rows:
+        got = dot(QQ, tuple(x), tuple(r))
+        assert got == ref_dot(QQ, x, r)
+        assert type(got) is Fraction
+    s = rref(QQ, n, rows)
+    got = reduce_mod_subspace(s, x)
+    assert got == ref_reduce(QQ, s.basis, x)
+    assert _all_fractions([got])
+
+
+def _ref_solution(n, rows, rhs):
+    """The reference elimination of [rows | rhs]: None when a pivot falls
+    in the last column, else the left block and the solution with the free
+    variables zero."""
+    reduced = ref_rref(QQ, n + 1, [list(r) + [b] for r, b in zip(rows, rhs)])
+    x = [Fraction(0)] * n
+    for row in reduced:
+        piv = next(j for j, v in enumerate(row) if v != 0)
+        if piv == n:
+            return None
+        x[piv] = row[n]
+    return tuple(row[:n] for row in reduced), tuple(x)
+
+
+@given(_wide_stack(), st.data())
+def test_wide_solve_and_meet_match_reference(case, data):
+    n, rows = case
+    # consistent right-hand sides half the time (the values at a point),
+    # so both None and a point occur
+    if data.draw(st.booleans()):
+        point = data.draw(st.lists(_WIDE_OR_ZERO, min_size=n, max_size=n))
+        rhs = [ref_dot(QQ, r, point) for r in rows]
+    else:
+        rhs = data.draw(st.lists(_WIDE_OR_ZERO, min_size=len(rows),
+                                 max_size=len(rows)))
+    want = _ref_solution(n, rows, rhs)
+    got = solve_linear(QQ, n, rows, rhs)
+    assert got == (None if want is None else want[1])
+    cut = data.draw(st.integers(0, len(rows)))
+    parts = [([QQ.vector(r) for r in rows[:cut]], rhs[:cut]),
+             ([QQ.vector(r) for r in rows[cut:]], rhs[cut:])]
+    met = _meet(QQ, n, parts)
+    assert met == want
+    if met is not None:
+        basis, x = met
+        assert _all_fractions(basis) and _all_fractions([x])
+        assert all(ref_dot(QQ, r, x) == b for r, b in zip(rows, rhs))
+
+
+@st.composite
+def _wide_square(draw):
+    """n rows of n wide entries: a `_wide_stack` of at most n drawn rows,
+    padded with drawn rows, so singular matrices occur."""
+    n = draw(st.integers(1, 5))
+    _, rows = draw(_wide_stack(n=n, max_rows=n))
+    row = st.lists(_WIDE_OR_ZERO, min_size=n, max_size=n)
+    return n, (rows + draw(st.lists(row, min_size=n, max_size=n)))[:n]
+
+
+@given(_wide_square())
+def test_wide_mat_inverse_matches_reference(case):
+    n, rows = case
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    reduced = ref_rref(QQ, 2 * n,
+                       [list(r) + e for r, e in zip(rows, identity)])
+    left = [list(r[:n]) for r in reduced]
+    m = tuple(QQ.vector(r) for r in rows)
+    if left != identity:
+        with pytest.raises(ZeroDivisionError):
+            mat_inverse(QQ, m)
+        return
+    inv = mat_inverse(QQ, m)
+    assert inv == tuple(tuple(r[n:]) for r in reduced)
+    assert _all_fractions(inv)
+    assert all(ref_dot(QQ, r, col) == identity[i][j]
+               for i, r in enumerate(m) for j, col in enumerate(zip(*inv)))

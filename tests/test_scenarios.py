@@ -10,7 +10,7 @@ from toytheory.phase_space import discrete_space
 from toytheory.scenarios import (
     FRCandidate, check_fr_conditions, fr_chain_initial,
     fr_chain_sequential, run_bell, run_forgetting, run_wigner_friend,
-    search_fr_paradox, _FR_BENIGN_SAMPLES, _FR_COUNTERS,
+    search_fr_paradox, _FR_BENIGN_SAMPLES, _FR_COUNTERS, _FR_PARADOX_SAMPLES,
     _block_support, _fr_candidate_from_ints, _fr_conditions_single,
     _fr_orbit_draws, _fr_orbits, _fr_rederive, _fr_scan, _fr_tables,
     _fr_valuation_classes, _perp_of_elems, _random_fr_tuple,
@@ -197,7 +197,7 @@ def test_fast_scan_slice_agrees_with_merge_and_finds_nothing():
     assert [scan[k] for k in _FR_COUNTERS] == [
         sum(counts[i] for _, counts in scan["counters"])
         for i in range(len(_FR_COUNTERS))]
-    assert scan["paradoxes"] == []
+    assert scan["paradox_count"] == 0 and scan["paradox_sample"] == []
     # the sample keeps at most one tuple per known-set; its first stratum
     # starts at the first known-set
     sample = scan["benign_sample"]
@@ -224,7 +224,8 @@ def _classes_with_distinct_counters(classes, counters) -> int:
 def test_full_scan_counters_are_constant_on_orbits(full_scan):
     t = _fr_tables()
     assert {k: full_scan[k] for k in _FR_COUNTERS} == FR_TOTALS
-    assert full_scan["paradoxes"] == []
+    assert full_scan["paradox_count"] == 0
+    assert full_scan["paradox_sample"] == []
     # every valuation class of a known-set has the same counters
     by_state: dict = {}
     for li, counts in full_scan["counters"]:
@@ -251,7 +252,7 @@ def test_representative_counters_are_constant_over_valuations():
         assert len(vs) == _fr_valuation_classes(t, cls[0]) == 16
         scan = _fr_scan(t, [(cls[0], v, 1) for v in vs])
         assert len({counts for _, counts in scan["counters"]}) == 1
-        assert scan["paradoxes"] == []
+        assert scan["paradox_count"] == 0
 
 
 def _local_generators() -> list:
@@ -337,12 +338,39 @@ def test_orbit_check_fails_on_valuation_dependent_counters(monkeypatch,
     assert not r.passed
 
 
-def test_item_counters_end_with_the_paradox_count():
+def _every_paradox(monkeypatch, t, items, *rest) -> dict:
+    """The scan with no bound on its paradox sample: the list of every
+    paradox tuple, in the order found."""
+    with monkeypatch.context() as m:
+        m.setattr(scenarios, "_FR_PARADOX_SAMPLES", 1 << 62)
+        return _fr_scan(t, items, *rest)
+
+
+def test_item_counters_end_with_the_paradox_count(monkeypatch):
     t = _fr_tables()
+    listed = _every_paradox(monkeypatch, t, _ones(3), True)["paradox_sample"]
     scan = _fr_scan(t, _ones(3), weaken_condition1=True)
     assert [counts[4] for _, counts in scan["counters"]] == \
-        [sum(tup[0] == li for tup in scan["paradoxes"]) for li in range(3)]
-    assert len(scan["paradoxes"]) > 0
+        [sum(tup[0] == li for tup in listed) for li in range(3)]
+    assert scan["paradox_count"] == len(listed) > 0
+
+
+def test_weakened_scan_counts_without_storing(monkeypatch):
+    # a weakened scan over a few representatives: the same count and sample
+    # as the reading that lists every paradox, from at most five tuples
+    t = _fr_tables()
+    items = [(cls[0], 0, 1) for cls in t.orbits[:3]]
+    full = _every_paradox(monkeypatch, t, items, True)
+    scan = _fr_scan(t, items, weaken_condition1=True)
+    listed = full["paradox_sample"]
+    assert len(listed) > _FR_PARADOX_SAMPLES == 5
+    assert full["paradox_count"] == scan["paradox_count"] == len(listed)
+    assert scan["paradox_sample"] == listed[:5]
+    assert scan["counters"] == full["counters"]
+    for stop in (1, 5, 7):
+        cut = _fr_scan(t, items, True, stop)
+        assert cut["paradox_count"] == stop
+        assert cut["paradox_sample"] == listed[:min(stop, 5)]
 
 
 def test_unit_weights_miss_the_state_count(monkeypatch):
@@ -565,9 +593,9 @@ def test_sequential_reading_never_assembles_paradox(rng):
 def test_mutated_search_finds_false_positives():
     t = _fr_tables()
     stats = _fr_scan(t, _ones(40), weaken_condition1=True, stop_after=3)
-    assert len(stats["paradoxes"]) >= 1
+    assert stats["paradox_count"] == len(stats["paradox_sample"]) == 3
     # and each false positive indeed fails one of the dropped conditions
-    for tup in stats["paradoxes"]:
+    for tup in stats["paradox_sample"]:
         conds = _fr_conditions_single(t, *tup)
         assert not all(conds[:3])
         assert all(conds[3:])
@@ -833,7 +861,7 @@ def test_pool_context_prefers_fork(monkeypatch):
 def test_mutation_control_same_under_spawn_and_fork(monkeypatch):
     # the pool runs only the spot checks, so they are what a start method
     # could change; the mutation control scans in the calling process and
-    # hands the pool empty shares
+    # starts no pool
     import multiprocessing as mp
 
     def events():
@@ -853,6 +881,25 @@ def test_mutation_control_same_under_spawn_and_fork(monkeypatch):
     assert (forked[0]["checked"], forked[0]["sequential_checked"]) == (5, 1)
     # stop_after counts the paradoxes of the one scan
     assert forked[1]["paradox_count"] == 3
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"weaken_condition1": True, "stop_after": 3}, {"spot_checks": 0}])
+def test_no_pool_without_spot_checks(monkeypatch, kwargs):
+    # with nothing to check no pool starts, and the report is the one
+    # worker's, apart from the worker count in its config
+    def no_pool():
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(scenarios, "_pool_context", no_pool)
+    one = search_fr_paradox(d=2, exhaustive=True, workers=1, seed=2,
+                            **kwargs).to_jsonable()
+    two = search_fr_paradox(d=2, exhaustive=True, workers=2, seed=2,
+                            **kwargs).to_jsonable()
+    assert two["config"].pop("workers") == 2
+    assert one["config"].pop("workers") == 1
+    assert two == one
+    assert one["passed"]
 
 
 @pytest.mark.parametrize("chain_holds", [True, False])

@@ -10,11 +10,11 @@ Row arithmetic lives in the field classes.  `PrimeField` and `RationalField`
 each own the same row kernels (`vector`, `dot`, `add_rows`, `sub_rows`,
 `scale_row`, `sub_scaled`), and the functions below call them once per row,
 never once per scalar.  Over Z_p a kernel is one whole-row expression with
-one ``% p`` per entry.  Over Q a kernel builds at most one `Fraction` per
-output entry (`dot` and `sub_scaled` work on numerators and denominators as
-ints), and `RationalField.rref_rows` eliminates over Z: each row is scaled
-to ints by the lcm of its denominators and kept divided by its content gcd,
-and the canonical rows come back as `Fraction`s over their pivots.
+one ``% p`` per entry.  Over Q a kernel is `Fraction` arithmetic, but `dot`
+sums numerators over a running common denominator and builds one `Fraction`,
+and `RationalField.rref_rows` eliminates over Z: each row is scaled to ints
+by the lcm of its denominators and kept divided by its content gcd, and the
+canonical rows come back as `Fraction`s over their pivots.
 
 Scalar contract (`coerce` and `vector`): ints (reduced mod p, negative ones
 too), `Fraction`s (reduced mod p through the inverse of the denominator),
@@ -177,9 +177,9 @@ class RationalField:
             raise ZeroDivisionError("no inverse of 0")
         return 1 / Fraction(a)
 
-    # row kernels: the same rows as over Z_p; each built Fraction costs a
-    # gcd, so a kernel builds at most one per output entry, working on
-    # numerators and denominators as ints, and passes zero entries through
+    # row kernels: the same rows as over Z_p, in Fraction arithmetic; each
+    # Fraction built costs a gcd, so zero entries are passed through and
+    # `dot`, the most called, builds only its result
 
     def vector(self, entries: Iterable) -> VectorT:
         return tuple([x if type(x) is Fraction else self.coerce(x)
@@ -210,11 +210,7 @@ class RationalField:
 
     def sub_scaled(self, a: VectorT, c, b: VectorT) -> VectorT:
         """a - c*b."""
-        cn, cd = c.numerator, c.denominator
-        return tuple([Fraction(x.numerator * cd * y.denominator
-                               - cn * y.numerator * x.denominator,
-                               x.denominator * cd * y.denominator) if y else x
-                      for x, y in zip(a, b)])
+        return tuple([x - c * y if y else x for x, y in zip(a, b)])
 
     def rref_rows(self, rows: Sequence[VectorT]) -> tuple[list, list]:
         """`_rref_rows` over Q, eliminated over Z.

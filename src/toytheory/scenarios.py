@@ -1007,8 +1007,7 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     the N dealt shares, worker i checking the draws i, i + N, i + 2N, ...
     (empty shares included), and the calling process sums the shares
     (`_merge_spot_checks`), so the report is the same for every N.  With
-    one worker the single share runs in the calling process, and with no
-    draws (the mutation control, ``spot_checks=0``) no pool starts.  The spot
+    one worker the single share runs in the calling process.  The spot
     checks' ``digest`` is the CRC-32 of all the drawn tuples, so two reports
     show whether they checked the same configurations (a checksum is enough
     to tell draws apart, and ``hashlib`` would load OpenSSL, about 3.6 MB of
@@ -1049,14 +1048,12 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     checks = [(_random_fr_tuple(t, rng), i < sequential_checks)
               for i in range(spot_checks if run_spot_checks else 0)]
     stats = _fr_scan(t, items, weaken_condition1, stop_after)
-    if not checks:
-        spot_parts = []
-    elif workers > 1:
+    shares = [checks[i::workers] for i in range(workers)]
+    if workers > 1:
         with _pool_context().Pool(workers) as pool:
-            spot_parts = pool.map(_fr_worker, [checks[i::workers]
-                                               for i in range(workers)])
+            spot_parts = pool.map(_fr_worker, shares)
     else:
-        spot_parts = [_fr_worker(checks)]
+        spot_parts = [_fr_worker(shares[0])]
     paradox_count = stats.pop("paradox_count")
     paradox_sample = stats.pop("paradox_sample")
     benign = stats.pop("benign_sample")

@@ -861,7 +861,7 @@ def test_pool_context_prefers_fork(monkeypatch):
 def test_mutation_control_same_under_spawn_and_fork(monkeypatch):
     # the pool runs only the spot checks, so they are what a start method
     # could change; the mutation control scans in the calling process and
-    # starts no pool
+    # hands the pool empty shares
     import multiprocessing as mp
 
     def events():
@@ -881,25 +881,6 @@ def test_mutation_control_same_under_spawn_and_fork(monkeypatch):
     assert (forked[0]["checked"], forked[0]["sequential_checked"]) == (5, 1)
     # stop_after counts the paradoxes of the one scan
     assert forked[1]["paradox_count"] == 3
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"weaken_condition1": True, "stop_after": 3}, {"spot_checks": 0}])
-def test_no_pool_without_spot_checks(monkeypatch, kwargs):
-    # with nothing to check no pool starts, and the report is the one
-    # worker's, apart from the worker count in its config
-    def no_pool():
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(scenarios, "_pool_context", no_pool)
-    one = search_fr_paradox(d=2, exhaustive=True, workers=1, seed=2,
-                            **kwargs).to_jsonable()
-    two = search_fr_paradox(d=2, exhaustive=True, workers=2, seed=2,
-                            **kwargs).to_jsonable()
-    assert two["config"].pop("workers") == 2
-    assert one["config"].pop("workers") == 1
-    assert two == one
-    assert one["passed"]
 
 
 @pytest.mark.parametrize("chain_holds", [True, False])

@@ -10,6 +10,10 @@ has positive probability.  The exhaustive search shows there is none at
 d = 2 with one toy bit per block, matching the algebraic argument that the
 seven necessary conditions force Wigner's two outcomes to coincide.
 
+The seven conditions are the chain's `measurement.inference_conditions`
+pairs plus P(ok, ok) > 0: one exact kernel for the condition report, the
+chain and the sampled search, which the scan's bit-packed tables must match.
+
 Two readings of the inference chain are implemented and reported: the primary
 one evaluates every inference against the single initial state; the
 sequential one walks the branch tree of the four measurements in order and
@@ -28,8 +32,7 @@ from typing import Optional, Sequence
 
 from . import _gf2
 from .algebra import (
-    Subspace, dot, enumerate_coset, rref, subspace_intersection,
-    subspace_sum, vec_add, vec_sub,
+    Subspace, dot, enumerate_coset, rref, vec_add, vec_sub,
 )
 from .dynamics import (
     apply_to_state, cnot_gate, compose_transforms, random_symplectic,
@@ -37,12 +40,12 @@ from .dynamics import (
 )
 from .errors import DimensionMismatch, SearchSpaceExceeded
 from .measurement import (
-    Measurement, Outcome, _branches, infers, is_certain, make_measurement,
-    outcome_for_label, outcome_from_valuation, outcome_probability, outcomes,
-    update_state,
+    Measurement, Outcome, _branches, inference_conditions, infers,
+    is_certain, make_measurement, outcome_for_label, outcome_from_valuation,
+    outcome_probability, outcomes, update_state,
 )
 from .phase_space import (
-    PhaseSpace, commutant_within, discrete_space, supported_systems,
+    PhaseSpace, discrete_space, supported_systems,
 )
 from .states import (
     EpistemicState, is_valid_support, make_state, marginal,
@@ -301,46 +304,37 @@ def _orthogonal_to(field, sub: Subspace, x) -> bool:
     return not any(dot(field, b, x) for b in sub.basis)
 
 
+# The chain's three inferences: (key, premise agent, premise outcome,
+# conclusion agent, conclusion outcome).
+_FR_CHAIN = (("infers_u_b", "U", "U=ok", "B", "B=1"),
+             ("infers_b_a", "B", "B=1", "A", "A=1"),
+             ("infers_a_w", "A", "A=1", "W", "W=fail"))
+
+
 def check_fr_conditions(c: FRCandidate) -> ConditionReport:
     """Evaluate the seven algebraic conditions any paradox would need.
 
-    Three subset conditions say each inference's conclusion is reachable from
-    the premise's commutant; four membership conditions say the outcome
-    valuations are consistent with the state.  When all seven hold, Wigner's
-    ok and fail valuations are forced to label the same outcome, so no
-    configuration with distinct outcomes survives.
+    (c1, c5), (c2, c6) and (c3, c7) are the two `inference_conditions` of
+    U=ok => B=1, B=1 => A=1 and A=1 => W=fail on the initial state: V_Y ⊆
+    K_X ⊕ V_X (K_X the commutant of V_X within V), and the values of K_X,
+    X's label x1 and Y's label y1 are jointly solvable.  c4 is P(ok, ok) > 0.
+    The solvability is the membership y1 + x1 - v ⊥ (V_Y ⊕ V_X) ∩ K_X: a
+    solution exists iff a.x1 + b.y1 = (a + b).v for a in V_X, b in V_Y with
+    a + b in K_X, and the cross terms a.y1, b.x1 vanish, since `FRCandidate`
+    keeps each V_X and outcome vector in its own block and the two blocks of
+    each pair are disjoint (c4 likewise, with K_X = V).  When all seven hold,
+    Wigner's ok and fail valuations are forced to label the same outcome, so
+    no configuration with distinct outcomes survives.
     """
-    field = c.space.field
-    v = c.initial.valuation
-    known = c.initial.known
-    comm_u = commutant_within(known, c.v_u)
-    comm_b = commutant_within(known, c.v_b)
-    comm_a = commutant_within(known, c.v_a)
-
-    def subset(x: Subspace, y: Subspace) -> bool:
-        return all(y.contains(g) for g in x.basis)
-
-    cond1 = subset(c.v_b, subspace_sum(comm_u, c.v_u))
-    cond2 = subset(c.v_a, subspace_sum(comm_b, c.v_b))
-    cond3 = subset(c.v_w, subspace_sum(comm_a, c.v_a))
-
-    def member(x, s, t):
-        return _orthogonal_to(field, subspace_intersection(s, t), x)
-
-    def comb(*vecs):
-        acc = vecs[0]
-        for w in vecs[1:]:
-            acc = vec_add(field, acc, w)
-        return vec_sub(field, acc, v)
-
-    cond4 = member(comb(c.u_ok, c.w_ok), subspace_sum(c.v_u, c.v_w), known)
-    cond5 = member(comb(c.b1, c.u_ok), subspace_sum(c.v_b, c.v_u), comm_u)
-    cond6 = member(comb(c.a1, c.b1), subspace_sum(c.v_b, c.v_a), comm_b)
-    cond7 = member(comb(c.a1, c.w_fail), subspace_sum(c.v_a, c.v_w), comm_a)
-
-    conditions = (cond1, cond2, cond3, cond4, cond5, cond6, cond7)
+    m = c.measurements()
+    subsets, members = zip(*(
+        inference_conditions(c.initial, m[pa], c.outcome(po), m[ca],
+                             c.outcome(co))
+        for _, pa, po, ca, co in _FR_CHAIN))
+    conditions = subsets + (c.p_ok_ok > 0,) + members
     all_hold = all(conditions)
 
+    field = c.space.field
     diff = vec_sub(field, c.w_ok, c.w_fail)
     equal = _orthogonal_to(field, c.v_w, diff)
     consistent = (not all_hold) or equal
@@ -355,22 +349,19 @@ def check_fr_conditions(c: FRCandidate) -> ConditionReport:
                            msg)
 
 
-# The chain's three inferences: (key, premise agent, premise outcome,
-# conclusion agent, conclusion outcome).
-_FR_CHAIN = (("infers_u_b", "U", "U=ok", "B", "B=1"),
-             ("infers_b_a", "B", "B=1", "A", "A=1"),
-             ("infers_a_w", "A", "A=1", "W", "W=fail"))
+def _fr_chain(rep: ConditionReport) -> dict:
+    """The operational chain read off the seven conditions: each inference
+    is its condition pair, and the chain holds when all seven do."""
+    c = rep.conditions
+    r = {key: c[i] and c[i + 4] for i, (key, *_) in enumerate(_FR_CHAIN)}
+    r["p_ok_ok"] = rep.p_ok_ok
+    r["holds"] = rep.all_hold
+    return r
 
 
 def fr_chain_initial(c: FRCandidate) -> dict:
     """The operational chain, every inference evaluated on the initial state."""
-    m = c.measurements()
-    r = {key: infers(c.initial, m[pa], c.outcome(po), m[ca], c.outcome(co))
-         for key, pa, po, ca, co in _FR_CHAIN}
-    r["p_ok_ok"] = c.p_ok_ok
-    r["holds"] = all((r["infers_u_b"], r["infers_b_a"], r["infers_a_w"],
-                      r["p_ok_ok"] > 0))
-    return r
+    return _fr_chain(check_fr_conditions(c))
 
 
 def fr_chain_sequential(c: FRCandidate) -> dict:
@@ -422,8 +413,8 @@ def fr_chain_sequential(c: FRCandidate) -> dict:
 #   A=1   => W=f   <=>  V_W ⊆ K_A ⊕ V_A  and  a1+wf-v  ⊥ (V_A ⊕ V_W) ∩ K_A
 #   P(ok,ok) > 0   <=>                        uok+wok-v ⊥ (V_U ⊕ V_W) ∩ V
 #
-# with K_X the commutant of V_X inside V.  These are exactly the pred-cert
-# conditions of the general `infers` path, cross-validated by spot checks.
+# with K_X the commutant of V_X inside V: the `inference_conditions` pairs
+# of `check_fr_conditions`, cross-validated by spot checks.
 #
 # Per known-set the scan keeps the masks of conditions 5-7 in lists indexed
 # by premise (t5 by V_B, t7 by V_A), holding only the pairs whose subset
@@ -788,11 +779,12 @@ def _fr_spot_checks(t: _FrTables, checks: Sequence[tuple]) -> dict:
     """Cross-validate the bit-packed scan against the general machinery.
 
     ``checks`` holds (configuration tuple, sequential) pairs.  For each
-    configuration the seven bit-level conditions must equal the
-    exact-subspace conditions; each inference of the operational chain must
-    equal its condition pair; `infers` must agree with the set-enumeration
-    oracle's conditional probabilities; and where ``sequential`` is set the
-    sequential branch reading must never assemble a paradox.
+    configuration the seven bit-level conditions must equal the exact ones
+    (`check_fr_conditions`, evaluated once); the chain read off them must
+    equal the bit-level condition pairs (so it fails only with the first
+    test); each inference must agree with the set-enumeration oracle's
+    conditional probability; and where ``sequential`` is set the sequential
+    branch reading must never assemble a paradox.
     """
     from .oracle import oracle_conditional
     result = {"checked": 0, "sequential_checked": 0,
@@ -804,7 +796,7 @@ def _fr_spot_checks(t: _FrTables, checks: Sequence[tuple]) -> dict:
         rep = check_fr_conditions(cand)
         if rep.conditions != fast:
             result["conditions_agree"] = False
-        chain = fr_chain_initial(cand)
+        chain = _fr_chain(rep)
         if chain["infers_u_b"] != (fast[0] and fast[4]) or \
            chain["infers_b_a"] != (fast[1] and fast[5]) or \
            chain["infers_a_w"] != (fast[2] and fast[6]) or \
@@ -841,8 +833,8 @@ def _merge_spot_checks(parts: Sequence[dict]) -> dict:
 
 
 def _fr_rederive(t: _FrTables, sample: Sequence[tuple]) -> bool:
-    """True iff there is a sample and the exact-subspace conditions hold for
-    every sampled tuple the scan counted as benign all-seven."""
+    """True iff there is a sample and the exact conditions hold for every
+    sampled tuple the scan counted as benign all-seven."""
     return bool(sample) and all(
         check_fr_conditions(
             _fr_candidate_from_ints(t, *tup, allow_equal=True)).all_hold
@@ -909,12 +901,9 @@ def _fr_sampled_search(d: int, blocks: tuple, rng: random.Random,
             initial=state, blocks=blocks, v_a=v_a, v_b=v_b, v_u=v_u, v_w=v_w,
             a1=pick_outcome(v_a), b1=pick_outcome(v_b),
             u_ok=uok, u_fail=ufail, w_ok=wok, w_fail=wfail)
-        if fr_chain_initial(cand)["holds"]:
+        rep = check_fr_conditions(cand)
+        if rep.all_hold and not rep.w_outcomes_equal:
             found.append(i)
-        else:
-            rep = check_fr_conditions(cand)
-            if rep.all_hold and not rep.w_outcomes_equal:
-                found.append(i)
         if i < sequential_checks:
             if fr_chain_sequential(cand)["holds"]:
                 sequential_paradoxes += 1

@@ -1,16 +1,19 @@
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from toytheory.algebra import QQ, rref
 from fractions import Fraction
 
 # Property tests draw the same examples on every run and have no deadline,
 # so a slow or busy machine cannot fail them and every failure reproduces.
+# The explain phase is left out: it only annotates a shrunk failure, and
+# replaying it made a failing property test take several times as long.
 settings.register_profile(
     "toytheory", deadline=None, derandomize=True, database=None,
-    max_examples=100)
+    max_examples=100,
+    phases=[ph for ph in Phase if ph is not Phase.explain])
 settings.load_profile("toytheory")
 
 

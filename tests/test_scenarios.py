@@ -534,9 +534,12 @@ def test_fast_conditions_match_exact_on_fixed_tuples(rng):
 
 def _set_level_conditions(c):
     """Third, fully independent evaluation of the seven conditions by literal
-    element enumeration (no subspace algebra, no bit packing)."""
+    element enumeration (no subspace algebra, no bit packing), over the
+    candidate's own field and ambient dimension."""
     from toytheory.algebra import enumerate_subspace
     from toytheory.phase_space import bracket_vectors
+    field = c.space.field
+    p, n = field.p, c.space.ambient_dim
     V = set(enumerate_subspace(c.initial.known))
 
     def span_set(sub):
@@ -546,24 +549,25 @@ def _set_level_conditions(c):
 
     def commutant(meas_set):
         return {f for f in V
-                if all(bracket_vectors(F2, f, g) == 0 for g in meas_set)}
+                if all(bracket_vectors(field, f, g) == 0 for g in meas_set)}
 
     KU, KB, KA = commutant(VU), commutant(VB), commutant(VA)
 
     def sumset(xs, ys):
-        return {tuple((x + y) % 2 for x, y in zip(a, b))
+        return {tuple((x + y) % p for x, y in zip(a, b))
                 for a in xs for b in ys}
 
     def perp_contains(sset, x):
-        return all(sum(p * q for p, q in zip(s, x)) % 2 == 0 for s in sset)
+        return all(sum(s_i * x_i for s_i, x_i in zip(s, x)) % p == 0
+                   for s in sset)
 
     v = c.initial.valuation
 
     def comb(*vecs):
-        out = [0] * 8
+        out = [0] * n
         for vec in vecs:
-            out = [(p + q) % 2 for p, q in zip(out, vec)]
-        return tuple((p - q) % 2 for p, q in zip(out, v))
+            out = [(s_i + x_i) % p for s_i, x_i in zip(out, vec)]
+        return tuple((s_i - v_i) % p for s_i, v_i in zip(out, v))
 
     return (VB <= sumset(KU, VU),
             VA <= sumset(KB, VB),
@@ -574,12 +578,31 @@ def _set_level_conditions(c):
             perp_contains(sumset(VA, VW) & KA, comb(c.a1, c.w_fail)))
 
 
-def test_conditions_match_literal_set_enumeration(rng):
+def test_conditions_match_literal_set_enumeration(rng, monkeypatch):
+    # random d = 2 tuples; a scan's benign sample, since random tuples
+    # rarely pass a subset condition and the benign ones pass all seven;
+    # and the sampled search's own candidates at d = 3 and at blocks
+    # (1, 2, 1, 1)
     t = _fr_tables()
-    for _ in range(40):
-        cand = _fr_candidate_from_ints(t, *_random_fr_tuple(t, rng))
-        assert check_fr_conditions(cand).conditions == \
-            _set_level_conditions(cand)
+    benign = _fr_scan(t, _ones(3))["benign_sample"]
+    assert benign
+    cands = [_fr_candidate_from_ints(t, *_random_fr_tuple(t, rng))
+             for _ in range(40)]
+    cands += [_fr_candidate_from_ints(t, *tup, allow_equal=True)
+              for tup in benign]
+    real = scenarios.check_fr_conditions
+    monkeypatch.setattr(scenarios, "check_fr_conditions",
+                        lambda cand: cands.append(cand) or real(cand))
+    for d, blocks in ((3, (1, 1, 1, 1)), (2, (1, 2, 1, 1))):
+        scenarios._fr_sampled_search(d, blocks, random.Random(13), 100, 0)
+    assert len(cands) == 40 + len(benign) + 200
+    seen = set()
+    for cand in cands:
+        conditions = real(cand).conditions
+        assert conditions == _set_level_conditions(cand)
+        seen.update(enumerate(conditions))
+    # every condition is seen both holding and failing
+    assert seen == {(i, x) for i in range(7) for x in (False, True)}
 
 
 def test_sequential_reading_never_assembles_paradox(rng):
@@ -807,10 +830,14 @@ def test_spot_check_digest_tells_the_draws_apart():
         {k: v for k, v in two.items() if k != "digest"}
 
 
+@pytest.mark.parametrize("kernel, wrong", [
+    ("dot2", lambda a, b: 0),
+    ("span_elements", lambda basis: [0] + list(basis)),
+], ids=["dot2", "span_elements"])
 def test_broken_packed_kernel_fails_the_scan_and_spares_the_oracle(
-        monkeypatch):
+        monkeypatch, kernel, wrong):
     # The oracle that spot-checks the bit-packed FR tables must share no
-    # code with them: with `_gf2.dot2` wrong, freshly built tables must
+    # code with them: with a `_gf2` kernel wrong, freshly built tables must
     # disagree with the exact conditions, while the oracle still matches
     # the algebraic rules on the same configurations.
     from toytheory import _gf2
@@ -823,7 +850,7 @@ def test_broken_packed_kernel_fails_the_scan_and_spares_the_oracle(
     rng = random.Random(5)
     tuples = [_random_fr_tuple(good, rng) for _ in range(12)]
     cands = [_fr_candidate_from_ints(good, *tup) for tup in tuples]
-    monkeypatch.setattr(_gf2, "dot2", lambda a, b: 0)
+    monkeypatch.setattr(_gf2, kernel, wrong)
     _gf2.ortho_table.cache_clear()  # rebuilt below on the wrong kernel
     try:
         broken = scenarios._FrTables()
@@ -883,12 +910,9 @@ def test_mutation_control_same_under_spawn_and_fork(monkeypatch):
     assert forked[1]["paradox_count"] == 3
 
 
-@pytest.mark.parametrize("chain_holds", [True, False])
-def test_sampled_search_counts_each_paradox_once(monkeypatch, chain_holds):
-    # a draw is one paradox whether the chain, the seven conditions or both
-    # assemble it
-    monkeypatch.setattr(scenarios, "fr_chain_initial",
-                        lambda cand: {"holds": chain_holds})
+def test_sampled_search_counts_each_paradox_once(monkeypatch):
+    # a draw where all seven conditions hold with distinct Wigner outcomes
+    # is one paradox
     monkeypatch.setattr(scenarios, "check_fr_conditions",
                         lambda cand: SimpleNamespace(
                             all_hold=True, w_outcomes_equal=False))

@@ -61,13 +61,25 @@ def test_support_roundtrip():
 # CLI
 # ---------------------------------------------------------------------------
 
-def _run(args, env_extra=None, stdin=None):
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+def _env(env_extra=None) -> dict:
+    """The test's environment with the checkout's sources first on the
+    child's path, so the CLI runs against the tree, installed or not."""
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def _run(args, env_extra=None, stdin=None):
     return subprocess.run(
         [sys.executable, "-m", "toytheory.cli", *args],
-        capture_output=True, text=True, env=env, input=stdin)
+        capture_output=True, text=True, env=_env(env_extra), input=stdin)
 
 
 @pytest.fixture
@@ -115,7 +127,7 @@ def test_cli_validate_empty_support_exit2(files):
     r = subprocess.run(
         [sys.executable, "-m", "toytheory.cli", "state", "validate",
          str(files / "empty_support.json")],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, env=_env(), timeout=60)
     assert r.returncode == 2
     assert "not a valid epistemic state" in r.stdout
 

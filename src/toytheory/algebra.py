@@ -479,11 +479,23 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     return rref(field, n, rows)
 
 
+def _image_of_kernel(field: FieldT, left: Sequence[VectorT],
+                     right: Sequence[VectorT]) -> tuple:
+    """The canonical basis of {c·R : c·L = 0}: after one elimination of
+    [L | R], the right blocks of the rows whose pivot lies there (each led
+    by a 1 that every other such row is zero under)."""
+    m = len(left[0]) if left else 0
+    reduced, pivots = _rref_rows(
+        field, [tuple(l) + tuple(r) for l, r in zip(left, right)])
+    return tuple(row[m:] for row, c in zip(reduced, pivots) if c >= m)
+
+
 def subspace_intersection(s: Subspace, t: Subspace) -> Subspace:
-    """S ∩ T, realized through complements: (S^⊥ ⊕ T^⊥)^⊥."""
+    """S ∩ T: the combinations c·S of S's rows with c·S ≡ 0 mod T, and
+    reduction mod T is linear, so c·(S's rows reduced mod T) = 0."""
     _check_same_ambient(s, t)
-    return orthogonal_complement(
-        subspace_sum(orthogonal_complement(s), orthogonal_complement(t)))
+    return Subspace(s.field, s.ambient_dim, _image_of_kernel(
+        s.field, [reduce_mod_subspace(t, b) for b in s.basis], s.basis))
 
 
 def enumerate_subspace(s: Subspace) -> Iterator[VectorT]:

@@ -29,8 +29,8 @@ from .errors import (
     EnumerationCapExceeded, NotIsotropic, SearchSpaceExceeded, ToyTheoryError,
 )
 from .measurement import (
-    is_certain, outcome_for_label, outcome_probability, outcomes,
-    sample_outcome, update_state,
+    is_certain, outcome_for_label, outcome_from_valuation,
+    outcome_probability, outcomes, sample_outcome, update_state,
 )
 from .oracle import oracle_probability, oracle_smallest_update
 from .scenarios import (
@@ -215,15 +215,9 @@ def _partition_overlay(m, outs) -> str | None:
     space = m.space
     if space.d != 2 or space.n_systems not in (1, 2):
         return None
-    cosets = [o.coset() for o in outs]
-
-    def labeler(point):
-        for i, c in enumerate(cosets):
-            if c.contains(point):
-                return i
-        return "?"
-
-    return render_grid(maximally_mixed(space), labeler=labeler).to_ascii()
+    index = {o: i for i, o in enumerate(outs)}  # outs are all of m's outcomes
+    return render_grid(maximally_mixed(space), labeler=lambda x: index[
+        outcome_from_valuation(m, x)]).to_ascii()
 
 
 def _cmd_measure(args) -> int:
@@ -314,15 +308,15 @@ def _cmd_scenario(args) -> int:
     elif name == "fr-search":
         request = {"d": args.d, "exhaustive": args.exhaustive,
                    "workers": args.workers, "samples": args.samples,
-                   "spot_checks": args.spot_checks}
+                   "spot_checks": args.spot_checks,
+                   "weaken_condition1": args.mutated}
         check_fr_request(**request)  # no progress line for a bad request
         if args.exhaustive and args.format == "text":
             print("scanning 18 orbit representatives of 2295 pure known-sets "
                   "at one valuation each, weighted x 16 valuations, "
                   "x block-local measurements...",
                   file=sys.stderr)
-        report = search_fr_paradox(**request, seed=args.seed,
-                                   weaken_condition1=args.mutated)
+        report = search_fr_paradox(**request, seed=args.seed)
     elif name == "condprep-search":
         report = _condprep_search(args)
     else:
@@ -441,8 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--samples", type=int, default=2000)
     sc.add_argument("--spot-checks", type=int, default=DEFAULT_SPOT_CHECKS)
     sc.add_argument("--mutated", action="store_true",
-                    help="fr-search: weaken the inference conditions "
-                         "(sensitivity control; finds false positives)")
+                    help="fr-search --exhaustive: weaken the inference "
+                         "conditions (sensitivity control; finds false "
+                         "positives)")
     sc.add_argument("--targets", help="condprep-search: e.g. 0,+")
     sc.add_argument("--ancilla", type=int, default=0)
     sc.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP)

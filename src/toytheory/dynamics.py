@@ -274,7 +274,7 @@ def observable_copy_transform(f: Observable, v: Observable) -> SymplecticTransfo
 # ---------------------------------------------------------------------------
 
 def transvection(field: FieldT, v: VectorT, c=None) -> tuple:
-    """T(x) = x + c[x,v]v, symplectic for any nonzero v and scalar c."""
+    """T(x) = x + c[v,x]v, symplectic for any nonzero v and scalar c."""
     if c is None:
         c = field.one
     dual = symplectic_dual(field, v)

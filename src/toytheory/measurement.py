@@ -9,9 +9,10 @@ support, the update keeps the commuting part of prior knowledge and adjoins
 the measured observables at a point of the meet, and an inference asks
 whether the retained, premise and conclusion constraints are solvable
 together.  `branches` gives every outcome's probability and post-state at
-once, building V_π ⊕ V_commute a single time.  Outcomes partition the
-ontic space; `Outcome.coset` is the solution set V_π^⊥ + v_π of an
-outcome's constraints.
+once, building V_π ⊕ V_commute a single time.  An outcome is its label
+alone, so two outcomes of a measurement are equal exactly when their labels
+are.  Outcomes partition the ontic space; `Outcome.coset` solves for the
+solution set V_π^⊥ + v_π of an outcome's constraints when asked.
 
 Note on outcome labels: the label records the values of the measured
 observables themselves.  Measuring <q> on a state that knows 2q = 6 yields
@@ -28,8 +29,8 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     Coset, PrimeField, Subspace, VectorT, _meet,
-    dot, orthogonal_complement, reduce_mod_subspace, rref, solve_linear,
-    subspace_sum,
+    make_coset, orthogonal_complement, reduce_mod_subspace, rref,
+    solve_linear, subspace_sum,
 )
 from .errors import (
     ContinuousNotEnumerable, DimensionMismatch, ImpossibleOutcome,
@@ -52,12 +53,13 @@ class Measurement:
 @dataclass(frozen=True)
 class Outcome:
     measurement: Measurement
-    valuation: tuple  # canonical shift of V_pi^⊥
-    label: tuple      # values of the canonical generators
+    label: tuple  # values of the canonical generators, the outcome itself
 
     def coset(self) -> Coset:
-        return Coset(orthogonal_complement(self.measurement.observables),
-                     self.valuation)
+        m = self.measurement
+        point = solve_linear(m.space.field, m.space.ambient_dim,
+                             m.observables.basis, self.label)
+        return make_coset(orthogonal_complement(m.observables), point)
 
     def constraints(self) -> tuple[tuple, tuple]:
         """The measured rows g and the values g.x = label they take."""
@@ -78,24 +80,24 @@ def make_measurement(space: PhaseSpace, observables: Iterable) -> Measurement:
 
 
 def outcome_from_valuation(m: Measurement, valuation: Iterable) -> Outcome:
-    """The outcome whose compatible coset contains the given ontic vector."""
+    """The outcome whose compatible coset contains the given ontic vector:
+    the values the canonical generators take on it."""
     field = m.space.field
-    shift = reduce_mod_subspace(orthogonal_complement(m.observables), valuation)
-    label = tuple(dot(field, g, shift) for g in m.observables.basis)
-    return Outcome(m, shift, label)
+    x = field.vector(valuation)
+    if len(x) != m.space.ambient_dim:
+        raise DimensionMismatch(
+            f"vector length {len(x)} != ambient dimension {m.space.ambient_dim}")
+    return Outcome(m, tuple([field.dot(g, x) for g in m.observables.basis]))
 
 
 def outcome_for_label(m: Measurement, label: Iterable) -> Outcome:
-    """The outcome on which each canonical generator takes the given value."""
-    field = m.space.field
-    values = [field.coerce(x) for x in label]
+    """The outcome on which each canonical generator takes the given value
+    (independent generators take every label)."""
+    values = m.space.field.vector(label)
     if len(values) != m.observables.dim:
         raise DimensionMismatch(
             f"label needs {m.observables.dim} values, got {len(values)}")
-    v = solve_linear(field, m.space.ambient_dim, m.observables.basis, values)
-    if v is None:
-        raise InvariantViolation("independent generators take every label")
-    return outcome_from_valuation(m, v)
+    return Outcome(m, values)
 
 
 def outcomes(m: Measurement) -> list[Outcome]:
@@ -106,7 +108,7 @@ def outcomes(m: Measurement) -> list[Outcome]:
             "rational outcome sets are infinite; construct outcomes "
             "explicitly via outcome_from_valuation / outcome_for_label")
     labels = itertools.product(field.elements(), repeat=m.observables.dim)
-    return [outcome_for_label(m, lab) for lab in labels]
+    return [Outcome(m, lab) for lab in labels]
 
 
 def _check_outcome(s: EpistemicState, m: Measurement, out: Outcome):

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .algebra import (
-    FieldT, GF, PrimeField, QQ, Subspace, VectorT, _rref_rows, dot, vector,
+    FieldT, GF, PrimeField, QQ, Subspace, VectorT, _image_of_kernel, dot,
+    vector,
 )
 from .config import enumeration_cap
 from .errors import DimensionMismatch, EnumerationCapExceeded
@@ -154,24 +155,15 @@ def is_isotropic(s: Subspace) -> bool:
 
 
 def commutant_within(v: Subspace, v_pi: Subspace) -> Subspace:
-    """{f in V : [f, g] = 0 for all g in V_pi}, in one elimination.
-
-    Row i of [[g_1, b_i], ..., [g_m, b_i] | b_i] pairs V's basis row b_i
-    with its brackets against V_pi's basis.  A combination of these rows has
-    left block zero exactly when its right block c.B commutes with V_pi, so
-    after elimination the rows whose pivot lies in the right block are the
-    commutant's canonical basis: each is led by a 1 that every other such
-    row is zero under, and V's rows are independent.
-    """
+    """{f in V : [f, g] = 0 for all g in V_pi}, in one elimination: a
+    combination c·B of V's basis rows b_i commutes with V_pi exactly when
+    c·L = 0, L's row i holding the brackets [g_1, b_i], ..., [g_m, b_i]."""
     if v.ambient_dim != v_pi.ambient_dim or v.field != v_pi.field:
         raise DimensionMismatch("subspaces live in different phase spaces")
     field = v.field
-    m = v_pi.dim
-    reduced, pivots = _rref_rows(
-        field, [tuple([bracket_vectors(field, g, b) for g in v_pi.basis]) + b
-                for b in v.basis])
-    return Subspace(field, v.ambient_dim,
-                    tuple(row[m:] for row, c in zip(reduced, pivots) if c >= m))
+    return Subspace(field, v.ambient_dim, _image_of_kernel(
+        field, [[bracket_vectors(field, g, b) for g in v_pi.basis]
+                for b in v.basis], v.basis))
 
 
 def embed_vector(space: PhaseSpace, system_offset: int, v: VectorT) -> VectorT:

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from . import _gf2
 from .algebra import (
-    Subspace, dot, enumerate_coset, rref, vec_add, vec_sub,
+    Subspace, enumerate_coset, rref, solve_linear, vec_add,
 )
 from .dynamics import (
     apply_to_state, cnot_gate, compose_transforms, random_symplectic,
@@ -45,7 +45,7 @@ from .measurement import (
     outcome_probability, outcomes, update_state,
 )
 from .phase_space import (
-    PhaseSpace, discrete_space, supported_systems,
+    PhaseSpace, discrete_space, is_isotropic, supported_systems,
 )
 from .states import (
     EpistemicState, is_valid_support, make_state, marginal,
@@ -209,11 +209,12 @@ class FRCandidate:
     """A complete four-agent configuration on R ⊕ A ⊕ S ⊕ B.
 
     Measurement subspaces are block-local (V_A on R, V_B on S, V_U on R+A,
-    V_W on S+B) and every outcome vector is supported on its measurement's
-    block, which makes the cross-block orthogonality normalizations of the
-    algebraic conditions automatic.  ok/fail outcome pairs must be distinct
-    outcomes unless ``allow_equal_outcomes`` is set (search internals use
-    that to count configurations where all seven conditions hold benignly).
+    V_W on S+B), and each outcome is given by an ontic vector supported on
+    its measurement's block; the outcome is the label the vector takes
+    (`outcome`), so the block check only validates the input.  ok/fail
+    outcome pairs must be distinct outcomes unless ``allow_equal_outcomes``
+    is set (search internals use that to count configurations where all
+    seven conditions hold benignly).
     """
 
     initial: EpistemicState
@@ -255,10 +256,8 @@ class FRCandidate:
             if not supported_systems(space, vec_) <= block:
                 raise DimensionMismatch(f"outcome vector {name} leaves its block")
         if not self.allow_equal_outcomes:
-            field = space.field
-            for name, sub, x, y in (("U", self.v_u, self.u_ok, self.u_fail),
-                                    ("W", self.v_w, self.w_ok, self.w_fail)):
-                if _orthogonal_to(field, sub, vec_sub(field, x, y)):
+            for name in ("U", "W"):
+                if self.outcome(f"{name}=ok") == self.outcome(f"{name}=fail"):
                     raise DimensionMismatch(
                         f"{name}'s ok and fail label the same outcome")
 
@@ -300,10 +299,6 @@ class ConditionReport:
     message: str
 
 
-def _orthogonal_to(field, sub: Subspace, x) -> bool:
-    return not any(dot(field, b, x) for b in sub.basis)
-
-
 # The chain's three inferences: (key, premise agent, premise outcome,
 # conclusion agent, conclusion outcome).
 _FR_CHAIN = (("infers_u_b", "U", "U=ok", "B", "B=1"),
@@ -334,9 +329,7 @@ def check_fr_conditions(c: FRCandidate) -> ConditionReport:
     conditions = subsets + (c.p_ok_ok > 0,) + members
     all_hold = all(conditions)
 
-    field = c.space.field
-    diff = vec_sub(field, c.w_ok, c.w_fail)
-    equal = _orthogonal_to(field, c.v_w, diff)
+    equal = c.outcome("W=ok") == c.outcome("W=fail")
     consistent = (not all_hold) or equal
     if all_hold:
         msg = ("all seven conditions hold; Wigner's ok and fail valuations "
@@ -844,7 +837,6 @@ def _fr_rederive(t: _FrTables, sample: Sequence[tuple]) -> bool:
 def _random_block_subspace(space: PhaseSpace, rng: random.Random,
                            systems: Sequence[int], dim: int) -> Subspace:
     field = space.field
-    from .phase_space import is_isotropic
     coords = [c for s in systems for c in space.system_coords(s)]
     while True:
         rows = []
@@ -875,14 +867,15 @@ def _fr_sampled_search(d: int, blocks: tuple, rng: random.Random,
     sequential_paradoxes = 0
 
     def pick_outcome(sub: Subspace):
-        from .algebra import solve_linear
         lab = [field.coerce(rng.randrange(field.p)) for _ in sub.basis]
         return solve_linear(field, space.ambient_dim, sub.basis, lab)
 
     def pick_other_outcome(sub: Subspace, ok):
+        m = Measurement(space, sub)
+        ok_out = outcome_from_valuation(m, ok)
         while True:
             fail = pick_outcome(sub)
-            if not _orthogonal_to(field, sub, vec_sub(field, ok, fail)):
+            if outcome_from_valuation(m, fail) != ok_out:
                 return fail
 
     for i in range(samples):
@@ -930,15 +923,18 @@ def check_fr_request(d: int = 2, blocks: tuple = (1, 1, 1, 1),
                      exhaustive: bool = False, workers: int = 1,
                      samples: int = 2000,
                      spot_checks: int = DEFAULT_SPOT_CHECKS,
-                     sequential_checks: int = 48) -> None:
+                     sequential_checks: int = 48,
+                     weaken_condition1: bool = False) -> None:
     """Raise what `search_fr_paradox` raises for these arguments, before
     any work.
 
     ValueError when ``blocks`` is not four ints of at least 1 (the toy
     bits of R, A, S and B), when ``workers`` < 1, ``spot_checks`` < 0 or
     ``sequential_checks`` < 0, and in sampled mode when ``samples`` < 1 (a
-    verdict over no samples would pass on no evidence); SearchSpaceExceeded
-    for an exhaustive search other than d = 2 with one toy bit per block.
+    verdict over no samples would pass on no evidence) or with
+    ``weaken_condition1`` (it has no weakened control to run);
+    SearchSpaceExceeded for an exhaustive search other than d = 2 with one
+    toy bit per block.
     """
     if not (isinstance(blocks, (tuple, list)) and len(blocks) == 4
             and all(type(b) is int and b >= 1 for b in blocks)):
@@ -951,6 +947,9 @@ def check_fr_request(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     for name, value, least in bounds:
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+    if weaken_condition1 and not exhaustive:
+        raise ValueError("weaken_condition1 needs exhaustive mode: the "
+                         "sampled search has no weakened control")
     if exhaustive and (d != 2 or tuple(blocks) != (1, 1, 1, 1)):
         raise SearchSpaceExceeded(
             "exhaustive mode covers d=2 with one toy bit per block; "
@@ -1005,7 +1004,7 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     Raises what `check_fr_request` raises.
     """
     check_fr_request(d, blocks, exhaustive, workers, samples, spot_checks,
-                     sequential_checks)
+                     sequential_checks, weaken_condition1)
     config = {"d": d, "blocks": tuple(blocks), "exhaustive": exhaustive,
               "workers": workers, "seed": seed,
               "weaken_condition1": weaken_condition1}

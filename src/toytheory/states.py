@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import (
-    Coset, FieldT, PrimeField, Subspace, VectorT,
+    Coset, FieldT, PrimeField, Subspace, VectorT, _image_of_kernel,
     dot, enumerate_coset, orthogonal_complement, reduce_mod_subspace, rref,
     _pivot_columns, solve_linear, vector, vec_sub, zero_subspace, zero_vector,
 )
@@ -199,18 +199,12 @@ def marginal(state: EpistemicState, keep: Iterable[int]) -> EpistemicState:
             s < 0 or s >= n for s in keep):
         raise DimensionMismatch(f"bad subsystem indices {keep} for n={n}")
     space = PhaseSpace(state.field, len(keep))
-    keep_set = set(keep)
-    # observables of the original space supported only on kept systems
-    coord_rows = []
-    for s in keep:
-        for c in state.space.system_coords(s):
-            row = [state.field.zero] * state.space.ambient_dim
-            row[c] = state.field.one
-            coord_rows.append(tuple(row))
-    from .algebra import subspace_intersection
-    coord_space = rref(state.field, state.space.ambient_dim, coord_rows)
-    local = subspace_intersection(state.known, coord_space)
-    gens = [restrict_vector(g, keep) for g in local.basis]
+    # the combinations of V's rows that vanish on the traced systems
+    traced = [s for s in range(n) if s not in keep]
+    basis = state.known.basis
+    gens = _image_of_kernel(state.field,
+                            [restrict_vector(g, traced) for g in basis],
+                            [restrict_vector(g, keep) for g in basis])
     return make_state(space, gens, restrict_vector(state.valuation, keep))
 
 

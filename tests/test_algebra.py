@@ -133,6 +133,23 @@ def test_subspace_intersection_against_enumeration():
     assert subspace_intersection(a, b).dim == 0
 
 
+@pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=repr)
+def test_subspace_intersection_is_the_complement_of_the_complements_sum(
+        field, rng):
+    # the reference is the complement formula S ∩ T = (S^⊥ + T^⊥)^⊥; half
+    # the draws give T some of S's rows, so the intersections are not all 0
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        s = random_subspace(field, n, rng)
+        t = random_subspace(field, n, rng)
+        if rng.random() < 0.5:
+            t = subspace_sum(t, rref(field, n, s.basis[:rng.randint(0, s.dim)]))
+        want = orthogonal_complement(subspace_sum(orthogonal_complement(s),
+                                                  orthogonal_complement(t)))
+        assert subspace_intersection(s, t) == want
+        assert subspace_intersection(t, s) == want
+
+
 def test_orthogonal_complement_examples():
     z = zero_subspace(F2, 4)
     assert orthogonal_complement(z).dim == 4

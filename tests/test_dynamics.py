@@ -236,7 +236,7 @@ def test_observable_copy_correlates_and_mixes():
 @functools.lru_cache(maxsize=None)
 def _transvection_closure(field, n_systems):
     """The reference for ``symplectic_group``: the breadth-first closure of
-    the identity under every transvection T(x) = x + c[x,v]v, which
+    the identity under every transvection T(x) = x + c[v,x]v, which
     generate Sp(2n, p).  It shares no code with the library's frame walk."""
     n = 2 * n_systems
     gens = [transvection(field, v, field.coerce(c))

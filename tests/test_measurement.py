@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from toytheory.algebra import GF
+from toytheory.algebra import (
+    GF, QQ, dot, enumerate_coset, orthogonal_complement, vec_add, vec_sub,
+)
 from toytheory.errors import (
     ContinuousNotEnumerable, DimensionMismatch, ImpossibleOutcome,
     NotIsotropic, NotPointMass,
@@ -12,10 +14,14 @@ from toytheory.measurement import (
     outcome_for_label, outcome_from_valuation, outcome_probability, outcomes,
     sample_outcome, update_state,
 )
-from toytheory.phase_space import discrete_space, rational_space
+from toytheory.phase_space import (
+    bracket_vectors, discrete_space, rational_space,
+)
 from toytheory.states import (
     bell_pair, make_state, states_equal, tensor, toy_bit,
 )
+
+from conftest import random_vector
 
 F2 = GF(2)
 SP1 = discrete_space(2, 1)
@@ -267,3 +273,63 @@ def test_infers_rejects_an_outcome_of_another_measurement():
             infers(pair, *args)
         with pytest.raises(DimensionMismatch):
             inference_conditions(pair, *args)
+
+
+def _random_measurement(space, rng):
+    """q-coordinate units pushed through transvections x -> x + c[x,w]w,
+    which keep every bracket: a random measurement of any field."""
+    field, n = space.field, space.ambient_dim
+    rows = [tuple(field.one if j == 2 * i else field.zero for j in range(n))
+            for i in range(rng.randint(0, space.n_systems))]
+    for _ in range(3):
+        w = random_vector(field, n, rng)
+        c = field.coerce(rng.choice([-2, -1, 1, 2, 3]) if field is QQ
+                         else rng.randrange(1, field.p))
+        rows = [vec_add(field, x, field.scale_row(
+            field.mul(c, bracket_vectors(field, x, w)), w)) for x in rows]
+    return make_measurement(space, rows)
+
+
+def _shifted(field, x, basis, rng):
+    """x plus a random combination of the basis rows."""
+    for b in basis:
+        x = vec_add(field, x, field.scale_row(
+            field.coerce(rng.randint(-3, 3)), b))
+    return x
+
+
+@pytest.mark.parametrize("space", [discrete_space(2, 2), discrete_space(3, 2),
+                                   discrete_space(5, 2), rational_space(2)],
+                         ids=lambda sp: repr(sp.field))
+def test_outcomes_are_equal_exactly_when_their_labels_are(space, rng):
+    field, n = space.field, space.ambient_dim
+    seen = set()
+    for _ in range(60):
+        m = _random_measurement(space, rng)
+        gens = m.observables.basis
+        perp = orthogonal_complement(m.observables).basis
+        x = random_vector(field, n, rng)
+        # half the draws move x inside its outcome, along V_pi^⊥
+        y = (_shifted(field, x, perp, rng) if rng.random() < 0.5
+             else random_vector(field, n, rng))
+        # two outcomes are equal exactly when x - y ⊥ V_pi
+        diff = vec_sub(field, x, y)
+        equal = outcome_from_valuation(m, x) == outcome_from_valuation(m, y)
+        assert equal == all(dot(field, g, diff) == 0 for g in gens)
+        seen.add(equal)
+
+        lab = tuple(field.coerce(rng.randint(-3, 3)) for _ in gens)
+        out = outcome_for_label(m, lab)
+        assert out.label == lab
+        coset = out.coset()
+        assert out == outcome_from_valuation(m, coset.shift)
+        if field is QQ:
+            # no enumeration over QQ: the shift moved along random points
+            points = [_shifted(field, coset.shift, coset.subspace.basis, rng)
+                      for _ in range(6)]
+        else:
+            points = list(enumerate_coset(coset))
+            assert len(points) == field.p ** (n - len(gens))
+        assert all(outcome_from_valuation(m, pt).label == lab
+                   for pt in points)
+    assert seen == {True, False}

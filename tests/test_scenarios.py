@@ -8,7 +8,7 @@ from toytheory.algebra import GF, rref
 from toytheory.errors import DimensionMismatch, SearchSpaceExceeded
 from toytheory.phase_space import discrete_space
 from toytheory.scenarios import (
-    FRCandidate, check_fr_conditions, fr_chain_initial,
+    FRCandidate, check_fr_conditions, check_fr_request, fr_chain_initial,
     fr_chain_sequential, run_bell, run_forgetting, run_wigner_friend,
     search_fr_paradox, _FR_BENIGN_SAMPLES, _FR_COUNTERS, _FR_PARADOX_SAMPLES,
     _block_support, _fr_candidate_from_ints, _fr_conditions_single,
@@ -814,6 +814,16 @@ def test_sampled_fr_search_rejects_no_samples(samples):
     # a verdict over no samples would pass on no evidence
     with pytest.raises(ValueError, match="samples must be at least 1"):
         search_fr_paradox(d=2, exhaustive=False, samples=samples)
+
+
+def test_sampled_fr_search_rejects_the_weakened_control():
+    # the sampled search has no weakened control: a control it never ran
+    # must not pass
+    with pytest.raises(ValueError, match="weaken_condition1 needs exhaustive"):
+        check_fr_request(d=3, samples=20, weaken_condition1=True)
+    with pytest.raises(ValueError, match="weaken_condition1 needs exhaustive"):
+        search_fr_paradox(d=3, samples=20, weaken_condition1=True)
+    check_fr_request(d=2, exhaustive=True, weaken_condition1=True)
 
 
 def test_spot_check_digest_tells_the_draws_apart():

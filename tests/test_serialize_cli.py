@@ -377,6 +377,15 @@ def test_cli_scenario_fr_rejects_bad_counts(flags, message):
     assert r.stdout == ""
 
 
+def test_cli_scenario_fr_sampled_mutated_is_an_input_error():
+    # sampled mode has no weakened control, so it must not print PASS
+    r = _run(["scenario", "fr-search", "--d", "3", "--samples", "20",
+              "--mutated"])
+    assert r.returncode == 1
+    assert "input error" in r.stderr and "weaken_condition1" in r.stderr
+    assert r.stdout == ""
+
+
 def test_cli_scenario_fr_rejected_exhaustive_request_prints_no_progress():
     r = _run(["scenario", "fr-search", "--d", "3", "--exhaustive"])
     assert r.returncode == 3

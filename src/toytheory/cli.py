@@ -38,8 +38,8 @@ from .scenarios import (
     run_wigner_friend, search_fr_paradox,
 )
 from .states import (
-    is_valid_support, knowledge_bits, marginal, mixture_support,
-    ontic_support, render_grid, tensor,
+    is_valid_support, knowledge_bits, marginal, maximally_mixed,
+    mixture_support, ontic_support, render_grid, tensor,
 )
 
 EXIT_OK = 0
@@ -211,7 +211,6 @@ def _gate_to_zero_based(spec: str) -> str:
 
 def _partition_overlay(m, outs) -> str | None:
     """Label every grid box with the index of the outcome containing it."""
-    from .states import maximally_mixed, render_grid
     space = m.space
     if space.d != 2 or space.n_systems not in (1, 2):
         return None

@@ -186,20 +186,17 @@ def gate_library(space: PhaseSpace, name: str) -> SymplecticTransform:
 # coherent copies (measurement as a physical interaction)
 # ---------------------------------------------------------------------------
 
-#: Position copy on (q_S, p_S, q_M, p_M): correlates the memory position
-#: with the information position; equals cnot(control=0, target=1).
-_POSITION_COPY_ROWS = ((1, 0, 0, 0), (0, 1, 0, -1), (1, 0, 1, 0), (0, 0, 0, 1))
-
-
 def position_copy_transform(space: PhaseSpace) -> SymplecticTransform:
-    """The 2-system copy of position: information system 0, memory system 1.
+    """The 2-system copy of position: information system 0, memory system 1;
+    cnot(control=0, target=1), which correlates the memory position with the
+    information position.
 
     After application, q_S - q_M is known with value minus the initial
     memory offset (0 for a memory prepared at q_M = 0).
     """
     if space.n_systems != 2:
         raise DimensionMismatch("position copy needs exactly 2 systems")
-    return make_transform(space, _POSITION_COPY_ROWS)
+    return cnot_gate(space, 0, 1)
 
 
 def complete_symplectic(field: FieldT, w: Iterable) -> tuple:
@@ -257,16 +254,11 @@ def observable_copy_transform(f: Observable, v: Observable) -> SymplecticTransfo
              mat_transpose(complete_symplectic(field, f.coeffs)))
     back = tuple(mat_inverse(field, m) for m in there)
 
-    # position copy on (memory, info system 1), identity on the rest
-    n = total.ambient_dim
-    pos = [list(r) for r in identity_matrix(field, n)]
-    pos[0][2] = field.one                # q_M += q_1
-    pos[3][1] = field.neg(field.one)     # p_1 -= p_M
-    pos = tuple(tuple(r) for r in pos)
-
+    # position copy from info system 1 to the memory, identity on the rest
+    pos = cnot_gate(total, 1, 0).matrix
     u = mat_mul(field, _block_diag(field, *back),
                 mat_mul(field, pos, _block_diag(field, *there)))
-    return SymplecticTransform(total, u, zero_vector(field, n))
+    return SymplecticTransform(total, u, zero_vector(field, total.ambient_dim))
 
 
 # ---------------------------------------------------------------------------

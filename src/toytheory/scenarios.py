@@ -3,12 +3,13 @@ with explicit memories, and the four-agent nested-measurement no-go search.
 
 The four-agent setting places systems in the order R, A, S, B: Alice measures
 R, Bob measures S, Ursula measures R+A, Wigner measures S+B, each outcome
-labeled by a block-supported valuation vector.  A "paradox" would be a state
-and measurements where, from the initial description, U=ok implies B=1,
-B=1 implies A=1, A=1 implies W=fail, and yet (ok, ok) for Ursula and Wigner
-has positive probability.  The exhaustive search shows there is none at
-d = 2 with one toy bit per block, matching the algebraic argument that the
-seven necessary conditions force Wigner's two outcomes to coincide.
+given by its label, the values of its measurement's canonical generators.
+A "paradox" would be a state and measurements where, from the initial
+description, U=ok implies B=1, B=1 implies A=1, A=1 implies W=fail, and yet
+(ok, ok) for Ursula and Wigner has positive probability.  The exhaustive
+search shows there is none at d = 2 with one toy bit per block, matching the
+algebraic argument that the seven necessary conditions force Wigner's two
+outcomes to coincide.
 
 The seven conditions are the chain's `measurement.inference_conditions`
 pairs plus P(ok, ok) > 0: one exact kernel for the condition report, the
@@ -31,9 +32,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _gf2
-from .algebra import (
-    Subspace, enumerate_coset, rref, solve_linear, vec_add,
-)
+from .algebra import Subspace, enumerate_coset, rref
 from .dynamics import (
     apply_to_state, cnot_gate, compose_transforms, random_symplectic,
     swap_gate,
@@ -209,12 +208,12 @@ class FRCandidate:
     """A complete four-agent configuration on R ⊕ A ⊕ S ⊕ B.
 
     Measurement subspaces are block-local (V_A on R, V_B on S, V_U on R+A,
-    V_W on S+B), and each outcome is given by an ontic vector supported on
-    its measurement's block; the outcome is the label the vector takes
-    (`outcome`), so the block check only validates the input.  ok/fail
-    outcome pairs must be distinct outcomes unless ``allow_equal_outcomes``
-    is set (search internals use that to count configurations where all
-    seven conditions hold benignly).
+    V_W on S+B), and each outcome is given by its label: the values of its
+    measurement's canonical generators (`outcome`), one per generator, so a
+    label of the wrong length raises DimensionMismatch.  ok/fail outcome
+    pairs must be distinct outcomes unless ``allow_equal_outcomes`` is set
+    (search internals use that to count configurations where all seven
+    conditions hold benignly).
     """
 
     initial: EpistemicState
@@ -247,17 +246,11 @@ class FRCandidate:
             for g in sub.basis:
                 if not supported_systems(space, g) <= block:
                     raise DimensionMismatch(f"{name} leaves its block")
-        for name, vec_, block in (
-                ("a1", self.a1, r_block), ("b1", self.b1, s_block),
-                ("u_ok", self.u_ok, r_block | a_block),
-                ("u_fail", self.u_fail, r_block | a_block),
-                ("w_ok", self.w_ok, s_block | b_block),
-                ("w_fail", self.w_fail, s_block | b_block)):
-            if not supported_systems(space, vec_) <= block:
-                raise DimensionMismatch(f"outcome vector {name} leaves its block")
+        outs = {key: self.outcome(key) for key in
+                ("A=1", "B=1", "U=ok", "U=fail", "W=ok", "W=fail")}
         if not self.allow_equal_outcomes:
             for name in ("U", "W"):
-                if self.outcome(f"{name}=ok") == self.outcome(f"{name}=fail"):
+                if outs[f"{name}=ok"] == outs[f"{name}=fail"]:
                     raise DimensionMismatch(
                         f"{name}'s ok and fail label the same outcome")
 
@@ -271,21 +264,24 @@ class FRCandidate:
                  ("U", self.v_u), ("W", self.v_w))}
 
     def outcome(self, which: str) -> Outcome:
-        sub, val = {
+        sub, label = {
             "A=1": (self.v_a, self.a1), "B=1": (self.v_b, self.b1),
             "U=ok": (self.v_u, self.u_ok), "U=fail": (self.v_u, self.u_fail),
             "W=ok": (self.v_w, self.w_ok), "W=fail": (self.v_w, self.w_fail),
         }[which]
-        return outcome_from_valuation(Measurement(self.space, sub), val)
+        return outcome_for_label(Measurement(self.space, sub), label)
 
     @functools.cached_property
     def p_ok_ok(self) -> Fraction:
-        """P(U=ok, W=ok) on the initial state, from the joint U+W measurement."""
-        field = self.space.field
-        joint = make_measurement(
-            self.space, list(self.v_u.basis) + list(self.v_w.basis))
-        joint_out = outcome_from_valuation(
-            joint, vec_add(field, self.u_ok, self.w_ok))
+        """P(U=ok, W=ok) on the initial state, from the joint U+W measurement.
+
+        V_U lies on R+A, whose coordinates come before those of S+B, where
+        V_W lies, so the joint canonical generators are V_U's followed by
+        V_W's and the joint label is U's ok label followed by W's.
+        """
+        joint = make_measurement(self.space, self.v_u.basis + self.v_w.basis)
+        joint_out = outcome_for_label(joint, self.outcome("U=ok").label
+                                      + self.outcome("W=ok").label)
         return outcome_probability(self.initial, joint, joint_out)
 
 
@@ -312,12 +308,14 @@ def check_fr_conditions(c: FRCandidate) -> ConditionReport:
     (c1, c5), (c2, c6) and (c3, c7) are the two `inference_conditions` of
     U=ok => B=1, B=1 => A=1 and A=1 => W=fail on the initial state: V_Y ⊆
     K_X ⊕ V_X (K_X the commutant of V_X within V), and the values of K_X,
-    X's label x1 and Y's label y1 are jointly solvable.  c4 is P(ok, ok) > 0.
-    The solvability is the membership y1 + x1 - v ⊥ (V_Y ⊕ V_X) ∩ K_X: a
-    solution exists iff a.x1 + b.y1 = (a + b).v for a in V_X, b in V_Y with
-    a + b in K_X, and the cross terms a.y1, b.x1 vanish, since `FRCandidate`
-    keeps each V_X and outcome vector in its own block and the two blocks of
-    each pair are disjoint (c4 likewise, with K_X = V).  When all seven hold,
+    X's outcome and Y's outcome are jointly solvable.  c4 is P(ok, ok) > 0.
+    With x1 and y1 any points of the two outcomes, a solution exists iff
+    a.x1 + b.y1 = (a + b).v for a in V_X, b in V_Y with a + b in K_X.
+    `FRCandidate` keeps each V_X in its own block, so each outcome has
+    points supported on that block; for such x1 and y1 the cross terms
+    a.y1, b.x1 vanish, the two blocks of each pair being disjoint, and the
+    solvability is the membership y1 + x1 - v ⊥ (V_Y ⊕ V_X) ∩ K_X that the
+    packed scan tests (c4 likewise, with K_X = V).  When all seven hold,
     Wigner's ok and fail valuations are forced to label the same outcome, so
     no configuration with distinct outcomes survives.
     """
@@ -737,17 +735,22 @@ def _fr_candidate_from_ints(t: _FrTables, li: int, v: int, a: int, a1: int,
     state = make_state(space, [_int_vec(g) for g in t.lagrangians[li]],
                        _int_vec(v))
 
-    def sub(meas):
-        return rref(space.field, 8, [_int_vec(g) for g in meas.basis])
+    v_a, v_b, v_u, v_w = (
+        rref(space.field, 8, [_int_vec(g) for g in meas.basis])
+        for meas in (t.meas_a[a], t.meas_b[b], t.meas_u[u], t.meas_w[w]))
+
+    def label(sub: Subspace, x: int) -> tuple:
+        # the exact dots, not `_gf2.dot2`: this side checks the packed one
+        m = Measurement(space, sub)
+        return outcome_from_valuation(m, _int_vec(x)).label
 
     u_fail = next(x for x in t.meas_u[u].outs if x != uok)
     return FRCandidate(
         initial=state, blocks=(1, 1, 1, 1),
-        v_a=sub(t.meas_a[a]), v_b=sub(t.meas_b[b]),
-        v_u=sub(t.meas_u[u]), v_w=sub(t.meas_w[w]),
-        a1=_int_vec(a1), b1=_int_vec(b1),
-        u_ok=_int_vec(uok), u_fail=_int_vec(u_fail),
-        w_ok=_int_vec(wok), w_fail=_int_vec(wfail),
+        v_a=v_a, v_b=v_b, v_u=v_u, v_w=v_w,
+        a1=label(v_a, a1), b1=label(v_b, b1),
+        u_ok=label(v_u, uok), u_fail=label(v_u, u_fail),
+        w_ok=label(v_w, wok), w_fail=label(v_w, wfail),
         allow_equal_outcomes=allow_equal,
     )
 
@@ -866,16 +869,13 @@ def _fr_sampled_search(d: int, blocks: tuple, rng: random.Random,
     found = []
     sequential_paradoxes = 0
 
-    def pick_outcome(sub: Subspace):
-        lab = [field.coerce(rng.randrange(field.p)) for _ in sub.basis]
-        return solve_linear(field, space.ambient_dim, sub.basis, lab)
+    def pick_outcome(sub: Subspace) -> tuple:
+        return tuple([field.coerce(rng.randrange(field.p)) for _ in sub.basis])
 
-    def pick_other_outcome(sub: Subspace, ok):
-        m = Measurement(space, sub)
-        ok_out = outcome_from_valuation(m, ok)
+    def pick_other_outcome(sub: Subspace, ok: tuple) -> tuple:
         while True:
             fail = pick_outcome(sub)
-            if outcome_from_valuation(m, fail) != ok_out:
+            if fail != ok:
                 return fail
 
     for i in range(samples):
@@ -924,15 +924,17 @@ def check_fr_request(d: int = 2, blocks: tuple = (1, 1, 1, 1),
                      samples: int = 2000,
                      spot_checks: int = DEFAULT_SPOT_CHECKS,
                      sequential_checks: int = 48,
-                     weaken_condition1: bool = False) -> None:
+                     weaken_condition1: bool = False,
+                     stop_after: int | None = None) -> None:
     """Raise what `search_fr_paradox` raises for these arguments, before
     any work.
 
     ValueError when ``blocks`` is not four ints of at least 1 (the toy
-    bits of R, A, S and B), when ``workers`` < 1, ``spot_checks`` < 0 or
-    ``sequential_checks`` < 0, and in sampled mode when ``samples`` < 1 (a
-    verdict over no samples would pass on no evidence) or with
-    ``weaken_condition1`` (it has no weakened control to run);
+    bits of R, A, S and B), when ``workers`` < 1, ``spot_checks`` < 0,
+    ``sequential_checks`` < 0 or ``stop_after`` < 1, and in sampled mode
+    when ``samples`` < 1 (a verdict over no samples would pass on no
+    evidence), with ``weaken_condition1`` (it has no weakened control to
+    run) or with any ``stop_after`` (it draws all its samples);
     SearchSpaceExceeded for an exhaustive search other than d = 2 with one
     toy bit per block.
     """
@@ -944,12 +946,17 @@ def check_fr_request(d: int = 2, blocks: tuple = (1, 1, 1, 1),
               ("sequential_checks", sequential_checks, 0)]
     if not exhaustive:
         bounds.append(("samples", samples, 1))
+    if stop_after is not None:
+        bounds.append(("stop_after", stop_after, 1))
     for name, value, least in bounds:
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
     if weaken_condition1 and not exhaustive:
         raise ValueError("weaken_condition1 needs exhaustive mode: the "
                          "sampled search has no weakened control")
+    if stop_after is not None and not exhaustive:
+        raise ValueError("stop_after needs exhaustive mode: the sampled "
+                         "search draws all its samples")
     if exhaustive and (d != 2 or tuple(blocks) != (1, 1, 1, 1)):
         raise SearchSpaceExceeded(
             "exhaustive mode covers d=2 with one toy bit per block; "
@@ -1004,7 +1011,7 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     Raises what `check_fr_request` raises.
     """
     check_fr_request(d, blocks, exhaustive, workers, samples, spot_checks,
-                     sequential_checks, weaken_condition1)
+                     sequential_checks, weaken_condition1, stop_after)
     config = {"d": d, "blocks": tuple(blocks), "exhaustive": exhaustive,
               "workers": workers, "seed": seed,
               "weaken_condition1": weaken_condition1}

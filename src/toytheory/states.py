@@ -302,32 +302,24 @@ def render_grid(obj: Union[EpistemicState, OnticSupport],
     space = sup.space
     if space.d != 2 or space.n_systems not in (1, 2):
         raise DimensionMismatch("grid diagrams only cover d=2 with 1 or 2 systems")
-    if space.n_systems == 1:
-        filled = [[False] * 4]
-        labels = [[None] * 4]
-        for v in sup.members:
-            filled[0][_box_of(v, 0) - 1] = True
-        if labeler is not None:
-            for q in range(2):
-                for p in range(2):
-                    labels[0][box_number(q, p) - 1] = labeler((q, p))
-        return GridDiagram(1, 4, tuple(map(tuple, filled)),
-                           tuple(map(tuple, labels)) if labeler else None)
-    filled = [[False] * 4 for _ in range(4)]
-    labels = [[None] * 4 for _ in range(4)]
+    rows = 1 if space.n_systems == 1 else 4
+
+    def cell(v) -> tuple[int, int]:
+        if rows == 1:
+            return 0, _box_of(v, 0) - 1
+        # system A: box 1 at the bottom; system B: box 1 at the left
+        return 4 - _box_of(v, 0), _box_of(v, 1) - 1
+
+    filled = [[False] * 4 for _ in range(rows)]
+    labels = [[None] * 4 for _ in range(rows)]
     for v in sup.members:
-        row = 4 - _box_of(v, 0)       # system A: box 1 at the bottom
-        col = _box_of(v, 1) - 1       # system B: box 1 at the left
+        row, col = cell(v)
         filled[row][col] = True
     if labeler is not None:
-        for qa in range(2):
-            for pa in range(2):
-                for qb in range(2):
-                    for pb in range(2):
-                        row = 4 - box_number(qa, pa)
-                        col = box_number(qb, pb) - 1
-                        labels[row][col] = labeler((qa, pa, qb, pb))
-    return GridDiagram(4, 4, tuple(map(tuple, filled)),
+        for v in itertools.product(range(2), repeat=space.ambient_dim):
+            row, col = cell(v)
+            labels[row][col] = labeler(v)
+    return GridDiagram(rows, 4, tuple(map(tuple, filled)),
                        tuple(map(tuple, labels)) if labeler else None)
 
 

@@ -1,4 +1,6 @@
 import random
+import zlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -100,14 +102,11 @@ def _all_positions_candidate(equal_w=False):
                 for i in range(4)])
     qr = rref(F2, 8, [(1, 0, 0, 0, 0, 0, 0, 0)])
     qs = rref(F2, 8, [(0, 0, 0, 0, 1, 0, 0, 0)])
-    zero = (0,) * 8
-    ps_vec = (0, 0, 0, 0, 0, 1, 0, 0)
     return FRCandidate(
         initial=state, blocks=(1, 1, 1, 1),
         v_a=qr, v_b=qs, v_u=qr, v_w=qs,
-        a1=zero, b1=zero,
-        u_ok=zero, u_fail=(1, 0, 0, 0, 0, 0, 0, 0),
-        w_ok=zero, w_fail=zero if equal_w else (0, 0, 0, 0, 1, 0, 0, 0),
+        a1=(0,), b1=(0,), u_ok=(0,), u_fail=(1,),
+        w_ok=(0,), w_fail=(0,) if equal_w else (1,),
         allow_equal_outcomes=equal_w)
 
 
@@ -119,14 +118,21 @@ def test_candidate_distinctness_enforced():
                 for i in range(4)])
     qr = rref(F2, 8, [(1, 0, 0, 0, 0, 0, 0, 0)])
     qs = rref(F2, 8, [(0, 0, 0, 0, 1, 0, 0, 0)])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="W's ok and fail label the "
+                                                "same outcome"):
         FRCandidate(
             initial=state, blocks=(1, 1, 1, 1),
             v_a=qr, v_b=qs, v_u=qr, v_w=qs,
-            a1=(0,) * 8, b1=(0,) * 8,
-            u_ok=(0,) * 8, u_fail=(1, 0, 0, 0, 0, 0, 0, 0),
-            w_ok=(0,) * 8,
-            w_fail=(0, 0, 0, 0, 0, 0, 0, 1))  # p_B shift: same q_S outcome
+            a1=(0,), b1=(0,), u_ok=(0,), u_fail=(1,),
+            w_ok=(0,), w_fail=(0,))
+
+
+@pytest.mark.parametrize("field", ["a1", "w_fail"])
+@pytest.mark.parametrize("label", [(), (0, 0)], ids=["short", "long"])
+def test_candidate_label_length_enforced(field, label):
+    # each measurement here has one generator, so each label one value
+    with pytest.raises(DimensionMismatch, match="label needs 1 values"):
+        replace(_all_positions_candidate(), **{field: label})
 
 
 def test_distinct_w_candidate_fails_condition_seven():
@@ -142,16 +148,15 @@ def test_candidate_block_support_enforced():
     state = state_from_values(
         space, [(tuple(1 if j == 2 * i else 0 for j in range(8)), 0)
                 for i in range(4)])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="V_A leaves its block"):
         FRCandidate(
             initial=state, blocks=(1, 1, 1, 1),
             v_a=rref(F2, 8, [(0, 0, 1, 0, 0, 0, 0, 0)]),  # on A, not R
             v_b=rref(F2, 8, [(0, 0, 0, 0, 1, 0, 0, 0)]),
             v_u=rref(F2, 8, [(1, 0, 0, 0, 0, 0, 0, 0)]),
             v_w=rref(F2, 8, [(0, 0, 0, 0, 1, 0, 0, 0)]),
-            a1=(0,) * 8, b1=(0,) * 8,
-            u_ok=(0,) * 8, u_fail=(1, 0, 0, 0, 0, 0, 0, 0),
-            w_ok=(0,) * 8, w_fail=(0, 0, 0, 0, 1, 0, 0, 0))
+            a1=(0,), b1=(0,), u_ok=(0,), u_fail=(1,),
+            w_ok=(0,), w_fail=(1,))
 
 
 def test_all_seven_conditions_force_equal_w_outcomes():
@@ -179,9 +184,8 @@ def test_correlated_pairs_candidate_fails_a_subset_condition():
     cand = FRCandidate(
         initial=state, blocks=(1, 1, 1, 1),
         v_a=qr, v_b=qs, v_u=qr, v_w=qs,
-        a1=(0,) * 8, b1=(0,) * 8,
-        u_ok=(0,) * 8, u_fail=(1, 0, 0, 0, 0, 0, 0, 0),
-        w_ok=(0,) * 8, w_fail=(0, 0, 0, 0, 1, 0, 0, 0))
+        a1=(0,), b1=(0,), u_ok=(0,), u_fail=(1,),
+        w_ok=(0,), w_fail=(1,))
     rep = check_fr_conditions(cand)
     assert not rep.conditions[0]  # V_B not reachable from U's commutant
     assert not rep.all_hold
@@ -534,8 +538,11 @@ def test_fast_conditions_match_exact_on_fixed_tuples(rng):
 
 def _set_level_conditions(c):
     """Third, fully independent evaluation of the seven conditions by literal
-    element enumeration (no subspace algebra, no bit packing), over the
-    candidate's own field and ambient dimension."""
+    element enumeration (no bit packing, and no subspace algebra beyond one
+    point of each outcome), over the candidate's own field and ambient
+    dimension.  That point is the shift of the outcome's coset: V_X is
+    block-local, so the canonical shift is zero outside the block, as the
+    sums below need."""
     from toytheory.algebra import enumerate_subspace
     from toytheory.phase_space import bracket_vectors
     field = c.space.field
@@ -563,19 +570,19 @@ def _set_level_conditions(c):
 
     v = c.initial.valuation
 
-    def comb(*vecs):
+    def comb(*keys):
         out = [0] * n
-        for vec in vecs:
+        for vec in (c.outcome(key).coset().shift for key in keys):
             out = [(s_i + x_i) % p for s_i, x_i in zip(out, vec)]
         return tuple((s_i - v_i) % p for s_i, v_i in zip(out, v))
 
     return (VB <= sumset(KU, VU),
             VA <= sumset(KB, VB),
             VW <= sumset(KA, VA),
-            perp_contains(sumset(VU, VW) & V, comb(c.u_ok, c.w_ok)),
-            perp_contains(sumset(VB, VU) & KU, comb(c.b1, c.u_ok)),
-            perp_contains(sumset(VB, VA) & KB, comb(c.a1, c.b1)),
-            perp_contains(sumset(VA, VW) & KA, comb(c.a1, c.w_fail)))
+            perp_contains(sumset(VU, VW) & V, comb("U=ok", "W=ok")),
+            perp_contains(sumset(VB, VU) & KU, comb("B=1", "U=ok")),
+            perp_contains(sumset(VB, VA) & KB, comb("A=1", "B=1")),
+            perp_contains(sumset(VA, VW) & KA, comb("A=1", "W=fail")))
 
 
 def test_conditions_match_literal_set_enumeration(rng, monkeypatch):
@@ -596,6 +603,12 @@ def test_conditions_match_literal_set_enumeration(rng, monkeypatch):
     for d, blocks in ((3, (1, 1, 1, 1)), (2, (1, 2, 1, 1))):
         scenarios._fr_sampled_search(d, blocks, random.Random(13), 100, 0)
     assert len(cands) == 40 + len(benign) + 200
+    # the seeded draws are the same as when outcomes were ontic vectors
+    keys = ("A=1", "B=1", "U=ok", "U=fail", "W=ok", "W=fail")
+    drawn = "".join(repr((c.initial, c.v_a, c.v_b, c.v_u, c.v_w,
+                          [tuple(c.outcome(k).label) for k in keys]))
+                    for c in cands[-200:])
+    assert f"{zlib.crc32(drawn.encode()):08x}" == "f734241b"
     seen = set()
     for cand in cands:
         conditions = real(cand).conditions
@@ -824,6 +837,24 @@ def test_sampled_fr_search_rejects_the_weakened_control():
     with pytest.raises(ValueError, match="weaken_condition1 needs exhaustive"):
         search_fr_paradox(d=3, samples=20, weaken_condition1=True)
     check_fr_request(d=2, exhaustive=True, weaken_condition1=True)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"d": 3, "samples": 5, "stop_after": 0}, "stop_after must be at least 1"),
+    ({"d": 3, "samples": 5, "stop_after": 2}, "stop_after needs exhaustive"),
+    ({"d": 2, "exhaustive": True, "stop_after": 0},
+     "stop_after must be at least 1"),
+    ({"d": 2, "exhaustive": True, "stop_after": -1},
+     "stop_after must be at least 1"),
+], ids=["sampled-0", "sampled-2", "exhaustive-0", "exhaustive-negative"])
+def test_fr_request_checks_stop_after(kwargs, message):
+    # the sampled search draws all its samples, and a scan that stops after
+    # no paradox would stop at the first one
+    with pytest.raises(ValueError, match=message):
+        check_fr_request(**kwargs)
+    with pytest.raises(ValueError, match=message):
+        search_fr_paradox(**kwargs)
+    check_fr_request(d=2, exhaustive=True, stop_after=1)
 
 
 def test_spot_check_digest_tells_the_draws_apart():

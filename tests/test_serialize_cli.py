@@ -9,7 +9,7 @@ import pytest
 
 from toytheory import cli, serialize
 from toytheory.dynamics import cnot_gate
-from toytheory.measurement import make_measurement
+from toytheory.measurement import make_measurement, outcomes
 from toytheory.phase_space import discrete_space, rational_space
 from toytheory.states import (
     bell_pair, make_state, ontic_support, states_equal, tensor, toy_bit,
@@ -221,6 +221,19 @@ def test_cli_measure_verify_three_trits(tmp_path):
     meas.write_text(json.dumps({"observables": [[0, 1, 0, 0, 0, 0]]}))
     r = _run(["measure", str(state), str(meas), "--verify", "--outcome", "0"])
     assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("n, observables, overlay", [
+    (1, [(1, 1)], "0110"),
+    (2, [(1, 0, 0, 1)], "1010\n1010\n0101\n0101"),
+    (2, [(1, 0, 1, 0), (0, 1, 0, 1)], "3210\n2301\n1032\n0123"),
+], ids=["q+p", "qA+pB", "bell"])
+def test_partition_overlay_text_is_pinned(n, observables, overlay):
+    # the box -> outcome index grid `measure` prints; one system is a row of
+    # boxes, two are system A's boxes bottom to top by system B's left to
+    # right
+    m = make_measurement(discrete_space(2, n), observables)
+    assert cli._partition_overlay(m, outcomes(m)) == overlay
 
 
 def test_cli_measure_impossible_outcome_exit2(files):

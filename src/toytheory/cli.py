@@ -23,8 +23,12 @@ import sys
 from fractions import Fraction
 
 from . import serialize
+from .algebra import GF, rref
 from .config import DEFAULT_GROUP_CAP
-from .dynamics import apply_to_ontic, apply_to_state, gate_library
+from .dynamics import (
+    ConditionalPrepSpec, _supports_disjoint, apply_to_ontic, apply_to_state,
+    find_conditional_transform, gate_library,
+)
 from .errors import (
     EnumerationCapExceeded, NotIsotropic, SearchSpaceExceeded, ToyTheoryError,
 )
@@ -33,13 +37,14 @@ from .measurement import (
     outcome_probability, outcomes, sample_outcome, update_state,
 )
 from .oracle import oracle_probability, oracle_smallest_update
+from .phase_space import discrete_space
 from .scenarios import (
-    DEFAULT_SPOT_CHECKS, check_fr_request, run_bell, run_forgetting,
-    run_wigner_friend, search_fr_paradox,
+    DEFAULT_SPOT_CHECKS, ScenarioReport, check_fr_request, run_bell,
+    run_forgetting, run_wigner_friend, search_fr_paradox,
 )
 from .states import (
     is_valid_support, knowledge_bits, marginal, maximally_mixed,
-    mixture_support, ontic_support, render_grid, tensor,
+    mixture_support, ontic_support, render_grid, tensor, toy_bit,
 )
 
 EXIT_OK = 0
@@ -347,13 +352,6 @@ def _require_d2(name: str, d: int) -> None:
 
 
 def _condprep_search(args):
-    from .algebra import GF, rref
-    from .dynamics import (
-        ConditionalPrepSpec, _supports_disjoint, find_conditional_transform,
-    )
-    from .phase_space import discrete_space
-    from .scenarios import ScenarioReport
-    from .states import toy_bit
     _require_d2("condprep-search", args.d)
     names = (args.targets or "0,+").split(",")
     targets = tuple(toy_bit(n.strip()) for n in names)

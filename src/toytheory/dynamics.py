@@ -26,8 +26,8 @@ from .errors import (
     DimensionMismatch, InvariantViolation, NotSymplectic, SearchSpaceExceeded,
 )
 from .phase_space import (
-    Observable, PhaseSpace, bracket_vectors, compose as compose_spaces,
-    symplectic_dual,
+    Observable, PhaseSpace, _all_vectors, bracket_vectors,
+    compose as compose_spaces, symplectic_dual,
 )
 from .states import EpistemicState, make_state, marginal, tensor_all
 
@@ -598,7 +598,6 @@ def find_conditional_transform(spec: ConditionalPrepSpec,
         raise SearchSpaceExceeded(
             f"{n_frames} symplectic frames for the target exceed the cap "
             f"{group_cap}; pass a larger cap to opt in to a long search")
-    from .phase_space import _all_vectors
     values = _all_vectors(field, 2 * k)
     per_value = (sp_order(n_total - k, field.p)
                  * field.p ** (2 * (n_total - k)))

@@ -9,7 +9,8 @@ support, the update keeps the commuting part of prior knowledge and adjoins
 the measured observables at a point of the meet, and an inference asks
 whether the retained, premise and conclusion constraints are solvable
 together.  `branches` gives every outcome's probability and post-state at
-once, building V_π ⊕ V_commute a single time.  An outcome is its label
+once, building V_π ⊕ V_commute a single time; it is the one branch walk,
+which the four-agent sequential chain uses too.  An outcome is its label
 alone, so two outcomes of a measurement are equal exactly when their labels
 are.  Outcomes partition the ontic space; `Outcome.coset` solves for the
 solution set V_π^⊥ + v_π of an outcome's constraints when asked.
@@ -25,7 +26,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .algebra import (
     Coset, PrimeField, Subspace, VectorT, _meet,
@@ -200,18 +201,6 @@ def update_state(s: EpistemicState, m: Measurement, out: Outcome) -> EpistemicSt
     return _post_states(s, m)(point)
 
 
-def _branches(s: EpistemicState, m: Measurement,
-              outs: Sequence[Outcome]) -> list[tuple]:
-    """`branches` over the given outcomes of m, whose space is s's."""
-    post = _post_states(s, m)
-    found = []
-    for out in outs:
-        point, p = _outcome_meet(s, m, out)
-        if point is not None:
-            found.append((out, p, post(point)))
-    return found
-
-
 def branches(s: EpistemicState, m: Measurement) -> list[tuple]:
     """(outcome, probability, post-state) for every outcome of positive
     probability, in `outcomes` order (discrete fields only).
@@ -223,7 +212,14 @@ def branches(s: EpistemicState, m: Measurement) -> list[tuple]:
     """
     if s.space != m.space:
         raise DimensionMismatch("state and measurement live on different spaces")
-    return _branches(s, m, outcomes(m))
+    outs = outcomes(m)
+    post = _post_states(s, m)
+    found = []
+    for out in outs:
+        point, p = _outcome_meet(s, m, out)
+        if point is not None:
+            found.append((out, p, post(point)))
+    return found
 
 
 def is_certain(s: EpistemicState, m: Measurement, out: Outcome) -> bool:

@@ -39,10 +39,11 @@ from .dynamics import (
 )
 from .errors import DimensionMismatch, SearchSpaceExceeded
 from .measurement import (
-    Measurement, Outcome, _branches, inference_conditions, infers,
-    is_certain, make_measurement, outcome_for_label, outcome_from_valuation,
-    outcome_probability, outcomes, update_state,
+    Measurement, Outcome, branches, inference_conditions, infers, is_certain,
+    make_measurement, outcome_for_label, outcome_from_valuation,
+    outcome_probability, update_state,
 )
+from .oracle import oracle_conditional
 from .phase_space import (
     PhaseSpace, discrete_space, is_isotropic, supported_systems,
 )
@@ -203,12 +204,27 @@ def run_forgetting() -> ScenarioReport:
 # the four-agent candidate and its algebraic conditions
 # ---------------------------------------------------------------------------
 
+# One toy bit per block: the layout of the exhaustive search.
+_FR_BLOCKS = (1, 1, 1, 1)
+
+
+def _fr_systems(blocks: Sequence[int]) -> dict:
+    """The systems each agent measures, for blocks R, A, S, B of these sizes
+    in that order: A on R, B on S, U on R+A, W on S+B."""
+    n_r, n_a, n_s, n_b = blocks
+    s_start = n_r + n_a
+    return {"A": range(n_r), "B": range(s_start, s_start + n_s),
+            "U": range(s_start), "W": range(s_start, s_start + n_s + n_b)}
+
+
 @dataclass(frozen=True)
 class FRCandidate:
     """A complete four-agent configuration on R ⊕ A ⊕ S ⊕ B.
 
-    Measurement subspaces are block-local (V_A on R, V_B on S, V_U on R+A,
-    V_W on S+B), and each outcome is given by its label: the values of its
+    Measurement subspaces are block-local: each V_X lies on the systems
+    `_fr_systems` gives agent X (V_A on R, V_B on S, V_U on R+A, V_W on
+    S+B).  Each outcome is named by a key such as "U=ok", as `_FR_CHAIN`'s
+    links name them, and given by its label: the values of its
     measurement's canonical generators (`outcome`), one per generator, so a
     label of the wrong length raises DimensionMismatch.  ok/fail outcome
     pairs must be distinct outcomes unless ``allow_equal_outcomes`` is set
@@ -231,21 +247,14 @@ class FRCandidate:
     allow_equal_outcomes: bool = False
 
     def __post_init__(self):
-        n_r, n_a, n_s, n_b = self.blocks
+        systems = _fr_systems(self.blocks)
         space = self.initial.space
-        if space.n_systems != n_r + n_a + n_s + n_b:
+        if space.n_systems != sum(self.blocks):
             raise DimensionMismatch("blocks do not sum to the state's systems")
-        r_block = set(range(n_r))
-        a_block = set(range(n_r, n_r + n_a))
-        s_block = set(range(n_r + n_a, n_r + n_a + n_s))
-        b_block = set(range(n_r + n_a + n_s, space.n_systems))
-        for name, sub, block in (
-                ("V_A", self.v_a, r_block), ("V_B", self.v_b, s_block),
-                ("V_U", self.v_u, r_block | a_block),
-                ("V_W", self.v_w, s_block | b_block)):
-            for g in sub.basis:
-                if not supported_systems(space, g) <= block:
-                    raise DimensionMismatch(f"{name} leaves its block")
+        for agent, meas in self.measurements().items():
+            if not all(supported_systems(space, g) <= set(systems[agent])
+                       for g in meas.observables.basis):
+                raise DimensionMismatch(f"V_{agent} leaves its block")
         outs = {key: self.outcome(key) for key in
                 ("A=1", "B=1", "U=ok", "U=fail", "W=ok", "W=fail")}
         if not self.allow_equal_outcomes:
@@ -259,9 +268,8 @@ class FRCandidate:
         return self.initial.space
 
     def measurements(self) -> dict:
-        return {k: Measurement(self.space, v) for k, v in
-                (("A", self.v_a), ("B", self.v_b),
-                 ("U", self.v_u), ("W", self.v_w))}
+        return {agent: Measurement(self.space, v) for agent, v in
+                zip("ABUW", (self.v_a, self.v_b, self.v_u, self.v_w))}
 
     def outcome(self, which: str) -> Outcome:
         sub, label = {
@@ -295,11 +303,12 @@ class ConditionReport:
     message: str
 
 
-# The chain's three inferences: (key, premise agent, premise outcome,
-# conclusion agent, conclusion outcome).
-_FR_CHAIN = (("infers_u_b", "U", "U=ok", "B", "B=1"),
-             ("infers_b_a", "B", "B=1", "A", "A=1"),
-             ("infers_a_w", "A", "A=1", "W", "W=fail"))
+# The chain's three inferences: (link, premise agent, premise outcome,
+# conclusion agent, conclusion outcome).  The chain on the initial state
+# reports each link as infers_<link>, the sequential one as stmt_<link>.
+_FR_CHAIN = (("u_b", "U", "U=ok", "B", "B=1"),
+             ("b_a", "B", "B=1", "A", "A=1"),
+             ("a_w", "A", "A=1", "W", "W=fail"))
 
 
 def check_fr_conditions(c: FRCandidate) -> ConditionReport:
@@ -344,7 +353,8 @@ def _fr_chain(rep: ConditionReport) -> dict:
     """The operational chain read off the seven conditions: each inference
     is its condition pair, and the chain holds when all seven do."""
     c = rep.conditions
-    r = {key: c[i] and c[i + 4] for i, (key, *_) in enumerate(_FR_CHAIN)}
+    r = {f"infers_{link}": c[i] and c[i + 4]
+         for i, (link, *_) in enumerate(_FR_CHAIN)}
     r["p_ok_ok"] = rep.p_ok_ok
     r["holds"] = rep.all_hold
     return r
@@ -357,36 +367,29 @@ def fr_chain_initial(c: FRCandidate) -> dict:
 
 def fr_chain_sequential(c: FRCandidate) -> dict:
     """Walk the measurement branches in order A, B, U, W and check the chain
-    branchwise.  A sequential paradox would need a positive-probability
-    (ok, ok) branch together with branchwise-valid inferences; consistency of
-    the single branch tree rules that out identically."""
+    branchwise: ``stmt_<link>`` holds when every leaf with the link's
+    premise has its conclusion.  ``holds`` needs all three and a positive
+    (U, W) = (ok, ok) leaf, on which they force B = 1, A = 1 and W = fail.
+    So ``holds`` implies that W's ok and fail are the same outcome, and it
+    is false for every candidate with distinct W outcomes, whatever the
+    walk returns."""
     m = c.measurements()
     tree = [({}, c.initial, Fraction(1))]
-    for agent in ("A", "B", "U", "W"):
-        meas = m[agent]
-        agent_outs = outcomes(meas)
+    for agent in "ABUW":
         tree = [(dict(outs, **{agent: out}), post, prob * p)
                 for outs, state, prob in tree
-                for out, p, post in _branches(state, meas, agent_outs)]
-    u_ok, w_ok, b_1, a_1, w_fail = map(
-        c.outcome, ("U=ok", "W=ok", "B=1", "A=1", "W=fail"))
-    p_ok_ok = Fraction(0)
-    stmt_u_b = stmt_b_a = stmt_a_w = True
-    for outs, _, prob in tree:
-        if outs["U"] == u_ok and outs["W"] == w_ok:
-            p_ok_ok += prob
-        if outs["U"] == u_ok and outs["B"] != b_1:
-            stmt_u_b = False
-        if outs["B"] == b_1 and outs["A"] != a_1:
-            stmt_b_a = False
-        if outs["A"] == a_1 and outs["W"] != w_fail:
-            stmt_a_w = False
-    return {
-        "p_ok_ok": p_ok_ok,
-        "stmt_u_b": stmt_u_b, "stmt_b_a": stmt_b_a, "stmt_a_w": stmt_a_w,
-        "holds": p_ok_ok > 0 and stmt_u_b and stmt_b_a and stmt_a_w,
-        "branch_count": len(tree),
-    }
+                for out, p, post in branches(state, m[agent])]
+    ok_ok = (c.outcome("U=ok"), c.outcome("W=ok"))
+    r = {"p_ok_ok": sum((prob for outs, _, prob in tree
+                         if (outs["U"], outs["W"]) == ok_ok), Fraction(0))}
+    for link, pa, po, ca, co in _FR_CHAIN:
+        premise, conclusion = c.outcome(po), c.outcome(co)
+        r[f"stmt_{link}"] = all(outs[ca] == conclusion for outs, _, _ in tree
+                                if outs[pa] == premise)
+    r["holds"] = r["p_ok_ok"] > 0 and all(
+        r[f"stmt_{link}"] for link, *_ in _FR_CHAIN)
+    r["branch_count"] = len(tree)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +458,10 @@ class _FrMeas:
         self.outs = tuple(by_label[lab] for lab in sorted(by_label))
 
 
-def _fr_block_measurements(offset: int, width: int, total_bits: int) -> list:
+def _fr_block_measurements(systems: range, total_bits: int) -> list:
+    """The menu of one agent measuring ``systems``: every isotropic subspace
+    of positive dimension on their 2·len(systems) bits."""
+    offset, width = 2 * systems.start, 2 * len(systems)
     per_dim = _gf2.isotropic_bases(width)
     block = tuple(x << offset for x in range(1 << width))
     out = []
@@ -497,10 +503,9 @@ class _FrTables:
         self.lagrangians = _gf2.isotropic_bases(8)[4]
         # the first member of each orbit stands for it in the verdict's scan
         self.orbits = _fr_orbits(self.lagrangians)
-        self.meas_a = _fr_block_measurements(0, 2, 8)
-        self.meas_b = _fr_block_measurements(4, 2, 8)
-        self.meas_u = _fr_block_measurements(0, 4, 8)
-        self.meas_w = _fr_block_measurements(4, 4, 8)
+        systems = _fr_systems(_FR_BLOCKS)
+        self.meas_a, self.meas_b, self.meas_u, self.meas_w = (
+            _fr_block_measurements(systems[agent], 8) for agent in "ABUW")
 
         def sums(xs, ys):
             return [[tuple(sorted({ex ^ ey for ex in x.elems for ey in y.elems}))
@@ -746,7 +751,7 @@ def _fr_candidate_from_ints(t: _FrTables, li: int, v: int, a: int, a1: int,
 
     u_fail = next(x for x in t.meas_u[u].outs if x != uok)
     return FRCandidate(
-        initial=state, blocks=(1, 1, 1, 1),
+        initial=state, blocks=_FR_BLOCKS,
         v_a=v_a, v_b=v_b, v_u=v_u, v_w=v_w,
         a1=label(v_a, a1), b1=label(v_b, b1),
         u_ok=label(v_u, uok), u_fail=label(v_u, u_fail),
@@ -782,7 +787,6 @@ def _fr_spot_checks(t: _FrTables, checks: Sequence[tuple]) -> dict:
     conditional probability; and where ``sequential`` is set the sequential
     branch reading must never assemble a paradox.
     """
-    from .oracle import oracle_conditional
     result = {"checked": 0, "sequential_checked": 0,
               "conditions_agree": True, "chain_matches_conditions": True,
               "oracle_agrees": True, "sequential_paradoxes": 0}
@@ -793,16 +797,16 @@ def _fr_spot_checks(t: _FrTables, checks: Sequence[tuple]) -> dict:
         if rep.conditions != fast:
             result["conditions_agree"] = False
         chain = _fr_chain(rep)
-        if chain["infers_u_b"] != (fast[0] and fast[4]) or \
-           chain["infers_b_a"] != (fast[1] and fast[5]) or \
-           chain["infers_a_w"] != (fast[2] and fast[6]) or \
-           (chain["p_ok_ok"] > 0) != fast[3]:
+        if (chain["p_ok_ok"] > 0) != fast[3]:
             result["chain_matches_conditions"] = False
         m = cand.measurements()
-        for key, pa, po, ca, co in _FR_CHAIN:
+        for i, (link, pa, po, ca, co) in enumerate(_FR_CHAIN):
+            inferred = chain[f"infers_{link}"]
+            if inferred != (fast[i] and fast[i + 4]):
+                result["chain_matches_conditions"] = False
             cond = oracle_conditional(cand.initial, m[pa], cand.outcome(po),
                                       m[ca], cand.outcome(co))
-            if chain[key] != (cond is not None and cond == 1):
+            if inferred != (cond is not None and cond == 1):
                 result["oracle_agrees"] = False
         if sequential:
             result["sequential_checked"] += 1
@@ -838,8 +842,11 @@ def _fr_rederive(t: _FrTables, sample: Sequence[tuple]) -> bool:
 
 
 def _random_block_subspace(space: PhaseSpace, rng: random.Random,
-                           systems: Sequence[int], dim: int) -> Subspace:
+                           systems: range) -> Subspace:
+    """A random isotropic subspace on ``systems``, of a random dimension
+    from 1 to len(systems), drawn first."""
     field = space.field
+    dim = rng.randint(1, len(systems))
     coords = [c for s in systems for c in space.system_coords(s)]
     while True:
         rows = []
@@ -855,17 +862,13 @@ def _random_block_subspace(space: PhaseSpace, rng: random.Random,
 
 def _fr_sampled_search(d: int, blocks: tuple, rng: random.Random,
                        samples: int, sequential_checks: int) -> dict:
-    n_r, n_a, n_s, n_b = blocks
-    n = n_r + n_a + n_s + n_b
+    n = sum(blocks)
     space = discrete_space(d, n)
     field = space.field
     base = state_from_values(
         space, [(tuple(field.one if j == 2 * i else field.zero
                        for j in range(2 * n)), 0) for i in range(n)])
-    r_sys = list(range(n_r))
-    a_sys = list(range(n_r, n_r + n_a))
-    s_sys = list(range(n_r + n_a, n_r + n_a + n_s))
-    b_sys = list(range(n_r + n_a + n_s, n))
+    systems = _fr_systems(blocks)
     found = []
     sequential_paradoxes = 0
 
@@ -880,12 +883,8 @@ def _fr_sampled_search(d: int, blocks: tuple, rng: random.Random,
 
     for i in range(samples):
         state = apply_to_state(random_symplectic(space, rng), base)
-        v_a = _random_block_subspace(space, rng, r_sys, rng.randint(1, n_r))
-        v_b = _random_block_subspace(space, rng, s_sys, rng.randint(1, n_s))
-        v_u = _random_block_subspace(space, rng, r_sys + a_sys,
-                                     rng.randint(1, n_r + n_a))
-        v_w = _random_block_subspace(space, rng, s_sys + b_sys,
-                                     rng.randint(1, n_s + n_b))
+        v_a, v_b, v_u, v_w = (_random_block_subspace(space, rng, systems[x])
+                              for x in "ABUW")
         uok = pick_outcome(v_u)
         wok = pick_outcome(v_w)
         wfail = pick_other_outcome(v_w, wok)
@@ -919,7 +918,7 @@ def _pool_context():
 DEFAULT_SPOT_CHECKS = 200
 
 
-def check_fr_request(d: int = 2, blocks: tuple = (1, 1, 1, 1),
+def check_fr_request(d: int = 2, blocks: tuple = _FR_BLOCKS,
                      exhaustive: bool = False, workers: int = 1,
                      samples: int = 2000,
                      spot_checks: int = DEFAULT_SPOT_CHECKS,
@@ -957,13 +956,13 @@ def check_fr_request(d: int = 2, blocks: tuple = (1, 1, 1, 1),
     if stop_after is not None and not exhaustive:
         raise ValueError("stop_after needs exhaustive mode: the sampled "
                          "search draws all its samples")
-    if exhaustive and (d != 2 or tuple(blocks) != (1, 1, 1, 1)):
+    if exhaustive and (d != 2 or tuple(blocks) != _FR_BLOCKS):
         raise SearchSpaceExceeded(
             "exhaustive mode covers d=2 with one toy bit per block; "
             "use sampled mode elsewhere")
 
 
-def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
+def search_fr_paradox(d: int = 2, blocks: tuple = _FR_BLOCKS,
                       exhaustive: bool = False, workers: int = 1,
                       seed: int = 0, samples: int = 2000,
                       weaken_condition1: bool = False,
@@ -1028,13 +1027,14 @@ def search_fr_paradox(d: int = 2, blocks: tuple = (1, 1, 1, 1),
 
     t = _fr_tables()
     n_lagr = len(t.lagrangians)
-    outs_u = sum(len(m.outs) for m in t.meas_u)
+    outs_a, outs_b, outs_u = (sum(len(m.outs) for m in menu)
+                              for menu in (t.meas_a, t.meas_b, t.meas_u))
     pairs_w = sum(len(m.outs) * (len(m.outs) - 1) for m in t.meas_w)
     reps = [(cls[0], 0, len(cls) * _fr_valuation_classes(t, cls[0]))
             for cls in t.orbits]
     config["lagrangians"] = n_lagr
     config["candidate_space"] = \
-        sum(w for _, _, w in reps) * 36 * outs_u * pairs_w
+        sum(w for _, _, w in reps) * outs_a * outs_b * outs_u * pairs_w
     run_spot_checks = spot_checks > 0 and not weaken_condition1
     draws = ([] if weaken_condition1
              else _fr_orbit_draws(t, random.Random(seed)))

@@ -14,8 +14,8 @@ from toytheory.scenarios import (
     fr_chain_sequential, run_bell, run_forgetting, run_wigner_friend,
     search_fr_paradox, _FR_BENIGN_SAMPLES, _FR_COUNTERS, _FR_PARADOX_SAMPLES,
     _block_support, _fr_candidate_from_ints, _fr_conditions_single,
-    _fr_orbit_draws, _fr_orbits, _fr_rederive, _fr_scan, _fr_tables,
-    _fr_valuation_classes, _perp_of_elems, _random_fr_tuple,
+    _fr_orbit_draws, _fr_orbits, _fr_rederive, _fr_scan, _fr_systems,
+    _fr_tables, _fr_valuation_classes, _perp_of_elems, _random_fr_tuple,
 )
 from toytheory.states import make_state, state_from_values
 
@@ -157,6 +157,44 @@ def test_candidate_block_support_enforced():
             v_w=rref(F2, 8, [(0, 0, 0, 0, 1, 0, 0, 0)]),
             a1=(0,), b1=(0,), u_ok=(0,), u_fail=(1,),
             w_ok=(0,), w_fail=(1,))
+
+
+@pytest.mark.parametrize("blocks, systems", [
+    ((1, 1, 1, 1), {"A": (0, 1), "B": (2, 3), "U": (0, 2), "W": (2, 4)}),
+    ((1, 2, 1, 1), {"A": (0, 1), "B": (3, 4), "U": (0, 3), "W": (3, 5)}),
+    ((2, 1, 1, 2), {"A": (0, 2), "B": (3, 4), "U": (0, 3), "W": (3, 6)}),
+])
+def test_candidate_blocks_follow_the_layout(blocks, systems):
+    # each V_X may use the first and the last system of its range, and no
+    # system next to it
+    assert _fr_systems(blocks) == {x: range(*r) for x, r in systems.items()}
+    n = sum(blocks)
+    space = discrete_space(2, n)
+    state = state_from_values(
+        space, [(tuple(1 if j == 2 * i else 0 for j in range(2 * n)), 0)
+                for i in range(n)])
+
+    def q_on(system):
+        return rref(F2, 2 * n, [tuple(1 if j == 2 * system else 0
+                                      for j in range(2 * n))])
+
+    subs = {x: q_on(start) for x, (start, _) in systems.items()}
+
+    def candidate(agent, system):
+        v = dict(subs, **{agent: q_on(system)})
+        return FRCandidate(
+            initial=state, blocks=blocks,
+            v_a=v["A"], v_b=v["B"], v_u=v["U"], v_w=v["W"],
+            a1=(0,), b1=(0,), u_ok=(0,), u_fail=(1,),
+            w_ok=(0,), w_fail=(1,))
+
+    for agent, (start, stop) in systems.items():
+        candidate(agent, start)
+        candidate(agent, stop - 1)
+        for outside in {start - 1, stop} & set(range(n)):
+            with pytest.raises(DimensionMismatch,
+                               match=f"V_{agent} leaves its block"):
+                candidate(agent, outside)
 
 
 def test_all_seven_conditions_force_equal_w_outcomes():
@@ -626,6 +664,21 @@ def test_sequential_reading_never_assembles_paradox(rng):
         assert not seq["holds"]
 
 
+def test_sequential_chain_is_pinned():
+    # 60 seeded d = 2 candidates, on which each statement both holds and
+    # fails; the CRC-32 covers every key and value of the 60 chain dicts
+    t = _fr_tables()
+    rng = random.Random(3)
+    chains = [fr_chain_sequential(
+        _fr_candidate_from_ints(t, *_random_fr_tuple(t, rng)))
+        for _ in range(60)]
+    for link in ("u_b", "b_a", "a_w"):
+        assert {ch[f"stmt_{link}"] for ch in chains} == {False, True}
+    assert not any(ch["holds"] for ch in chains)
+    text = "".join(repr(sorted(ch.items())) for ch in chains)
+    assert f"{zlib.crc32(text.encode()):08x}" == "b6b318ed"
+
+
 def test_mutated_search_finds_false_positives():
     t = _fr_tables()
     stats = _fr_scan(t, _ones(40), weaken_condition1=True, stop_after=3)
@@ -721,15 +774,14 @@ def test_spot_check_shares_merge_to_the_single_share():
 def test_spot_checks_run_in_the_workers(monkeypatch, workers, parent_calls):
     # three oracle conditionals per check; with a pool the calling process
     # runs none of them
-    from toytheory import oracle
     calls = []
-    real = oracle.oracle_conditional
+    real = scenarios.oracle_conditional
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "oracle_conditional", counted)
+    monkeypatch.setattr(scenarios, "oracle_conditional", counted)
     r = search_fr_paradox(d=2, exhaustive=True, workers=workers,
                           spot_checks=4, sequential_checks=0)
     assert _event(r, "spot_checks")["checked"] == 4
@@ -816,6 +868,7 @@ def test_seed7_exhaustive_report_is_pinned(workers):
         "conditions_agree": True, "chain_matches_conditions": True,
         "oracle_agrees": True, "sequential_paradoxes": 0,
         "digest": "09f1a215"}
+    assert r.config["candidate_space"] == 24984288000
     assert r.verdict == dict.fromkeys(
         ("orbit_weights_verified", "no_paradox_found",
          "benign_all_seven_exist", "derivation_verified",

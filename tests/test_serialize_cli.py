@@ -99,6 +99,9 @@ def files(tmp_path):
                              "support": [[0, 0], [0, 1], [1, 0]]},
         "empty_support.json": {"field": "prime", "d": 2, "n": 1,
                                "support": []},
+        "non_coset_support.json": {"field": "prime", "d": 2, "n": 2,
+                                   "support": [[0, 0, 0, 0], [1, 0, 0, 0],
+                                               [0, 0, 1, 0], [0, 1, 0, 1]]},
         "nonisotropic.json": {"field": "prime", "d": 2, "n": 1,
                               "generators": [[1, 0], [0, 1]],
                               "valuation": [0, 0]},
@@ -128,6 +131,13 @@ def test_cli_validate_empty_support_exit2(files):
         [sys.executable, "-m", "toytheory.cli", "state", "validate",
          str(files / "empty_support.json")],
         capture_output=True, text=True, env=_env(), timeout=60)
+    assert r.returncode == 2
+    assert "not a valid epistemic state" in r.stdout
+
+
+def test_cli_validate_non_coset_support_exit2(files):
+    # four points, a power of 2, whose differences span three dimensions
+    r = _run(["state", "validate", str(files / "non_coset_support.json")])
     assert r.returncode == 2
     assert "not a valid epistemic state" in r.stdout
 

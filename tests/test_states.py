@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from toytheory.algebra import GF, rref
+from toytheory.algebra import GF, orthogonal_complement, rref
 from toytheory.errors import DimensionMismatch, EnumerationCapExceeded, NotIsotropic
 from toytheory.phase_space import (
-    all_isotropic_subspaces, discrete_space, rational_space, _all_vectors,
+    all_isotropic_subspaces, discrete_space, is_isotropic, rational_space,
+    _all_vectors,
 )
 from toytheory.states import (
     all_valid_states, bell_pair, box_number, is_valid_support, knowledge_bits,
@@ -150,6 +151,25 @@ def test_is_valid_support():
     full = OnticSupport(SP2, frozenset(_all_vectors(F2, 4)))
     got = is_valid_support(full)
     assert got is not None and states_equal(got, maximally_mixed(SP2))
+
+
+@pytest.mark.parametrize("d, n, members, spanned", [
+    # 4 = 2^2 points whose differences span 3 dimensions
+    (2, 2, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1)], 8),
+    # 3 = 3^1 points whose differences span the plane
+    (3, 1, [(0, 0), (1, 0), (0, 1)], 9),
+])
+def test_support_that_is_not_a_coset_is_not_a_state(d, n, members, spanned):
+    # the size is a power of d in the knowledge balance, and the differences
+    # span a subspace with an isotropic annihilator, so only the coset test
+    # (d^dim of the span == size) rejects the set: without it the "state"
+    # would have a support of ``spanned`` points
+    field = GF(d)
+    direction = rref(field, 2 * n, members)  # the differences from 0
+    assert d ** direction.dim == spanned
+    assert is_isotropic(orthogonal_complement(direction))
+    sup = OnticSupport(discrete_space(d, n), frozenset(members))
+    assert is_valid_support(sup) is None
 
 
 def test_empty_support_is_not_a_state():

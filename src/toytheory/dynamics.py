@@ -84,14 +84,14 @@ def compose_transforms(t1: SymplecticTransform, t2: SymplecticTransform) -> Symp
         raise DimensionMismatch("transforms act on different spaces")
     field = t1.space.field
     u = mat_mul(field, t1.matrix, t2.matrix)
-    u2_inv = mat_inverse(field, t2.matrix)
+    u2_inv = mat_transpose(t2._ut_inv)  # U^-1 = ((U^T)^-1)^T
     a = vec_add(field, t2.shift, mat_vec(field, u2_inv, t1.shift))
     return SymplecticTransform(t1.space, u, a)
 
 
 def invert_transform(t: SymplecticTransform) -> SymplecticTransform:
     field = t.space.field
-    u_inv = mat_inverse(field, t.matrix)
+    u_inv = mat_transpose(t._ut_inv)  # U^-1 = ((U^T)^-1)^T
     a_inv = tuple(field.neg(x) for x in mat_vec(field, t.matrix, t.shift))
     return SymplecticTransform(t.space, u_inv, a_inv)
 

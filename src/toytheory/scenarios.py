@@ -6,10 +6,13 @@ R, Bob measures S, Ursula measures R+A, Wigner measures S+B, each outcome
 given by its label, the values of its measurement's canonical generators.
 A "paradox" would be a state and measurements where, from the initial
 description, U=ok implies B=1, B=1 implies A=1, A=1 implies W=fail, and yet
-(ok, ok) for Ursula and Wigner has positive probability.  The exhaustive
-search shows there is none at d = 2 with one toy bit per block, matching the
-algebraic argument that the seven necessary conditions force Wigner's two
-outcomes to coincide.
+(ok, ok) for Ursula and Wigner has positive probability.  A candidate
+holds the state, the four measurements and the five labels A=1, B=1, U=ok,
+W=ok and W=fail that the chain and P(ok, ok) read.  Whether W's ok and fail
+coincide is decided in one place, `check_fr_conditions`' `w_outcomes_equal`:
+the seven necessary conditions force them to (the derivation is in that
+docstring), and the exhaustive search confirms there is no paradox at d = 2
+with one toy bit per block.
 
 The seven conditions are the chain's `measurement.inference_conditions`
 pairs plus P(ok, ok) > 0: one exact kernel for the condition report, the
@@ -223,13 +226,12 @@ class FRCandidate:
 
     Measurement subspaces are block-local: each V_X lies on the systems
     `_fr_systems` gives agent X (V_A on R, V_B on S, V_U on R+A, V_W on
-    S+B).  Each outcome is named by a key such as "U=ok", as `_FR_CHAIN`'s
-    links name them, and given by its label: the values of its
-    measurement's canonical generators (`outcome`), one per generator, so a
-    label of the wrong length raises DimensionMismatch.  ok/fail outcome
-    pairs must be distinct outcomes unless ``allow_equal_outcomes`` is set
-    (search internals use that to count configurations where all seven
-    conditions hold benignly).
+    S+B).  It holds the five outcomes the argument reads, each named by a
+    key, "A=1", "B=1", "U=ok", "W=ok" or "W=fail", as `_FR_CHAIN`'s links
+    name them, and given by its label: the values of its measurement's
+    canonical generators (`outcome`), one per generator, so a label of the
+    wrong length raises DimensionMismatch.  W's ok and fail may label the
+    same outcome; `check_fr_conditions` reports whether they do.
     """
 
     initial: EpistemicState
@@ -241,10 +243,8 @@ class FRCandidate:
     a1: tuple
     b1: tuple
     u_ok: tuple
-    u_fail: tuple
     w_ok: tuple
     w_fail: tuple
-    allow_equal_outcomes: bool = False
 
     def __post_init__(self):
         systems = _fr_systems(self.blocks)
@@ -255,13 +255,8 @@ class FRCandidate:
             if not all(supported_systems(space, g) <= set(systems[agent])
                        for g in meas.observables.basis):
                 raise DimensionMismatch(f"V_{agent} leaves its block")
-        outs = {key: self.outcome(key) for key in
-                ("A=1", "B=1", "U=ok", "U=fail", "W=ok", "W=fail")}
-        if not self.allow_equal_outcomes:
-            for name in ("U", "W"):
-                if outs[f"{name}=ok"] == outs[f"{name}=fail"]:
-                    raise DimensionMismatch(
-                        f"{name}'s ok and fail label the same outcome")
+        for key in ("A=1", "B=1", "U=ok", "W=ok", "W=fail"):
+            self.outcome(key)
 
     @property
     def space(self) -> PhaseSpace:
@@ -274,8 +269,8 @@ class FRCandidate:
     def outcome(self, which: str) -> Outcome:
         sub, label = {
             "A=1": (self.v_a, self.a1), "B=1": (self.v_b, self.b1),
-            "U=ok": (self.v_u, self.u_ok), "U=fail": (self.v_u, self.u_fail),
-            "W=ok": (self.v_w, self.w_ok), "W=fail": (self.v_w, self.w_fail),
+            "U=ok": (self.v_u, self.u_ok), "W=ok": (self.v_w, self.w_ok),
+            "W=fail": (self.v_w, self.w_fail),
         }[which]
         return outcome_for_label(Measurement(self.space, sub), label)
 
@@ -299,8 +294,6 @@ class ConditionReport:
     all_hold: bool
     p_ok_ok: Fraction
     w_outcomes_equal: bool
-    forced_equality_consistent: bool
-    message: str
 
 
 # The chain's three inferences: (link, premise agent, premise outcome,
@@ -324,9 +317,22 @@ def check_fr_conditions(c: FRCandidate) -> ConditionReport:
     points supported on that block; for such x1 and y1 the cross terms
     a.y1, b.x1 vanish, the two blocks of each pair being disjoint, and the
     solvability is the membership y1 + x1 - v ⊥ (V_Y ⊕ V_X) ∩ K_X that the
-    packed scan tests (c4 likewise, with K_X = V).  When all seven hold,
-    Wigner's ok and fail valuations are forced to label the same outcome, so
-    no configuration with distinct outcomes survives.
+    packed scan tests (c4 likewise, with K_X = V).
+
+    When all seven hold, W's ok and fail are one outcome, so no
+    configuration with distinct W outcomes survives.  Write x.g for the
+    value that outcome x gives g in its measurement's subspace (the same at
+    every point of x), and take any g in V_W.  c3, c2 and c1 decompose it:
+    g = k_A + a, a = k_B + b and b = k_U + u, with each k_X in K_X and
+    a, b, u in V_A, V_B, V_U.  Then c7 with the pair (-a, g), whose sum k_A
+    lies in K_A, gives W=fail.g = A=1.a + v.k_A; c6 with (-b, a) gives
+    A=1.a = B=1.b + v.k_B; and c5 with (-u, b) gives B=1.b = U=ok.u + v.k_U.
+    So W=fail.g = U=ok.u + v.(k_A + k_B + k_U).  That sum g - u lies in V,
+    so c4 with the pair (-u, g) gives W=ok.g the same value.  W's ok and
+    fail agree on every g in V_W, which makes them the same outcome
+    (``w_outcomes_equal``).  The argument uses only K_X ⊆ V, never that K_X
+    commutes with V_X, so it holds over any field, QQ included, and at any
+    block sizes.
     """
     m = c.measurements()
     subsets, members = zip(*(
@@ -334,19 +340,8 @@ def check_fr_conditions(c: FRCandidate) -> ConditionReport:
                              c.outcome(co))
         for _, pa, po, ca, co in _FR_CHAIN))
     conditions = subsets + (c.p_ok_ok > 0,) + members
-    all_hold = all(conditions)
-
-    equal = c.outcome("W=ok") == c.outcome("W=fail")
-    consistent = (not all_hold) or equal
-    if all_hold:
-        msg = ("all seven conditions hold; Wigner's ok and fail valuations "
-               "are forced to label the same outcome, so no contradiction "
-               "is expressible")
-    else:
-        failed = [i + 1 for i, x in enumerate(conditions) if not x]
-        msg = f"conditions {failed} fail; the reasoning chain cannot be assembled"
-    return ConditionReport(conditions, all_hold, c.p_ok_ok, equal, consistent,
-                           msg)
+    return ConditionReport(conditions, all(conditions), c.p_ok_ok,
+                           c.outcome("W=ok") == c.outcome("W=fail"))
 
 
 def _fr_chain(rep: ConditionReport) -> dict:
@@ -734,8 +729,7 @@ def _int_vec(x: int) -> tuple:
 
 def _fr_candidate_from_ints(t: _FrTables, li: int, v: int, a: int, a1: int,
                             b: int, b1: int, u: int, uok: int, w: int,
-                            wok: int, wfail: int,
-                            allow_equal: bool = False) -> FRCandidate:
+                            wok: int, wfail: int) -> FRCandidate:
     space = discrete_space(2, 4)
     state = make_state(space, [_int_vec(g) for g in t.lagrangians[li]],
                        _int_vec(v))
@@ -749,14 +743,11 @@ def _fr_candidate_from_ints(t: _FrTables, li: int, v: int, a: int, a1: int,
         m = Measurement(space, sub)
         return outcome_from_valuation(m, _int_vec(x)).label
 
-    u_fail = next(x for x in t.meas_u[u].outs if x != uok)
     return FRCandidate(
         initial=state, blocks=_FR_BLOCKS,
         v_a=v_a, v_b=v_b, v_u=v_u, v_w=v_w,
-        a1=label(v_a, a1), b1=label(v_b, b1),
-        u_ok=label(v_u, uok), u_fail=label(v_u, u_fail),
+        a1=label(v_a, a1), b1=label(v_b, b1), u_ok=label(v_u, uok),
         w_ok=label(v_w, wok), w_fail=label(v_w, wfail),
-        allow_equal_outcomes=allow_equal,
     )
 
 
@@ -833,12 +824,13 @@ def _merge_spot_checks(parts: Sequence[dict]) -> dict:
 
 
 def _fr_rederive(t: _FrTables, sample: Sequence[tuple]) -> bool:
-    """True iff there is a sample and the exact conditions hold for every
-    sampled tuple the scan counted as benign all-seven."""
-    return bool(sample) and all(
-        check_fr_conditions(
-            _fr_candidate_from_ints(t, *tup, allow_equal=True)).all_hold
-        for tup in sample)
+    """True iff there is a sample and, for every sampled tuple the scan
+    counted as benign all-seven, the exact report has all seven conditions
+    holding and W's ok and fail equal."""
+    reports = (check_fr_conditions(_fr_candidate_from_ints(t, *tup))
+               for tup in sample)
+    return bool(sample) and all(rep.all_hold and rep.w_outcomes_equal
+                                for rep in reports)
 
 
 def _random_block_subspace(space: PhaseSpace, rng: random.Random,
@@ -888,11 +880,10 @@ def _fr_sampled_search(d: int, blocks: tuple, rng: random.Random,
         uok = pick_outcome(v_u)
         wok = pick_outcome(v_w)
         wfail = pick_other_outcome(v_w, wok)
-        ufail = pick_other_outcome(v_u, uok)
         cand = FRCandidate(
             initial=state, blocks=blocks, v_a=v_a, v_b=v_b, v_u=v_u, v_w=v_w,
             a1=pick_outcome(v_a), b1=pick_outcome(v_b),
-            u_ok=uok, u_fail=ufail, w_ok=wok, w_fail=wfail)
+            u_ok=uok, w_ok=wok, w_fail=wfail)
         rep = check_fr_conditions(cand)
         if rep.all_hold and not rep.w_outcomes_equal:
             found.append(i)

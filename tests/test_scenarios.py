@@ -1,6 +1,6 @@
 import random
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import pytest
@@ -105,26 +105,8 @@ def _all_positions_candidate(equal_w=False):
     return FRCandidate(
         initial=state, blocks=(1, 1, 1, 1),
         v_a=qr, v_b=qs, v_u=qr, v_w=qs,
-        a1=(0,), b1=(0,), u_ok=(0,), u_fail=(1,),
-        w_ok=(0,), w_fail=(0,) if equal_w else (1,),
-        allow_equal_outcomes=equal_w)
-
-
-def test_candidate_distinctness_enforced():
-    # ok and fail labeling the same outcome is rejected at construction
-    space = discrete_space(2, 4)
-    state = state_from_values(
-        space, [(tuple(1 if j == 2 * i else 0 for j in range(8)), 0)
-                for i in range(4)])
-    qr = rref(F2, 8, [(1, 0, 0, 0, 0, 0, 0, 0)])
-    qs = rref(F2, 8, [(0, 0, 0, 0, 1, 0, 0, 0)])
-    with pytest.raises(DimensionMismatch, match="W's ok and fail label the "
-                                                "same outcome"):
-        FRCandidate(
-            initial=state, blocks=(1, 1, 1, 1),
-            v_a=qr, v_b=qs, v_u=qr, v_w=qs,
-            a1=(0,), b1=(0,), u_ok=(0,), u_fail=(1,),
-            w_ok=(0,), w_fail=(0,))
+        a1=(0,), b1=(0,), u_ok=(0,),
+        w_ok=(0,), w_fail=(0,) if equal_w else (1,))
 
 
 @pytest.mark.parametrize("field", ["a1", "w_fail"])
@@ -140,7 +122,6 @@ def test_distinct_w_candidate_fails_condition_seven():
     rep = check_fr_conditions(cand)
     assert not rep.conditions[6]
     assert not rep.all_hold
-    assert rep.forced_equality_consistent
 
 
 def test_candidate_block_support_enforced():
@@ -155,8 +136,7 @@ def test_candidate_block_support_enforced():
             v_b=rref(F2, 8, [(0, 0, 0, 0, 1, 0, 0, 0)]),
             v_u=rref(F2, 8, [(1, 0, 0, 0, 0, 0, 0, 0)]),
             v_w=rref(F2, 8, [(0, 0, 0, 0, 1, 0, 0, 0)]),
-            a1=(0,), b1=(0,), u_ok=(0,), u_fail=(1,),
-            w_ok=(0,), w_fail=(1,))
+            a1=(0,), b1=(0,), u_ok=(0,), w_ok=(0,), w_fail=(1,))
 
 
 @pytest.mark.parametrize("blocks, systems", [
@@ -185,8 +165,7 @@ def test_candidate_blocks_follow_the_layout(blocks, systems):
         return FRCandidate(
             initial=state, blocks=blocks,
             v_a=v["A"], v_b=v["B"], v_u=v["U"], v_w=v["W"],
-            a1=(0,), b1=(0,), u_ok=(0,), u_fail=(1,),
-            w_ok=(0,), w_fail=(1,))
+            a1=(0,), b1=(0,), u_ok=(0,), w_ok=(0,), w_fail=(1,))
 
     for agent, (start, stop) in systems.items():
         candidate(agent, start)
@@ -203,9 +182,25 @@ def test_all_seven_conditions_force_equal_w_outcomes():
     assert rep.all_hold
     assert rep.p_ok_ok > 0
     assert rep.w_outcomes_equal          # derivation confirmed
-    assert rep.forced_equality_consistent
     chain = fr_chain_initial(cand)
     assert chain["holds"]                # benign: ok and fail coincide
+
+
+def test_every_stored_label_is_read():
+    # replacing any one label the candidate stores moves the report, so it
+    # stores none that the conditions and the W comparison do not read
+    cand = _all_positions_candidate(equal_w=True)
+
+    def seen(c):
+        rep = check_fr_conditions(c)
+        return rep.conditions, rep.w_outcomes_equal
+
+    labels = [f.name for f in fields(FRCandidate) if f.name != "blocks"
+              and isinstance(getattr(cand, f.name), tuple)]
+    assert {"a1", "b1", "u_ok", "w_ok", "w_fail"} <= set(labels)
+    for name in labels:
+        flipped = tuple(1 - x for x in getattr(cand, name))
+        assert seen(replace(cand, **{name: flipped})) != seen(cand), name
 
 
 def test_correlated_pairs_candidate_fails_a_subset_condition():
@@ -222,12 +217,10 @@ def test_correlated_pairs_candidate_fails_a_subset_condition():
     cand = FRCandidate(
         initial=state, blocks=(1, 1, 1, 1),
         v_a=qr, v_b=qs, v_u=qr, v_w=qs,
-        a1=(0,), b1=(0,), u_ok=(0,), u_fail=(1,),
-        w_ok=(0,), w_fail=(1,))
+        a1=(0,), b1=(0,), u_ok=(0,), w_ok=(0,), w_fail=(1,))
     rep = check_fr_conditions(cand)
     assert not rep.conditions[0]  # V_B not reachable from U's commutant
     assert not rep.all_hold
-    assert rep.forced_equality_consistent
     assert not fr_chain_initial(cand)["holds"]
 
 
@@ -633,20 +626,20 @@ def test_conditions_match_literal_set_enumeration(rng, monkeypatch):
     assert benign
     cands = [_fr_candidate_from_ints(t, *_random_fr_tuple(t, rng))
              for _ in range(40)]
-    cands += [_fr_candidate_from_ints(t, *tup, allow_equal=True)
-              for tup in benign]
+    cands += [_fr_candidate_from_ints(t, *tup) for tup in benign]
     real = scenarios.check_fr_conditions
     monkeypatch.setattr(scenarios, "check_fr_conditions",
                         lambda cand: cands.append(cand) or real(cand))
     for d, blocks in ((3, (1, 1, 1, 1)), (2, (1, 2, 1, 1))):
         scenarios._fr_sampled_search(d, blocks, random.Random(13), 100, 0)
     assert len(cands) == 40 + len(benign) + 200
-    # the seeded draws are the same as when outcomes were ontic vectors
-    keys = ("A=1", "B=1", "U=ok", "U=fail", "W=ok", "W=fail")
+    # the sampled search's seeded draws: states, subspaces and the five
+    # labels each candidate holds
+    keys = ("A=1", "B=1", "U=ok", "W=ok", "W=fail")
     drawn = "".join(repr((c.initial, c.v_a, c.v_b, c.v_u, c.v_w,
                           [tuple(c.outcome(k).label) for k in keys]))
                     for c in cands[-200:])
-    assert f"{zlib.crc32(drawn.encode()):08x}" == "f734241b"
+    assert f"{zlib.crc32(drawn.encode()):08x}" == "5ca04741"
     seen = set()
     for cand in cands:
         conditions = real(cand).conditions
@@ -714,6 +707,18 @@ def test_search_verdict_fails_on_misclassified_benign_sample(monkeypatch):
     assert r.verdict["derivation_verified"] is False
     assert not r.passed
     assert not _fr_rederive(t, [])    # no sample is no evidence
+
+
+def test_rederivation_requires_equal_w_outcomes(monkeypatch):
+    # all seven holding is not enough: the exact report must also find W's
+    # ok and fail equal on every benign sample
+    monkeypatch.setattr(scenarios, "check_fr_conditions",
+                        lambda cand: SimpleNamespace(
+                            all_hold=True, w_outcomes_equal=False))
+    r = search_fr_paradox(d=2, exhaustive=True, workers=1, spot_checks=0)
+    assert _event(r, "derivation")["all_hold"] is False
+    assert r.verdict["derivation_verified"] is False
+    assert not r.passed
 
 
 def _event(report, kind: str) -> dict:

@@ -44,8 +44,7 @@ from .measurement import (
     sample_outcome, update_state,
 )
 from .oracle import (
-    OnticEnsemble, oracle_conditional, oracle_probability,
-    oracle_smallest_update,
+    oracle_conditional, oracle_probability, oracle_smallest_update,
 )
 from .scenarios import (
     ConditionReport, FRCandidate, ScenarioReport, check_fr_conditions,

@@ -8,11 +8,11 @@ Subcommands
 
 Exit codes: 0 pass, 1 I/O or schema error, 2 domain error (invalid state,
 non-symplectic matrix, impossible outcome, scenario verdict mismatch),
-3 enumeration/search cap exceeded.  The TOY_ENUM_CAP environment variable
-overrides the ontic enumeration cap.  System indices on the command line are
-1-based ("cnot:1,2" copies system 1 onto system 2); the library API is
-0-based.  All numbers print exactly (integers and a/b rationals); pass
---decimal K for K-digit decimal probabilities.
+3 enumeration/search cap exceeded.  TOY_ENUM_CAP (an integer >= 1, exit 1
+otherwise) is the one explicit-enumeration limit.  System indices on the
+command line are 1-based ("cnot:1,2" copies system 1 onto system 2); the
+library API is 0-based.  All numbers print exactly (integers and a/b
+rationals); pass --decimal K for K-digit decimal probabilities.
 """
 
 from __future__ import annotations

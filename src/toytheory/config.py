@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import os
 
-# Explicit ontic enumerations are refused above this many points unless the
-# caller passes a larger cap.  Overridable via the TOY_ENUM_CAP env variable.
+# Explicit ontic enumerations are refused above this many points; the
+# TOY_ENUM_CAP environment variable is the one way to set another limit.
 DEFAULT_ENUM_CAP = 65536
 
 # Exhaustive enumerations are refused above this size unless the caller opts
@@ -16,10 +16,13 @@ DEFAULT_ENUM_CAP = 65536
 DEFAULT_GROUP_CAP = 12000
 
 
-def enumeration_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return int(explicit)
+def enumeration_cap() -> int:
+    """TOY_ENUM_CAP if it is set, else DEFAULT_ENUM_CAP.  A value that is
+    not an integer of at least 1 is a ValueError naming the variable."""
     env = os.environ.get("TOY_ENUM_CAP")
-    if env is not None:
-        return int(env)
-    return DEFAULT_ENUM_CAP
+    if env is None:
+        return DEFAULT_ENUM_CAP
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(
+            f"TOY_ENUM_CAP must be an integer of at least 1, got {env!r}")
+    return int(env)

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     FieldT, PrimeField, Subspace, VectorT, _meet,
-    enumerate_subspace, identity_matrix, mat_inverse, mat_mul, mat_transpose,
+    enumerate_subspace, identity_matrix, mat_mul, mat_transpose,
     mat_vec, matrix, orthogonal_complement, reduce_mod_subspace, rref,
     solve_linear, vec_add, vector, zero_vector,
 )
@@ -44,6 +44,17 @@ def is_symplectic_matrix(field: FieldT, m: tuple, ambient_dim: int) -> bool:
     return True
 
 
+def _symplectic_inverse(field: FieldT, u: tuple) -> tuple:
+    """U⁻¹ of a symplectic U without an elimination: Uᵀ J U = J gives
+    U⁻¹ = −J·Uᵀ·J (J has blocks [[0,1],[-1,0]]), whose entry (i, j) is
+    U[j^1][i^1], negated when i and j differ in parity."""
+    neg = field.neg
+    n = len(u)
+    return tuple(tuple(u[j ^ 1][i ^ 1] if (i ^ j) & 1 == 0
+                       else neg(u[j ^ 1][i ^ 1]) for j in range(n))
+                 for i in range(n))
+
+
 @dataclass(frozen=True)
 class SymplecticTransform:
     space: PhaseSpace
@@ -59,7 +70,7 @@ class SymplecticTransform:
             raise NotSymplectic("matrix fails U^T J U = J")
         object.__setattr__(
             self, "_ut_inv",
-            mat_inverse(self.space.field, mat_transpose(self.matrix)))
+            _symplectic_inverse(self.space.field, mat_transpose(self.matrix)))
 
     def __repr__(self):
         return f"SymplecticTransform(n={self.space.n_systems}, U={[list(r) for r in self.matrix]}, a={list(self.shift)})"
@@ -252,7 +263,7 @@ def observable_copy_transform(f: Observable, v: Observable) -> SymplecticTransfo
     # diag(m_v^T, m_f^T) carries v to q_mem and f to q_1
     there = (mat_transpose(complete_symplectic(field, v.coeffs)),
              mat_transpose(complete_symplectic(field, f.coeffs)))
-    back = tuple(mat_inverse(field, m) for m in there)
+    back = tuple(_symplectic_inverse(field, m) for m in there)
 
     # position copy from info system 1 to the memory, identity on the rest
     pos = cnot_gate(total, 1, 0).matrix

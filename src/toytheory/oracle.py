@@ -14,30 +14,17 @@ mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .algebra import (
-    PrimeField, Subspace, _pivot_columns, _rref_rows, enumerate_subspace,
+    Subspace, _pivot_columns, _rref_rows, enumerate_subspace,
     orthogonal_complement, reduce_mod_subspace, rref,
 )
 from .errors import EnumerationCapExceeded, InvariantViolation
 from .measurement import Measurement, Outcome
 from .phase_space import PhaseSpace, isotropic_subspaces_within, symplectic_dual
 from .states import EpistemicState, OnticSupport, ontic_support
-
-
-@dataclass(frozen=True)
-class OnticEnsemble:
-    """Uniform distribution over the ontic support of a state."""
-
-    space: PhaseSpace
-    support: OnticSupport
-
-    @classmethod
-    def of_state(cls, s: EpistemicState, cap: int | None = None) -> "OnticEnsemble":
-        return cls(s.space, ontic_support(s, cap))
 
 
 def _outcome_points(points, out: Outcome) -> list:
@@ -49,15 +36,15 @@ def _outcome_points(points, out: Outcome) -> list:
             if all(field_dot(g, o) == c for g, c in values)]
 
 
-def oracle_probability(s: EpistemicState, m: Measurement, out: Outcome,
-                       cap: int | None = None) -> Fraction:
+def oracle_probability(s: EpistemicState, m: Measurement,
+                       out: Outcome) -> Fraction:
     """Literal sum of the outcome indicator over the enumerated support."""
-    sup = ontic_support(s, cap)
+    sup = ontic_support(s)
     return Fraction(len(_outcome_points(sup.members, out)), len(sup.members))
 
 
-def oracle_smallest_update(s: EpistemicState, m: Measurement, out: Outcome,
-                           cap: int | None = None) -> OnticSupport:
+def oracle_smallest_update(s: EpistemicState, m: Measurement,
+                           out: Outcome) -> OnticSupport:
     """Smallest valid support that contains (support ∩ outcome coset) and
     lies inside the outcome coset.
 
@@ -67,17 +54,15 @@ def oracle_smallest_update(s: EpistemicState, m: Measurement, out: Outcome,
     so the largest such W gives the smallest support; the walk grows only
     those W (see `_largest_superspace_orthogonal_to`).
     """
-    if not isinstance(s.field, PrimeField):
-        raise EnumerationCapExceeded("oracle updates need a discrete field")
-    pre_post = _outcome_points(ontic_support(s, cap).members, out)
+    pre_post = _outcome_points(ontic_support(s).members, out)
     if not pre_post:
         raise EnumerationCapExceeded(
             "oracle update undefined for an impossible outcome")
-    return _smallest_support(s, m, pre_post, cap)
+    return _smallest_support(s, m, pre_post)
 
 
-def _smallest_support(s: EpistemicState, m: Measurement, pre_post: list,
-                      cap: int | None) -> OnticSupport:
+def _smallest_support(s: EpistemicState, m: Measurement,
+                      pre_post: list) -> OnticSupport:
     """The search of `oracle_smallest_update`, given the nonempty list of
     support points inside the outcome coset."""
     field = s.field
@@ -87,7 +72,7 @@ def _smallest_support(s: EpistemicState, m: Measurement, pre_post: list,
     diffs = _rref_rows(field, [field.sub_rows(x, x0) for x in pre_post])[0]
     w = _largest_superspace_orthogonal_to(s.space, m.observables, diffs)
     shift = reduce_mod_subspace(orthogonal_complement(w), x0)
-    return ontic_support(EpistemicState(s.space, w, shift), cap)
+    return ontic_support(EpistemicState(s.space, w, shift))
 
 
 def _largest_superspace_orthogonal_to(space: PhaseSpace, v_pi: Subspace,
@@ -120,15 +105,14 @@ def _largest_superspace_orthogonal_to(space: PhaseSpace, v_pi: Subspace,
 
 
 def oracle_conditional(s: EpistemicState, m_a: Measurement, out_a: Outcome,
-                       m_b: Measurement, out_b: Outcome,
-                       cap: int | None = None) -> Optional[Fraction]:
+                       m_b: Measurement, out_b: Outcome) -> Optional[Fraction]:
     """P(out_b | out_a) by enumerating the post-update support; None when
     the premise has probability zero.  The support is enumerated and the
     premise's points found once, for both the premise's probability and the
     update."""
-    pre_post = _outcome_points(ontic_support(s, cap).members, out_a)
+    pre_post = _outcome_points(ontic_support(s).members, out_a)
     if not pre_post:
         return None
-    post = _smallest_support(s, m_a, pre_post, cap)
+    post = _smallest_support(s, m_a, pre_post)
     return Fraction(len(_outcome_points(post.members, out_b)),
                     len(post.members))

@@ -190,8 +190,22 @@ def supported_systems(space: PhaseSpace, v: VectorT) -> set[int]:
             if v[2 * i] != zero or v[2 * i + 1] != zero}
 
 
-def all_isotropic_subspaces(space: PhaseSpace,
-                            cap: int | None = None) -> list[Subspace]:
+def _check_enumerable(space: PhaseSpace) -> None:
+    """The one guard of every explicit enumeration: refuse a rational space,
+    and a discrete one whose p^(2n) points exceed `enumeration_cap()`."""
+    field = space.field
+    if not isinstance(field, PrimeField):
+        raise EnumerationCapExceeded(
+            "a rational phase space has infinitely many ontic states")
+    n = space.ambient_dim
+    limit = enumeration_cap()
+    if field.p ** n > limit:
+        raise EnumerationCapExceeded(
+            f"{field.p}^{n} = {field.p ** n} ontic states exceed the "
+            f"enumeration cap of {limit}")
+
+
+def all_isotropic_subspaces(space: PhaseSpace) -> list[Subspace]:
     """Every isotropic subspace of a discrete space, by dimension.
 
     Each subspace appears once, with the canonical basis `rref` returns:
@@ -202,13 +216,9 @@ def all_isotropic_subspaces(space: PhaseSpace,
     first.
     Desk-scale: intended for d^(2n) within the enumeration cap.
     """
+    _check_enumerable(space)
     field = space.field
-    if not isinstance(field, PrimeField):
-        raise EnumerationCapExceeded("cannot enumerate rational subspaces")
     n = space.ambient_dim
-    if field.p ** n > enumeration_cap(cap):
-        raise EnumerationCapExceeded(
-            f"{field.p}^{n} ontic states exceed the enumeration cap")
     return [sub for per_dim in isotropic_subspaces_within(
         field, n, _all_vectors(field, n)) for sub in per_dim]
 

@@ -2,6 +2,7 @@
 
 State:        {"field": "prime"|"rational", "d": int (prime case), "n": int,
                "generators": [[entry, ...], ...], "valuation": [entry, ...]}
+              (both keys required; "generators": [] is the mixed state)
 Transform:    {"U": [[entry, ...], ...], "shift": [entry, ...]}  (+ field/d/n)
 Measurement:  {"observables": [[entry, ...], ...]}               (+ field/d/n)
 Support:      {"support": [[entry, ...], ...]}                   (+ field/d/n)
@@ -67,7 +68,7 @@ def state_to_json(s: EpistemicState) -> dict:
 
 def state_from_json(doc: dict) -> EpistemicState:
     space = space_from_json(doc)
-    return make_state(space, doc.get("generators", []), doc["valuation"])
+    return make_state(space, doc["generators"], doc["valuation"])
 
 
 def transform_to_json(t: SymplecticTransform) -> dict:

@@ -25,13 +25,12 @@ from .algebra import (
     dot, enumerate_coset, orthogonal_complement, reduce_mod_subspace, rref,
     _pivot_columns, solve_linear, vector, vec_sub, zero_subspace, zero_vector,
 )
-from .config import enumeration_cap
 from .errors import (
     DimensionMismatch, EnumerationCapExceeded, NotIsotropic, ToyTheoryError,
 )
 from .phase_space import (
-    Observable, PhaseSpace, all_isotropic_subspaces, discrete_space,
-    embed_vector, is_isotropic, restrict_vector,
+    Observable, PhaseSpace, _check_enumerable, all_isotropic_subspaces,
+    discrete_space, embed_vector, is_isotropic, restrict_vector,
 )
 
 
@@ -85,7 +84,7 @@ class GridDiagram:
     filled: tuple  # tuple of row tuples of bool
     labels: Optional[tuple] = None  # same shape, outcome labels for overlays
 
-    def to_ascii(self, filled_char: str = "#", empty_char: str = ".") -> str:
+    def to_ascii(self) -> str:
         lines = []
         for r in range(self.rows):
             chars = []
@@ -93,7 +92,7 @@ class GridDiagram:
                 if self.labels is not None and self.labels[r][c] is not None:
                     chars.append(str(self.labels[r][c]))
                 else:
-                    chars.append(filled_char if self.filled[r][c] else empty_char)
+                    chars.append("#" if self.filled[r][c] else ".")
             lines.append("".join(chars))
         return "\n".join(lines)
 
@@ -208,26 +207,18 @@ def marginal(state: EpistemicState, keep: Iterable[int]) -> EpistemicState:
     return make_state(space, gens, restrict_vector(state.valuation, keep))
 
 
-def ontic_support(state: EpistemicState, cap: int | None = None) -> OnticSupport:
-    """Explicit coset V^⊥ + v (discrete only, cap-guarded)."""
-    field = state.field
-    if not isinstance(field, PrimeField):
-        raise EnumerationCapExceeded("rational supports are infinite")
-    n = state.space.ambient_dim
-    limit = enumeration_cap(cap)
-    if field.p ** n > limit:
-        raise EnumerationCapExceeded(
-            f"support enumeration beyond cap: {field.p}^{n} = {field.p ** n}"
-            f" ontic states exceed the cap of {limit}")
+def ontic_support(state: EpistemicState) -> OnticSupport:
+    """Explicit coset V^⊥ + v (discrete only, within the enumeration cap)."""
+    _check_enumerable(state.space)
     members = frozenset(enumerate_coset(state.support_coset()))
-    size = field.p ** (n - state.known.dim)
+    size = state.field.p ** (state.space.ambient_dim - state.known.dim)
     if len(members) != size:
         raise ToyTheoryError(
             f"support has {len(members)} points, expected {size}")
     return OnticSupport(state.space, members)
 
 
-def mixture_support(states: Sequence[EpistemicState], cap: int | None = None) -> OnticSupport:
+def mixture_support(states: Sequence[EpistemicState]) -> OnticSupport:
     """Uniform mixture of states = union of their supports.
 
     Only uniform mixing is expressible; weighted ensembles are not a notion
@@ -240,7 +231,7 @@ def mixture_support(states: Sequence[EpistemicState], cap: int | None = None) ->
     for s in states:
         if s.space != space:
             raise DimensionMismatch("mixture components live on different spaces")
-        members |= ontic_support(s, cap).members
+        members |= ontic_support(s).members
     return OnticSupport(space, frozenset(members))
 
 
@@ -323,15 +314,11 @@ def render_grid(obj: Union[EpistemicState, OnticSupport],
                        tuple(map(tuple, labels)) if labeler else None)
 
 
-def all_valid_states(space: PhaseSpace, cap: int | None = None) -> list[EpistemicState]:
+def all_valid_states(space: PhaseSpace) -> list[EpistemicState]:
     """Every valid epistemic state of a discrete space (desk-scale)."""
     field = space.field
-    if not isinstance(field, PrimeField):
-        raise EnumerationCapExceeded("cannot enumerate rational states")
-    if field.p ** space.ambient_dim > enumeration_cap(cap):
-        raise EnumerationCapExceeded("state enumeration beyond cap")
     states = []
-    for sub in all_isotropic_subspaces(space, cap=cap):
+    for sub in all_isotropic_subspaces(space):
         # the canonical shifts are zero in the pivot columns of V^⊥
         pivots = _pivot_columns(orthogonal_complement(sub))
         columns = [(0,) if j in pivots else field.elements()

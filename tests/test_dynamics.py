@@ -5,7 +5,8 @@ import random
 import pytest
 
 from toytheory.algebra import (
-    GF, QQ, identity_matrix, mat_mul, orthogonal_complement, rref,
+    GF, QQ, identity_matrix, mat_inverse, mat_mul, mat_transpose,
+    orthogonal_complement, rref,
 )
 from toytheory.dynamics import (
     ConditionalPrepSpec, SymplecticTransform, apply_to_ontic, apply_to_state,
@@ -199,6 +200,27 @@ def test_complete_symplectic_z3_random(rng):
         m = complete_symplectic(f3, w)
         assert tuple(r[0] for r in m) == w
         assert is_symplectic_matrix(f3, m, 6)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_symplectic_inverse_matches_elimination(d, rng):
+    # U^-1 = -J U^T J and (U^T)^-1 = -J U J, against mat_inverse
+    field = GF(d)
+    for n in (1, 2, 3):
+        for _ in range(10):
+            t = random_symplectic(discrete_space(d, n), rng)
+            ut = mat_transpose(t.matrix)
+            assert t._ut_inv == mat_inverse(field, ut)
+            assert dynamics._symplectic_inverse(field, t.matrix) == \
+                mat_inverse(field, t.matrix)
+
+
+def test_symplectic_inverse_matches_elimination_over_qq():
+    u = complete_symplectic(QQ, (2, "1/3", 0, -1))
+    t = make_transform(rational_space(2), u)
+    assert t._ut_inv == mat_inverse(QQ, mat_transpose(u))
+    assert dynamics._symplectic_inverse(QQ, u) == mat_inverse(QQ, u)
+    assert mat_mul(QQ, invert_transform(t).matrix, u) == identity_matrix(QQ, 4)
 
 
 def test_observable_copy_reduces_to_position_copy():

@@ -10,8 +10,8 @@ from toytheory.measurement import (
     outcome_from_valuation, outcome_probability, outcomes, update_state,
 )
 from toytheory.oracle import (
-    OnticEnsemble, _largest_superspace_orthogonal_to, _outcome_points,
-    oracle_conditional, oracle_probability, oracle_smallest_update,
+    _largest_superspace_orthogonal_to, _outcome_points, oracle_conditional,
+    oracle_probability, oracle_smallest_update,
 )
 from toytheory.phase_space import (
     _all_vectors, all_isotropic_subspaces, discrete_space, rational_space,
@@ -90,11 +90,6 @@ def test_oracle_certifies_update_n1():
                     continue
                 assert ontic_support(update_state(s, m, o)).members == \
                     oracle_smallest_update(s, m, o).members
-
-
-def test_ontic_ensemble_wrapper():
-    e = OnticEnsemble.of_state(toy_bit("0"))
-    assert len(e.support) == 2
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

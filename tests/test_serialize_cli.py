@@ -12,7 +12,8 @@ from toytheory.dynamics import cnot_gate
 from toytheory.measurement import make_measurement, outcomes
 from toytheory.phase_space import discrete_space, rational_space
 from toytheory.states import (
-    bell_pair, make_state, ontic_support, states_equal, tensor, toy_bit,
+    bell_pair, make_state, maximally_mixed, ontic_support, states_equal,
+    tensor, toy_bit,
 )
 
 SP2 = discrete_space(2, 2)
@@ -37,6 +38,15 @@ def test_state_roundtrip_rational():
     assert doc["field"] == "rational"
     assert any(isinstance(x, str) and "/" in x
                for row in [doc["generators"][0], doc["valuation"]] for x in row)
+
+
+def test_state_requires_generators():
+    doc = {"field": "prime", "d": 2, "n": 1, "valuation": [1, 0]}
+    with pytest.raises(KeyError, match="generators"):
+        serialize.state_from_json(doc)
+    # an empty list is the maximally mixed state
+    assert serialize.state_from_json({**doc, "generators": []}) == \
+        maximally_mixed(discrete_space(2, 1))
 
 
 def test_transform_roundtrip():
@@ -321,6 +331,26 @@ def test_cli_enum_cap_env_exit3(files):
     r = _run(["state", "mix", str(files / "mixed2.json"),
               str(files / "mixed2.json")], env_extra={"TOY_ENUM_CAP": "4"})
     assert r.returncode == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "1e3", "0", "-3"])
+def test_cli_rejects_a_bad_enum_cap_env(files, value):
+    r = _run(["state", "show", str(files / "plus.json")],
+             env_extra={"TOY_ENUM_CAP": value})
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("input error: TOY_ENUM_CAP must be an integer")
+
+
+def test_cli_state_without_generators_is_a_schema_error(tmp_path):
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps({"field": "prime", "d": 2, "n": 1,
+                                "known": [[1, 0]], "valuation": [0, 0]}))
+    r = _run(["state", "show", str(path)])
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.strip() == \
+        f"state schema error in {path}: missing 'generators'"
 
 
 def test_cli_scenario_bell_and_condprep(files):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toytheory.algebra import GF, orthogonal_complement, rref
-from toytheory.errors import DimensionMismatch, EnumerationCapExceeded, NotIsotropic
+from toytheory.errors import DimensionMismatch, NotIsotropic
 from toytheory.phase_space import (
     all_isotropic_subspaces, discrete_space, is_isotropic, rational_space,
     _all_vectors,
@@ -56,14 +56,6 @@ def test_knowledge_bits_and_support_sizes():
     bell = bell_pair(2)
     assert knowledge_bits(bell) == 2
     assert len(ontic_support(bell)) == 4
-
-
-def test_ontic_support_cap_names_phase_space_size():
-    # the support has 4 points; the cap guards the 2^4 points of the space
-    pair = tensor(toy_bit("0"), toy_bit("1"))
-    with pytest.raises(EnumerationCapExceeded, match=r"2\^4 = 16 .*cap of 8"):
-        ontic_support(pair, cap=8)
-    assert len(ontic_support(pair, cap=16)) == 4
 
 
 def test_bell_support():
@@ -275,12 +267,6 @@ def test_render_grid():
     assert cells == {(1, 1), (2, 2), (3, 3), (4, 4)}
     with pytest.raises(DimensionMismatch):
         render_grid(maximally_mixed(discrete_space(3, 1)))
-
-
-def test_enumeration_cap():
-    sp = discrete_space(2, 3)
-    with pytest.raises(EnumerationCapExceeded):
-        ontic_support(maximally_mixed(sp), cap=16)
 
 
 def test_state_counts_d2():

@@ -26,6 +26,7 @@ other than `vector` take canonical elements, the values `vector` returns.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
@@ -55,6 +56,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
+def _parse_entry(s: str) -> Fraction:
+    """An entry string: "a" or "a/b" in decimal digits, a optionally signed
+    and b nonzero.  Any other string is a ValueError naming it."""
+    if _ENTRY.fullmatch(s) is None:
+        raise ValueError(f"entry {s!r} is not 'a' or 'a/b' with b nonzero")
+    return Fraction(s)
+
+
 @dataclass(frozen=True)
 class PrimeField:
     """Arithmetic in Z_p, elements represented as ints in {0..p-1}."""
@@ -76,7 +88,7 @@ class PrimeField:
     def coerce(self, x) -> int:
         p = self.p
         if isinstance(x, str):
-            x = Fraction(x)
+            x = _parse_entry(x)
         if isinstance(x, Fraction):
             if x.denominator % p == 0:
                 raise ValueError(f"{x} has no value in Z_{p}")
@@ -155,10 +167,12 @@ class RationalField:
     def coerce(self, x) -> Fraction:
         if type(x) is Fraction:
             return x
-        if not isinstance(x, (int, Fraction, str)):
-            raise TypeError(f"cannot coerce {x!r} into QQ: "
-                            "entries are ints, Fractions or 'a/b' strings")
-        return Fraction(x)
+        if isinstance(x, (int, Fraction)):
+            return Fraction(x)
+        if isinstance(x, str):
+            return _parse_entry(x)
+        raise TypeError(f"cannot coerce {x!r} into QQ: "
+                        "entries are ints, Fractions or 'a/b' strings")
 
     def add(self, a, b):
         return a + b

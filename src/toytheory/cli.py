@@ -6,6 +6,11 @@ Subcommands
     measure       probability table, outcome selection/sampling, update
     scenario      bell | wigner | forgetting | fr-search | condprep-search
 
+Every JSON document a command reads ("-" is stdin) goes through `_load`:
+a non-object or a missing key is "<kind> schema error in PATH: ...", a
+float entry an "input error" (both exit 1).  A transform or measurement
+takes the field/d/n it leaves out from the state it acts on.
+
 Exit codes: 0 pass, 1 I/O or schema error, 2 domain error (invalid state,
 non-symplectic matrix, impossible outcome, scenario verdict mismatch),
 3 enumeration/search cap exceeded.  TOY_ENUM_CAP (an integer >= 1, exit 1
@@ -18,6 +23,7 @@ rationals); pass --decimal K for K-digit decimal probabilities.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -59,31 +65,39 @@ class _CliFailure(Exception):
         self.code = code
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, parse=serialize.state_from_json, kind: str = "state",
+          space=None):
+    """The one reader of a CLI document: `parse` (a state's by default)
+    applied to the JSON object in file `path` (stdin for "-"), with the
+    field/d/n it leaves out taken from `space` when one is given."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise _CliFailure(EXIT_IO, f"cannot read {path}: {e}")
-
-
-def _from_json(parse, doc: dict):
-    """Parse a loaded document; an entry of the wrong type, such as a
-    float, is a schema error."""
+    if not isinstance(doc, dict):
+        raise _CliFailure(
+            EXIT_IO, f"{kind} schema error in {path}: expected a JSON object")
+    if space is not None:
+        doc = {**serialize.space_to_json(space), **doc}
     try:
         return parse(doc)
-    except TypeError as e:
+    except KeyError as e:
+        raise _CliFailure(
+            EXIT_IO, f"{kind} schema error in {path}: missing {e}")
+    except TypeError as e:  # an entry of the wrong type, such as a float
         raise _CliFailure(EXIT_IO, f"input error: {e}")
 
 
-def _load_state(path: str):
-    doc = _load_json(path)
-    try:
-        return _from_json(serialize.state_from_json, doc)
-    except KeyError as e:
-        raise _CliFailure(EXIT_IO, f"state schema error in {path}: missing {e}")
+def _valid_state(doc: dict):
+    """The state a state or support document gives; None for a support
+    that is no state's."""
+    if "support" in doc:
+        return is_valid_support(serialize.support_from_json(doc))
+    return serialize.state_from_json(doc)
 
 
 def _emit(args, text_fn, json_obj):
@@ -105,7 +119,7 @@ def _fmt_prob(args, p: Fraction) -> str:
 def _state_text(s) -> str:
     lines = [f"n={s.space.n_systems} field={s.space.field} "
              f"knowledge={knowledge_bits(s)}"]
-    if s.space.d == 2 and s.space.n_systems in (1, 2):
+    if _has_grid(s.space):
         lines.append(render_grid(s).to_ascii())
     else:
         for g in s.known.basis:
@@ -116,84 +130,70 @@ def _state_text(s) -> str:
     return "\n".join(lines)
 
 
+def _has_grid(space) -> bool:
+    """Grid diagrams draw toy bits on one or two systems."""
+    return space.d == 2 and space.n_systems in (1, 2)
+
+
 # ---------------------------------------------------------------------------
 # state subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_state(args) -> int:
+    paths = args.input
+    if args.action in ("tensor", "mix") and len(paths) < 2:
+        raise _CliFailure(EXIT_IO, f"{args.action} needs at least two states")
+    if args.action == "mix":
+        return _state_mix(args, [_load(p) for p in paths])
     if args.action == "validate":
-        doc = _load_json(args.input[0])
-        if "support" in doc:
-            sup = _from_json(serialize.support_from_json, doc)
-            state = is_valid_support(sup)
-            if state is None:
-                print("not a valid epistemic state")
-                return EXIT_DOMAIN
-            _emit(args, lambda: _state_text(state), serialize.state_to_json(state))
-            return EXIT_OK
         try:
-            state = _from_json(serialize.state_from_json, doc)
+            state = _load(paths[0], _valid_state, "state")
         except NotIsotropic as e:
             print(f"not a valid epistemic state: {e}")
             return EXIT_DOMAIN
-        _emit(args, lambda: _state_text(state), serialize.state_to_json(state))
-        return EXIT_OK
-    if args.action == "show":
-        state = _load_state(args.input[0])
-        _emit(args, lambda: _state_text(state), serialize.state_to_json(state))
-        return EXIT_OK
-    if args.action == "marginal":
-        state = _load_state(args.input[0])
+        if state is None:
+            print("not a valid epistemic state")
+            return EXIT_DOMAIN
+    elif args.action == "marginal":
+        state = _load(paths[0])
         if not args.keep:
             raise _CliFailure(EXIT_IO, "marginal needs --keep")
-        keep = [int(x) - 1 for x in args.keep.split(",")]
-        out = marginal(state, keep)
-        _emit(args, lambda: _state_text(out), serialize.state_to_json(out))
-        return EXIT_OK
-    if args.action == "tensor":
-        if len(args.input) < 2:
-            raise _CliFailure(EXIT_IO, "tensor needs at least two states")
-        out = _load_state(args.input[0])
-        for path in args.input[1:]:
-            out = tensor(out, _load_state(path))
-        _emit(args, lambda: _state_text(out), serialize.state_to_json(out))
-        return EXIT_OK
-    if args.action == "mix":
-        if len(args.input) < 2:
-            raise _CliFailure(EXIT_IO, "mix needs at least two states")
-        parts = [_load_state(p) for p in args.input]
-        sup = mixture_support(parts)
-        state = is_valid_support(sup)
-        doc = serialize.support_to_json(sup)
-        doc["valid"] = state is not None
-        if state is not None:
-            doc["state"] = serialize.state_to_json(state)
+        state = marginal(state, [int(x) - 1 for x in args.keep.split(",")])
+    elif args.action == "tensor":
+        state = functools.reduce(tensor, map(_load, paths))
+    else:  # show
+        state = _load(paths[0])
+    _emit(args, lambda: _state_text(state), serialize.state_to_json(state))
+    return EXIT_OK
 
-        def text():
-            lines = [f"mixture support: {len(sup)} ontic states"]
-            if sup.space.d == 2 and sup.space.n_systems in (1, 2):
-                lines.append(render_grid(sup).to_ascii())
-            lines.append("valid epistemic state" if state is not None
-                         else "not a valid epistemic state")
-            return "\n".join(lines)
 
-        _emit(args, text, doc)
-        return EXIT_OK
-    raise _CliFailure(EXIT_IO, f"unknown state action {args.action}")
+def _state_mix(args, parts) -> int:
+    sup = mixture_support(parts)
+    state = is_valid_support(sup)
+    doc = serialize.support_to_json(sup)
+    doc["valid"] = state is not None
+    if state is not None:
+        doc["state"] = serialize.state_to_json(state)
+
+    def text():
+        lines = [f"mixture support: {len(sup)} ontic states"]
+        if _has_grid(sup.space):
+            lines.append(render_grid(sup).to_ascii())
+        lines.append("valid epistemic state" if state is not None
+                     else "not a valid epistemic state")
+        return "\n".join(lines)
+
+    _emit(args, text, doc)
+    return EXIT_OK
 
 
 def _cmd_evolve(args) -> int:
-    state = _load_state(args.state)
+    state = _load(args.state)
     if args.gate:
-        spec = _gate_to_zero_based(args.gate)
-        t = gate_library(state.space, spec)
+        t = gate_library(state.space, _gate_to_zero_based(args.gate))
     elif args.transform:
-        doc = _load_json(args.transform)
-        doc.setdefault("field", "prime")
-        doc.setdefault("n", state.space.n_systems)
-        if state.space.d is not None:
-            doc.setdefault("d", state.space.d)
-        t = _from_json(serialize.transform_from_json, doc)
+        t = _load(args.transform, serialize.transform_from_json, "transform",
+                  state.space)
     else:
         raise _CliFailure(EXIT_IO, "evolve needs --gate or --transform")
     out = apply_to_state(t, state)
@@ -216,27 +216,21 @@ def _gate_to_zero_based(spec: str) -> str:
 
 def _partition_overlay(m, outs) -> str | None:
     """Label every grid box with the index of the outcome containing it."""
-    space = m.space
-    if space.d != 2 or space.n_systems not in (1, 2):
+    if not _has_grid(m.space):
         return None
     index = {o: i for i, o in enumerate(outs)}  # outs are all of m's outcomes
-    return render_grid(maximally_mixed(space), labeler=lambda x: index[
+    return render_grid(maximally_mixed(m.space), labeler=lambda x: index[
         outcome_from_valuation(m, x)]).to_ascii()
 
 
 def _cmd_measure(args) -> int:
-    state = _load_state(args.state)
-    mdoc = _load_json(args.measurement)
-    mdoc.setdefault("field", "prime")
-    mdoc.setdefault("n", state.space.n_systems)
-    if state.space.d is not None:
-        mdoc.setdefault("d", state.space.d)
-    m = _from_json(serialize.measurement_from_json, mdoc)
+    state = _load(args.state)
+    m = _load(args.measurement, serialize.measurement_from_json,
+              "measurement", state.space)
     outs = outcomes(m)
     probs = {o: outcome_probability(state, m, o) for o in outs}
     if args.outcome is not None:
-        label = tuple(int(x) for x in args.outcome.split(","))
-        chosen = outcome_for_label(m, label)
+        chosen = outcome_for_label(m, args.outcome.split(","))
     else:
         chosen = sample_outcome(state, m, args.seed)
     post = update_state(state, m, chosen)
@@ -282,18 +276,16 @@ _SCENARIO_FLAGS = {
 
 
 def _apply_config(args, path: str):
-    overrides = _load_json(path)
-    if not isinstance(overrides, dict):
-        raise _CliFailure(EXIT_IO, f"{path}: expected a JSON object of flags")
-    for key, val in overrides.items():
+    for key, val in _load(path, dict, "config").items():
         attr = key.replace("-", "_")
         typ = _SCENARIO_FLAGS.get(attr)
         if typ is None:
-            raise _CliFailure(EXIT_IO, f"{path}: {key!r} is not a scenario flag")
+            raise _CliFailure(EXIT_IO, f"config schema error in {path}: "
+                                       f"{key!r} is not a scenario flag")
         if type(val) is not typ:
             raise _CliFailure(
-                EXIT_IO, f"{path}: {key!r} must be of type {typ.__name__}, "
-                         f"got {json.dumps(val)}")
+                EXIT_IO, f"config schema error in {path}: {key!r} must be "
+                         f"of type {typ.__name__}, got {json.dumps(val)}")
         setattr(args, attr, val)
 
 
@@ -321,22 +313,18 @@ def _cmd_scenario(args) -> int:
                   "x block-local measurements...",
                   file=sys.stderr)
         report = search_fr_paradox(**request, seed=args.seed)
-    elif name == "condprep-search":
+    else:  # condprep-search
         report = _condprep_search(args)
-    else:
-        raise _CliFailure(EXIT_IO, f"unknown scenario {name}")
 
     def text():
         lines = [f"scenario {report.name}: "
                  f"{'PASS' if report.passed else 'FAIL'}"]
         for event in report.events:
-            if event["kind"] == "state" and "state" in event:
-                s = event["state"]
-                if getattr(s, "space", None) is not None and \
-                        s.space.d == 2 and s.space.n_systems in (1, 2):
-                    lines.append(f"  state {event.get('label', '')}:")
-                    lines.extend("    " + row for row in
-                                 render_grid(s).to_ascii().splitlines())
+            s = event.get("state")
+            if event["kind"] == "state" and _has_grid(s.space):
+                lines.append(f"  state {event.get('label', '')}:")
+                lines.extend("    " + row for row in
+                             render_grid(s).to_ascii().splitlines())
         for k, v in report.verdict.items():
             lines.append(f"  {k}: {v}")
         return "\n".join(lines)
@@ -402,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "tensor", "mix"))
     st.add_argument("input", nargs="+", help="state JSON file(s), - for stdin")
     st.add_argument("--keep", help="1-based systems to keep (marginal)")
+    st.set_defaults(run=_cmd_state)
 
     ev = sub.add_parser("evolve", parents=[common],
                         help="apply a gate or transform")
@@ -410,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--transform", help="transform JSON file")
     ev.add_argument("--verify", action="store_true",
                     help="cross-check the ontic pushforward with the oracle")
+    ev.set_defaults(run=_cmd_evolve)
 
     me = sub.add_parser("measure", parents=[common],
                         help="measure a state")
@@ -419,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     me.add_argument("--seed", type=int, default=0)
     me.add_argument("--verify", action="store_true",
                     help="cross-check probabilities and update with the oracle")
+    me.set_defaults(run=_cmd_measure)
 
     sc = sub.add_parser("scenario", parents=[common],
                         help="run a canned experiment or search")
@@ -439,6 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--ancilla", type=int, default=0)
     sc.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP)
     sc.add_argument("--config", help="JSON file of flag overrides")
+    sc.set_defaults(run=_cmd_scenario)
     return ap
 
 
@@ -448,15 +440,7 @@ def main(argv=None) -> int:
         if args.decimal is not None and args.decimal < 0:
             raise _CliFailure(EXIT_IO, "input error: --decimal must be at "
                                        f"least 0, got {args.decimal}")
-        if args.command == "state":
-            return _cmd_state(args)
-        if args.command == "evolve":
-            return _cmd_evolve(args)
-        if args.command == "measure":
-            return _cmd_measure(args)
-        if args.command == "scenario":
-            return _cmd_scenario(args)
-        return EXIT_IO
+        return args.run(args)
     except _CliFailure as e:
         print(str(e), file=sys.stderr)
         return e.code

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,11 @@ from conftest import random_subspace, random_vector
 
 F2 = GF(2)
 F3 = GF(3)
+
+# Strings other than "a" and "a/b" (optional sign on a, b nonzero), which
+# `Fraction` alone would accept or fail on with ZeroDivisionError.
+BAD_ENTRY_STRINGS = ("1/0", "-3/00", "0.5", "1e3", "1_000", " 1", "1/-2",
+                     "--1", "1/", "", "x")
 
 
 def test_prime_field_rejects_composites():
@@ -44,6 +50,10 @@ def test_prime_coerce_contract(field):
             field.vector([0, bad])
     with pytest.raises(ValueError):
         field.coerce(Fraction(1, p))
+    assert field.coerce("+3") == 3 % p and field.coerce("4/2") == 2
+    for bad in BAD_ENTRY_STRINGS:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            field.coerce(bad)
 
 
 def test_rational_coerce_contract():
@@ -58,6 +68,12 @@ def test_rational_coerce_contract():
             QQ.coerce(bad)
         with pytest.raises(TypeError):
             QQ.vector([bad])
+    assert QQ.coerce("+4/6") == Fraction(2, 3) and QQ.coerce("007") == 7
+    for bad in BAD_ENTRY_STRINGS:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            QQ.coerce(bad)
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            QQ.vector([0, bad])
 
 
 def test_rref_scaling_collapses_over_q():

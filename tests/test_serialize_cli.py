@@ -169,6 +169,9 @@ def test_cli_missing_file_exit1(files):
      "valuation": [0, 0]},
     {"field": "prime", "d": 2.9, "n": 1, "generators": [[1, 0]],
      "valuation": [1, 0]},
+    # not a float, but without an exact value too
+    {"field": "rational", "n": 1, "generators": [[1, 0]],
+     "valuation": ["1/0", 0]},
 ])
 def test_cli_float_entries_exit1(tmp_path, doc):
     path = tmp_path / "float.json"
@@ -342,15 +345,78 @@ def test_cli_rejects_a_bad_enum_cap_env(files, value):
     assert r.stderr.startswith("input error: TOY_ENUM_CAP must be an integer")
 
 
-def test_cli_state_without_generators_is_a_schema_error(tmp_path):
-    path = tmp_path / "misspelled.json"
-    path.write_text(json.dumps({"field": "prime", "d": 2, "n": 1,
-                                "known": [[1, 0]], "valuation": [0, 0]}))
-    r = _run(["state", "show", str(path)])
+# Every place a command reads a JSON document, DOC standing for the
+# document's path and PLUS for a valid state's: the command line, the
+# document's kind, a document of that kind without a required key, and what
+# the error says of it.  A config file requires no key, so its second
+# document sets something that is not a flag.
+_NO_GENERATORS = {"field": "prime", "d": 2, "n": 1, "known": [[1, 0]],
+                  "valuation": [0, 0]}
+_READERS = {
+    "show": (["state", "show", "DOC"], "state", _NO_GENERATORS,
+             "missing 'generators'"),
+    "validate-state": (["state", "validate", "DOC"], "state",
+                       {"field": "prime", "d": 2, "n": 1,
+                        "generators": [[1, 0]]}, "missing 'valuation'"),
+    "validate-support": (["state", "validate", "DOC"], "state",
+                         {"field": "prime", "n": 1, "support": [[0, 0]]},
+                         "missing 'd'"),
+    "tensor": (["state", "tensor", "PLUS", "DOC"], "state",
+               {"field": "prime", "d": 2, "generators": [],
+                "valuation": [0, 0]}, "missing 'n'"),
+    "mix": (["state", "mix", "PLUS", "DOC"], "state", _NO_GENERATORS,
+            "missing 'generators'"),
+    "evolve": (["evolve", "PLUS", "--transform", "DOC"], "transform",
+               {"shift": [0, 0]}, "missing 'U'"),
+    "measure": (["measure", "PLUS", "DOC"], "measurement",
+                {"outcomes": [[1, 0]]}, "missing 'observables'"),
+    "config": (["scenario", "bell", "--config", "DOC"], "config",
+               {"format": "json"}, "'format' is not a scenario flag"),
+}
+
+
+@pytest.mark.parametrize("bad", ["array", "missing-key"])
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_cli_bad_documents_are_schema_errors(files, reader, bad):
+    argv, kind, missing, what = _READERS[reader]
+    path = files / "bad.json"
+    if bad == "array":
+        path.write_text("[1, 2]")
+        what = "expected a JSON object"
+    else:
+        path.write_text(json.dumps(missing))
+    paths = {"DOC": str(path), "PLUS": str(files / "plus.json")}
+    r = _run([paths.get(a, a) for a in argv])
     assert r.returncode == 1
     assert r.stdout == ""
-    assert r.stderr.strip() == \
-        f"state schema error in {path}: missing 'generators'"
+    assert r.stderr.splitlines() == [f"{kind} schema error in {path}: {what}"]
+
+
+def test_cli_evolve_takes_the_rational_space_from_the_state(tmp_path):
+    # a transform without field/d/n acts on the state's QQ space
+    state = tmp_path / "half.json"
+    state.write_text(json.dumps({"field": "rational", "n": 1,
+                                 "generators": [[1, 0]],
+                                 "valuation": ["1/2", 0]}))
+    shift = tmp_path / "shift.json"
+    shift.write_text(json.dumps({"U": [[1, 0], [0, 1]],
+                                 "shift": ["1/3", 0]}))
+    r = _run(["--format", "json", "evolve", str(state),
+              "--transform", str(shift)])
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["valuation"] == ["5/6", 0]
+
+
+def test_cli_measure_outcome_label_follows_the_entry_rules(tmp_path):
+    state = tmp_path / "trit.json"
+    state.write_text(json.dumps({"field": "prime", "d": 3, "n": 1,
+                                 "generators": [], "valuation": [0, 0]}))
+    meas = tmp_path / "mq.json"
+    meas.write_text(json.dumps({"observables": [[1, 0]]}))
+    half, two = (_run(["measure", str(state), str(meas), "--outcome", label])
+                 for label in ("1/2", "2"))
+    assert half.returncode == two.returncode == 0, half.stderr
+    assert half.stdout == two.stdout and "outcome: (2,)" in half.stdout
 
 
 def test_cli_scenario_bell_and_condprep(files):

@@ -158,7 +158,11 @@ def _cmd_state(args) -> int:
         state = _load(paths[0])
         if not args.keep:
             raise _CliFailure(EXIT_IO, "marginal needs --keep")
-        state = marginal(state, [int(x) - 1 for x in args.keep.split(",")])
+        keep = _zero_based_systems(args.keep, state.space.n_systems)
+        if len(set(keep)) != len(keep):
+            raise _CliFailure(EXIT_DOMAIN,
+                              f"--keep {args.keep} names a system twice")
+        state = marginal(state, keep)
     elif args.action == "tensor":
         state = functools.reduce(tensor, map(_load, paths))
     else:  # show
@@ -190,7 +194,8 @@ def _state_mix(args, parts) -> int:
 def _cmd_evolve(args) -> int:
     state = _load(args.state)
     if args.gate:
-        t = gate_library(state.space, _gate_to_zero_based(args.gate))
+        t = gate_library(state.space, _gate_to_zero_based(
+            args.gate, state.space.n_systems))
     elif args.transform:
         t = _load(args.transform, serialize.transform_from_json, "transform",
                   state.space)
@@ -206,11 +211,21 @@ def _cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _gate_to_zero_based(spec: str) -> str:
+def _zero_based_systems(text: str, n: int) -> list[int]:
+    """Comma-separated 1-based system indices, as 0-based ones; an index
+    outside 1..n exits 2, named as typed."""
+    systems = [int(x) for x in text.split(",")]
+    for s in systems:
+        if not 1 <= s <= n:
+            raise _CliFailure(EXIT_DOMAIN,
+                              f"system index {s} is outside 1..{n} (n={n})")
+    return [s - 1 for s in systems]
+
+
+def _gate_to_zero_based(spec: str, n: int) -> str:
     head, _, tail = spec.partition(":")
     if head in ("cnot", "swap", "qp_swap") and tail:
-        parts = [str(int(x) - 1) for x in tail.split(",")]
-        return head + ":" + ",".join(parts)
+        return head + ":" + ",".join(map(str, _zero_based_systems(tail, n)))
     return spec
 
 

@@ -8,12 +8,16 @@ the probability counts the dimension the outcome's constraints cut from the
 support, the update keeps the commuting part of prior knowledge and adjoins
 the measured observables at a point of the meet, and an inference asks
 whether the retained, premise and conclusion constraints are solvable
-together.  `branches` gives every outcome's probability and post-state at
-once, building V_π ⊕ V_commute a single time; it is the one branch walk,
-which the four-agent sequential chain uses too.  An outcome is its label
-alone, so two outcomes of a measurement are equal exactly when their labels
-are.  Outcomes partition the ontic space; `Outcome.coset` solves for the
-solution set V_π^⊥ + v_π of an outcome's constraints when asked.
+together.  The post-measurement known subspace V_π ⊕ V_commute depends on
+neither the outcome nor the valuation, so the branch kernel
+(`_level_branches`) takes a whole level of states on one known subspace
+and decides every (valuation, outcome) pair from one elimination of the
+stacked rows against an identity block; `branches` is its one-state call,
+and the four-agent sequential chain walks its tree a level per agent.  An
+outcome is its label alone, so two outcomes of a measurement are equal
+exactly when their labels are.  Outcomes partition the ontic space;
+`Outcome.coset` solves for the solution set V_π^⊥ + v_π of an outcome's
+constraints when asked.
 
 Note on outcome labels: the label records the values of the measured
 observables themselves.  Measuring <q> on a state that knows 2q = 6 yields
@@ -26,12 +30,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .algebra import (
-    Coset, PrimeField, Subspace, VectorT, _meet,
-    make_coset, orthogonal_complement, reduce_mod_subspace, rref,
-    solve_linear, subspace_sum,
+    Coset, PrimeField, Subspace, VectorT, _meet, _rref_rows, _span_from,
+    identity_matrix, make_coset, orthogonal_complement, reduce_mod_subspace,
+    rref, solve_linear, subspace_sum,
 )
 from .errors import (
     ContinuousNotEnumerable, DimensionMismatch, ImpossibleOutcome,
@@ -154,36 +158,38 @@ def outcome_probability(s: EpistemicState, m: Measurement, out: Outcome) -> Frac
 
 
 def sample_outcome(s: EpistemicState, m: Measurement, seed: int = 0) -> Outcome:
-    """Draw an outcome with the exact probabilities, reproducibly by seed."""
+    """Draw an outcome with the exact probabilities, reproducibly by seed.
+
+    The probabilities come from `branches`, one elimination for all
+    outcomes; zero-probability outcomes, which it leaves out, add nothing
+    to the running sum, so the draw is the one over `outcomes` order."""
     field = s.field
     if not isinstance(field, PrimeField):
         raise ContinuousNotEnumerable("sampling needs a discrete field")
-    outs = outcomes(m)
     support_dim = s.space.ambient_dim - s.known.dim
     total = field.p ** support_dim
     rng = random.Random(seed)
     r = rng.randrange(total)
     acc = 0
-    for out in outs:
-        acc += int(outcome_probability(s, m, out) * total)
+    for out, p, _ in branches(s, m):
+        acc += int(p * total)
         if r < acc:
             return out
     raise InvariantViolation("outcome probabilities did not sum to 1")
 
 
-def _post_states(s: EpistemicState, m: Measurement):
-    """The post-measurement state as a function of a point of the meet.
+def _post_known(known: Subspace, v_pi: Subspace) -> tuple[Subspace, Subspace]:
+    """The known subspace V' = V_π ⊕ V_commute after measuring V_π on
+    knowledge V, and V'^⊥.
 
-    V' = V_π ⊕ V_commute is canonical (one RREF) and isotropic by
-    construction: V_π is, V_commute ⊆ V is, and the two commute.  So each
-    post-state is built directly, its point reduced modulo V'^⊥, without
-    `make_state`'s re-validation.
+    V' is canonical (one RREF) and isotropic by construction: V_π is,
+    V_commute ⊆ V is, and the two commute.  It depends on neither the
+    outcome nor the valuation, so every post-state of one measurement on
+    one known subspace shares it, and each is built directly, its point
+    reduced modulo V'^⊥, without `make_state`'s re-validation.
     """
-    v_comm = commutant_within(s.known, m.observables)
-    known = subspace_sum(m.observables, v_comm)
-    perp = orthogonal_complement(known)
-    return lambda point: EpistemicState(
-        s.space, known, reduce_mod_subspace(perp, point))
+    post = subspace_sum(v_pi, commutant_within(known, v_pi))
+    return post, orthogonal_complement(post)
 
 
 def update_state(s: EpistemicState, m: Measurement, out: Outcome) -> EpistemicState:
@@ -192,34 +198,87 @@ def update_state(s: EpistemicState, m: Measurement, out: Outcome) -> EpistemicSt
     V' = V_π ⊕ V_commute with the valuation any point that meets the state's
     and the outcome's constraints.  That point also satisfies the retained
     values, because V_commute ⊆ V; all choices describe the same state, and
-    the canonical one (the point reduced modulo V'^⊥) is stored.  This is
-    the one-outcome case of `branches`.
+    the canonical one (the point reduced modulo V'^⊥) is stored.  `branches`
+    gives the same state for every outcome at once.
     """
     point, _ = _outcome_meet(s, m, out)
     if point is None:
         raise ImpossibleOutcome(f"outcome {out.label} has probability 0")
-    return _post_states(s, m)(point)
+    known, perp = _post_known(s.known, m.observables)
+    return EpistemicState(s.space, known, reduce_mod_subspace(perp, point))
+
+
+def _level_branches(space: PhaseSpace, known: Subspace, valuations: Sequence,
+                    m: Measurement) -> list[list[tuple]]:
+    """`branches` of every state (V, v), v in ``valuations``, on one known
+    subspace V: a list of (outcome, probability, post-state) lists, one per
+    valuation.  Raises `ContinuousNotEnumerable` over QQ.
+
+    The states differ only in the right-hand sides of one linear system.
+    With M the k rows of V then V_π, one elimination of [M | I_k] gives
+    rows (e, t) with t·M = e.  A row whose pivot lies in the identity block
+    has e = 0, so t is a dependency among M's rows, and the right-hand side r
+    (the values g.v of V's rows, then the outcome's label) is consistent
+    iff t·r = 0 for every such t.  The other rows' left blocks are the RREF
+    of M, so x[c] = t·r at each of their pivots c, zero elsewhere, solves
+    M·x = r: the point `_meet` returns.  Every consistent outcome has
+    probability p^-(rank - dim V), and V' comes from `_post_known`, both
+    once for all valuations.  Each t·r is t's V half dotted with the
+    values plus its V_π half dotted with the label, and reduction modulo
+    V'^⊥ is linear.  So the dependency values and the reduced point of a
+    valuation's half are taken once per valuation, those of the labels'
+    halves are spanned from the unit labels' in `outcomes` order, and a
+    (valuation, outcome) pair costs one row sum.
+    """
+    field = space.field
+    outs = outcomes(m)
+    n = space.ambient_dim
+    rows = known.basis + m.observables.basis
+    eye = identity_matrix(field, len(rows))
+    reduced, pivots = _rref_rows(field, [
+        row + e for row, e in zip(rows, eye)])
+    solved = [(c, row[n:]) for row, c in zip(reduced, pivots) if c < n]
+    deps = [row[n:] for row, c in zip(reduced, pivots) if c >= n]
+    p = Fraction(1, field.p ** (len(solved) - known.dim))
+    post, perp = _post_known(known, m.observables)
+    dot, add = field.dot, field.add_rows
+
+    def half(rhs, cut: slice) -> tuple:
+        """The dependency values, then the reduced point, of one half of r."""
+        x = [0] * n
+        for c, t in solved:
+            x[c] = dot(t[cut], rhs)
+        return (tuple([dot(t[cut], rhs) for t in deps])
+                + reduce_mod_subspace(perp, x))
+
+    nd, k_v = len(deps), known.dim
+    units = [half(e[k_v:], slice(k_v, None)) for e in eye[k_v:]]
+    by_label = list(zip(outs, _span_from(field, (0,) * (nd + n), units)))
+    found = []
+    for v in valuations:
+        hv = half([dot(g, v) for g in known.basis], slice(k_v))
+        level = []
+        for out, hl in by_label:
+            r = add(hv, hl)
+            if not any(r[:nd]):
+                level.append((out, p, EpistemicState(space, post, r[nd:])))
+        found.append(level)
+    return found
 
 
 def branches(s: EpistemicState, m: Measurement) -> list[tuple]:
     """(outcome, probability, post-state) for every outcome of positive
     probability, in `outcomes` order (discrete fields only).
 
-    Equals ``update_state`` and ``outcome_probability`` outcome by outcome,
-    but V' = V_π ⊕ V_commute and V'^⊥ are computed once for all outcomes,
-    and each outcome costs one meet.  Raises `DimensionMismatch` when m
-    lives on another space and `ContinuousNotEnumerable` over QQ.
+    Equals ``update_state`` and ``outcome_probability`` outcome by outcome.
+    It is the one-state call of `_level_branches`: one elimination decides
+    every outcome, and V' = V_π ⊕ V_commute is built once.  Raises
+    `DimensionMismatch` when m lives on another space and
+    `ContinuousNotEnumerable` over QQ.
     """
     if s.space != m.space:
         raise DimensionMismatch("state and measurement live on different spaces")
-    outs = outcomes(m)
-    post = _post_states(s, m)
-    found = []
-    for out in outs:
-        point, p = _outcome_meet(s, m, out)
-        if point is not None:
-            found.append((out, p, post(point)))
-    return found
+    return _level_branches(s.space, s.known, [s.valuation], m)[0]
 
 
 def is_certain(s: EpistemicState, m: Measurement, out: Outcome) -> bool:

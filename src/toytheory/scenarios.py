@@ -40,10 +40,10 @@ from .dynamics import (
     apply_to_state, cnot_gate, compose_transforms, random_symplectic,
     swap_gate,
 )
-from .errors import DimensionMismatch, SearchSpaceExceeded
+from .errors import DimensionMismatch, InvariantViolation, SearchSpaceExceeded
 from .measurement import (
-    Measurement, Outcome, branches, inference_conditions, infers, is_certain,
-    make_measurement, outcome_for_label, outcome_from_valuation,
+    Measurement, Outcome, _level_branches, inference_conditions, infers,
+    is_certain, make_measurement, outcome_for_label, outcome_from_valuation,
     outcome_probability, update_state,
 )
 from .oracle import oracle_conditional
@@ -367,13 +367,26 @@ def fr_chain_sequential(c: FRCandidate) -> dict:
     (U, W) = (ok, ok) leaf, on which they force B = 1, A = 1 and W = fail.
     So ``holds`` implies that W's ok and fail are the same outcome, and it
     is false for every candidate with distinct W outcomes, whatever the
-    walk returns."""
+    walk returns.
+
+    The walk goes a level per agent: the post-measurement known subspace
+    does not depend on the outcome, so all states of a level share one,
+    and `_level_branches` expands the whole level from one elimination.
+    A level whose states disagree on it raises `InvariantViolation`."""
     m = c.measurements()
     tree = [({}, c.initial, Fraction(1))]
     for agent in "ABUW":
+        known = tree[0][1].known
+        if any(state.known != known for _, state, _ in tree):
+            raise InvariantViolation(
+                f"the states measured by {agent} do not share one known "
+                "subspace")
+        level = _level_branches(c.space, known,
+                                [state.valuation for _, state, _ in tree],
+                                m[agent])
         tree = [(dict(outs, **{agent: out}), post, prob * p)
-                for outs, state, prob in tree
-                for out, p, post in branches(state, m[agent])]
+                for (outs, _, prob), found in zip(tree, level)
+                for out, p, post in found]
     ok_ok = (c.outcome("U=ok"), c.outcome("W=ok"))
     r = {"p_ok_ok": sum((prob for outs, _, prob in tree
                          if (outs["U"], outs["W"]) == ok_ok), Fraction(0))}
@@ -530,27 +543,36 @@ class _FrKernel:
     V), the subset tables c1[u][b], c2[b][a], c3[a][w] of conditions 1-3,
     and for conditions 4-7 the masks t4(u, w), t5(u, b), t6(b, a), t7(a, w)
     of the vectors orthogonal to (V_U ⊕ V_W) ∩ V, (V_B ⊕ V_U) ∩ K_U,
-    (V_B ⊕ V_A) ∩ K_B and (V_A ⊕ V_W) ∩ K_A.
+    (V_B ⊕ V_A) ∩ K_B and (V_A ⊕ V_W) ∩ K_A.  Each table row and K_X mask
+    comes from `premise_row`.  ``rows`` holds the u, b and a indices whose
+    rows to build; the scan builds them all (the default), and the
+    single-configuration check only its own, leaving the others None.
     """
 
-    def __init__(self, t: _FrTables, basis: tuple):
+    def __init__(self, t: _FrTables, basis: tuple, rows=None):
         self.t = t
         self.v_elems = _gf2.span_elements(basis)
         self.v_mask = _gf2.coset_mask(self.v_elems)
-        self.k_u, self.c1 = self._subset_table(t.meas_u, t.meas_b)
-        self.k_b, self.c2 = self._subset_table(t.meas_b, t.meas_a)
-        self.k_a, self.c3 = self._subset_table(t.meas_a, t.meas_w)
+        menus = ((t.meas_u, t.meas_b), (t.meas_b, t.meas_a),
+                 (t.meas_a, t.meas_w))
+        if rows is None:
+            rows = [range(len(xs)) for xs, _ in menus]
+        (self.k_u, self.c1), (self.k_b, self.c2), (self.k_a, self.c3) = (
+            self._subset_table(xs, ys, only)
+            for (xs, ys), only in zip(menus, rows))
 
-    def _subset_table(self, premises, conclusions) -> tuple:
-        """The K_X mask of each premise X, and the table [x][y] of
-        V_Y ⊆ K_X ⊕ V_X, tested as (K_X ⊕ V_X)^⊥ = K_X^⊥ ∩ V_X^⊥ ⊆ V_Y^⊥."""
-        kmasks, table = [], []
-        for meas in premises:
-            kmask = self.v_mask & meas.jmperp
-            sum_perp = self._perp(self.v_elems, kmask) & meas.perp
-            kmasks.append(kmask)
-            table.append([sum_perp & ~c.perp == 0 for c in conclusions])
+    def _subset_table(self, premises, conclusions, rows) -> tuple:
+        kmasks, table = [None] * len(premises), [None] * len(premises)
+        for x in rows:
+            kmasks[x], table[x] = self.premise_row(premises[x], conclusions)
         return kmasks, table
+
+    def premise_row(self, premise: _FrMeas, conclusions) -> tuple:
+        """The K_X mask of premise X, and the row [y] of V_Y ⊆ K_X ⊕ V_X,
+        tested as (K_X ⊕ V_X)^⊥ = K_X^⊥ ∩ V_X^⊥ ⊆ V_Y^⊥."""
+        kmask = self.v_mask & premise.jmperp
+        sum_perp = self._perp(self.v_elems, kmask) & premise.perp
+        return kmask, [sum_perp & ~c.perp == 0 for c in conclusions]
 
     def _perp(self, sum_elems, kmask: int) -> int:
         return _perp_of_elems(self.t.ortho, self.t.full,
@@ -714,8 +736,9 @@ def _fr_conditions_single(t: _FrTables, li: int, v: int, a: int, a1: int,
                           b: int, b1: int, u: int, uok: int,
                           w: int, wok: int, wfail: int) -> tuple:
     """The seven conditions for one explicit configuration, from the masks
-    the scan uses (for cross-checks)."""
-    k = _FrKernel(t, t.lagrangians[li])
+    the scan uses (for cross-checks), building only the table rows of its
+    own premises u, b and a."""
+    k = _FrKernel(t, t.lagrangians[li], ((u,), (b,), (a,)))
     return (k.c1[u][b], k.c2[b][a], k.c3[a][w],
             bool((k.t4(u, w) >> (uok ^ wok ^ v)) & 1),
             bool((k.t5(u, b) >> (b1 ^ uok ^ v)) & 1),

@@ -1,0 +1,135 @@
+"""The branch kernel: one elimination per level of states on one known
+subspace, and the walks and draws built on it.
+
+`measurement._level_branches` decides every (valuation, outcome) pair of a
+level from one elimination of the stacked rows against an identity block.
+These tests hold it to the per-outcome route (`outcome_probability` and
+`update_state`, each its own meet), show that the checks catch a kernel
+that skips the dependency rows, count the eliminations of a sequential FR
+walk, and pin the outcomes `sample_outcome` draws.
+"""
+
+import random
+import zlib
+
+import pytest
+
+from toytheory import measurement, scenarios
+from toytheory.errors import ContinuousNotEnumerable, InvariantViolation
+from toytheory.measurement import (
+    _level_branches, branches, make_measurement, outcome_probability,
+    outcomes, sample_outcome, update_state,
+)
+from toytheory.phase_space import (
+    all_isotropic_subspaces, discrete_space, rational_space,
+)
+from toytheory.states import EpistemicState, make_state
+
+from conftest import random_vector
+
+POINTS = [(2, 1), (2, 2), (3, 2), (5, 2)]
+
+
+def _levels(d, n, count=25, per_level=4):
+    """Seeded (space, known, states, measurement) levels: several states
+    on one known subspace, measured by a random isotropic V_π."""
+    space = discrete_space(d, n)
+    subs = all_isotropic_subspaces(space)
+    rng = random.Random(100 * d + n)
+    levels = []
+    for _ in range(count):
+        known = rng.choice(subs)
+        states = [make_state(space, known.basis,
+                             random_vector(space.field, 2 * n, rng))
+                  for _ in range(per_level)]
+        m = make_measurement(space, rng.choice(subs[1:]).basis)
+        levels.append((space, known, states, m))
+    return levels
+
+
+def _per_outcome(s, m):
+    return [(o, outcome_probability(s, m, o), update_state(s, m, o))
+            for o in outcomes(m) if outcome_probability(s, m, o)]
+
+
+def _level_matches(space, known, states, m) -> bool:
+    level = _level_branches(space, known, [s.valuation for s in states], m)
+    return level == [_per_outcome(s, m) for s in states]
+
+
+@pytest.mark.parametrize("d, n", POINTS)
+def test_level_equals_branches_and_the_per_outcome_route(d, n):
+    impossible = 0
+    for space, known, states, m in _levels(d, n):
+        level = _level_branches(space, known,
+                                [s.valuation for s in states], m)
+        assert level == [branches(s, m) for s in states]
+        assert _level_matches(space, known, states, m)
+        impossible += sum(len(outcomes(m)) - len(found) for found in level)
+    # some outcomes are impossible, so the dependency rows are exercised
+    assert impossible > 0
+
+
+@pytest.mark.parametrize("d, n", POINTS)
+def test_a_kernel_that_skips_the_dependency_rows_fails(monkeypatch, d, n):
+    # the kernel's only `any` is its test of the dependency rows; a module
+    # global shadows the builtin, so every outcome passes as consistent
+    monkeypatch.setattr(measurement, "any", lambda rows: False,
+                        raising=False)
+    assert not all(_level_matches(*level) for level in _levels(d, n))
+
+
+def test_the_walk_refuses_a_level_of_mixed_known_subspaces(monkeypatch):
+    t = scenarios._fr_tables()
+    cand = scenarios._fr_candidate_from_ints(
+        t, *scenarios._random_fr_tuple(t, random.Random(4)))
+    real = scenarios._level_branches
+
+    def mixed(space, known, valuations, m):
+        found = real(space, known, valuations, m)
+        out, p, post = found[0][0]
+        # the first branch keeps the prior knowledge instead
+        found[0][0] = (out, p, EpistemicState(space, known, post.valuation))
+        return found
+
+    monkeypatch.setattr(scenarios, "_level_branches", mixed)
+    with pytest.raises(InvariantViolation, match="one known subspace"):
+        scenarios.fr_chain_sequential(cand)
+
+
+def test_the_kernel_needs_a_discrete_field():
+    space = rational_space(1)
+    s = make_state(space, [(1, 0)], (0, 0))
+    m = make_measurement(space, [(0, 1)])
+    with pytest.raises(ContinuousNotEnumerable):
+        _level_branches(space, s.known, [s.valuation], m)
+    with pytest.raises(ContinuousNotEnumerable):
+        branches(s, m)
+
+
+def test_a_walk_eliminates_once_per_agent(monkeypatch):
+    # one commutant per level, not one per branch state: a walk that went
+    # back to eliminating per branch would count one per state
+    t = scenarios._fr_tables()
+    cand = scenarios._fr_candidate_from_ints(
+        t, *scenarios._random_fr_tuple(t, random.Random(2)))
+    calls = []
+    real = measurement.commutant_within
+    monkeypatch.setattr(measurement, "commutant_within",
+                        lambda *a: calls.append(a) or real(*a))
+    walk = scenarios.fr_chain_sequential(cand)
+    assert len(calls) == 4
+    assert walk["branch_count"] > 4
+
+
+# (d, n) -> CRC-32 of the labels drawn for seeds 0-49 at three seeded
+# (state, measurement) pairs, as drawn outcome by outcome over `outcomes`
+SAMPLE_PINS = {(2, 2): "9bb0eb58", (3, 2): "d43f1123", (5, 1): "aa24da8a"}
+
+
+@pytest.mark.parametrize("d, n", list(SAMPLE_PINS))
+def test_sampled_labels_are_pinned(d, n):
+    draws = [[sample_outcome(states[0], m, seed).label for seed in range(50)]
+             for _, _, states, m in _levels(d, n, count=3, per_level=1)]
+    assert any(len(set(labels)) > 1 for labels in draws)
+    assert f"{zlib.crc32(repr(draws).encode()):08x}" == SAMPLE_PINS[d, n]

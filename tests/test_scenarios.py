@@ -558,6 +558,38 @@ def test_subset_tables_match_the_sum_sets():
                 assert row == [set(y.elems) <= sums for y in conclusions]
 
 
+def test_single_configuration_rows_match_the_kernel_tables():
+    # the single check builds only the rows of its own premises: at every
+    # representative, a kernel built for one premise holds that premise's
+    # K_X mask and subset row as the scan's full tables do, and no other;
+    # and each K_X mask is the exact commutant within V, packed
+    from toytheory.algebra import enumerate_subspace
+    from toytheory.phase_space import commutant_within
+    t = _fr_tables()
+    packed = {scenarios._int_vec(x): x for x in range(256)}
+
+    def exact(basis):
+        return rref(GF(2), 8, [scenarios._int_vec(g) for g in basis])
+
+    for cls in t.orbits:
+        basis = t.lagrangians[cls[0]]
+        full = scenarios._FrKernel(t, basis)
+        for agent, (premises, kmasks, table) in enumerate((
+                (t.meas_u, full.k_u, full.c1), (t.meas_b, full.k_b, full.c2),
+                (t.meas_a, full.k_a, full.c3))):
+            for x, meas in enumerate(premises):
+                rows = [()] * 3
+                rows[agent] = (x,)
+                one = scenarios._FrKernel(t, basis, rows)
+                got = ((one.k_u, one.c1), (one.k_b, one.c2),
+                       (one.k_a, one.c3))[agent]
+                assert (got[0][x], got[1][x]) == (kmasks[x], table[x])
+                assert sum(m is not None for m in got[0]) == 1
+                k = commutant_within(exact(basis), exact(meas.basis))
+                assert kmasks[x] == sum(1 << packed[e]
+                                        for e in enumerate_subspace(k))
+
+
 def test_fast_conditions_match_exact_on_fixed_tuples(rng):
     t = _fr_tables()
     for _ in range(25):

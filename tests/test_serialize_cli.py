@@ -219,6 +219,21 @@ def test_cli_evolve_rejects_systems_outside_the_state(files, gate):
     assert "system index" in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--keep", "0"], "system index 0 is outside 1..2 (n=2)"),
+    (["--keep", "3"], "system index 3 is outside 1..2 (n=2)"),
+    (["--keep", "1,1"], "--keep 1,1 names a system twice"),
+    (["--keep", "-1"], "system index -1 is outside 1..2 (n=2)"),
+    (["--gate", "cnot:0,2"], "system index 0 is outside 1..2 (n=2)"),
+    (["--gate", "swap:1,5"], "system index 5 is outside 1..2 (n=2)"),
+], ids=["keep-0", "keep-3", "keep-1,1", "keep--1", "cnot:0,2", "swap:1,5"])
+def test_cli_names_a_bad_system_index_as_typed(files, args, message):
+    # the message names the 1-based index the user typed, in one line
+    command = ["state", "marginal"] if args[0] == "--keep" else ["evolve"]
+    r = _run([*command, str(files / "plus_zero.json"), *args])
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", message + "\n")
+
+
 def test_cli_evolve_rejects_nonsymplectic(files):
     r = _run(["evolve", str(files / "plus.json"),
               "--transform", str(files / "bad_transform.json")])

@@ -13,7 +13,8 @@ takes the field/d/n it leaves out from the state it acts on.
 
 Exit codes: 0 pass, 1 I/O or schema error, 2 domain error (invalid state,
 non-symplectic matrix, impossible outcome, scenario verdict mismatch),
-3 enumeration/search cap exceeded.  TOY_ENUM_CAP (an integer >= 1, exit 1
+3 enumeration/search cap exceeded or a rational field refused where a
+command enumerates or samples.  TOY_ENUM_CAP (an integer >= 1, exit 1
 otherwise) is the one explicit-enumeration limit.  System indices on the
 command line are 1-based ("cnot:1,2" copies system 1 onto system 2); the
 library API is 0-based.  All numbers print exactly (integers and a/b
@@ -36,14 +37,15 @@ from .dynamics import (
     find_conditional_transform, gate_library,
 )
 from .errors import (
-    EnumerationCapExceeded, NotIsotropic, SearchSpaceExceeded, ToyTheoryError,
+    EnumerationCapExceeded, ImpossibleOutcome, NotIsotropic,
+    SearchSpaceExceeded, ToyTheoryError,
 )
 from .measurement import (
-    is_certain, outcome_for_label, outcome_from_valuation,
-    outcome_probability, outcomes, sample_outcome, update_state,
+    _draw, branches, is_certain, outcome_for_label, outcome_from_valuation,
+    outcome_probability, outcomes, update_state,
 )
 from .oracle import oracle_probability, oracle_smallest_update
-from .phase_space import discrete_space
+from .phase_space import _require_prime, discrete_space
 from .scenarios import (
     DEFAULT_SPOT_CHECKS, ScenarioReport, check_fr_request, run_bell,
     run_forgetting, run_wigner_friend, search_fr_paradox,
@@ -114,6 +116,12 @@ def _fmt_prob(args, p: Fraction) -> str:
     scale = 10 ** args.decimal
     whole, digits = divmod(int(p * scale + Fraction(1, 2)), scale)
     return f"{whole}.{digits:0{args.decimal}d}" if args.decimal else str(whole)
+
+
+def _label_text(label: tuple) -> str:
+    """An outcome label as a tuple prints, each entry exact: (0, 1), (1/2,)."""
+    comma = "," if len(label) == 1 else ""
+    return f"({', '.join(map(str, label))}{comma})"
 
 
 def _state_text(s) -> str:
@@ -239,16 +247,34 @@ def _partition_overlay(m, outs) -> str | None:
 
 
 def _cmd_measure(args) -> int:
+    """Over Z_p one `branches` table gives every outcome's probability, the
+    drawn outcome and the post-state.  Over QQ the outcomes are infinite,
+    so only the outcome --outcome names is measured."""
     state = _load(args.state)
     m = _load(args.measurement, serialize.measurement_from_json,
               "measurement", state.space)
-    outs = outcomes(m)
-    probs = {o: outcome_probability(state, m, o) for o in outs}
-    if args.outcome is not None:
-        chosen = outcome_for_label(m, args.outcome.split(","))
+    if args.outcome is None:
+        _require_prime(state.field, "measure without --outcome")
+        chosen = None
     else:
-        chosen = sample_outcome(state, m, args.seed)
-    post = update_state(state, m, chosen)
+        chosen = outcome_for_label(m, args.outcome.split(","))
+    if state.space.d is None:
+        outs = [chosen]
+        probs = {chosen: outcome_probability(state, m, chosen)}
+        posts = {o: update_state(state, m, o) for o in outs if probs[o]}
+    else:
+        table = branches(state, m)
+        outs = outcomes(m)
+        probs = dict.fromkeys(outs, Fraction(0))
+        posts = {}
+        for out, p, after in table:
+            probs[out], posts[out] = p, after
+        if chosen is None:
+            chosen = _draw(state, table, args.seed)
+    if chosen not in posts:
+        raise ImpossibleOutcome(
+            f"outcome {_label_text(chosen.label)} has probability 0")
+    post = posts[chosen]
     if not is_certain(post, m, chosen):
         raise _CliFailure(EXIT_DOMAIN, "repeatability self-check failed")
     if args.verify:
@@ -259,7 +285,7 @@ def _cmd_measure(args) -> int:
                 set(ontic_support(post).members):
             raise _CliFailure(EXIT_DOMAIN, "verify failed: update mismatch")
     doc = {
-        "probabilities": {str(o.label): str(probs[o]) for o in outs},
+        "probabilities": {_label_text(o.label): str(probs[o]) for o in outs},
         "outcome": list(chosen.label),
         "post_state": serialize.state_to_json(post),
     }
@@ -272,8 +298,9 @@ def _cmd_measure(args) -> int:
             lines.append(overlay)
         lines.append("outcome probabilities:")
         for o in outs:
-            lines.append(f"  {o.label}: {_fmt_prob(args, probs[o])}")
-        lines.append(f"outcome: {chosen.label}")
+            lines.append(f"  {_label_text(o.label)}: "
+                         f"{_fmt_prob(args, probs[o])}")
+        lines.append(f"outcome: {_label_text(chosen.label)}")
         lines.append("post-measurement state:")
         lines.append(_state_text(post))
         return "\n".join(lines)

@@ -26,7 +26,7 @@ from .errors import (
     DimensionMismatch, InvariantViolation, NotSymplectic, SearchSpaceExceeded,
 )
 from .phase_space import (
-    Observable, PhaseSpace, _all_vectors, bracket_vectors,
+    Observable, PhaseSpace, _all_vectors, _require_prime, bracket_vectors,
     compose as compose_spaces, symplectic_dual,
 )
 from .states import EpistemicState, make_state, marginal, tensor_all
@@ -299,8 +299,7 @@ def symplectic_group(field: FieldT, n_systems: int,
     a whole symplectic matrix (``_symplectic_frames``).  ``cap`` gates the
     closed-form order before any matrix is built, so a long enumeration is
     opt-in; the walk's count is checked against that order."""
-    if not isinstance(field, PrimeField):
-        raise SearchSpaceExceeded("cannot enumerate the rational symplectic group")
+    _require_prime(field, "enumerating the symplectic group")
     order = sp_order(n_systems, field.p)
     if order > cap:
         raise SearchSpaceExceeded(
@@ -318,9 +317,8 @@ def random_symplectic(space: PhaseSpace, rng) -> SymplecticTransform:
     shift."""
     field = space.field
     n = space.ambient_dim
+    _require_prime(field, "sampling a random symplectic transform")
     u = identity_matrix(field, n)
-    if not isinstance(field, PrimeField):
-        raise SearchSpaceExceeded("random sampling is for discrete fields")
     for _ in range(12):
         v = tuple(field.coerce(rng.randrange(field.p)) for _ in range(n))
         if all(x == field.zero for x in v):
@@ -350,8 +348,7 @@ class ConditionalPrepSpec:
 
     def __post_init__(self):
         field = self.source_space.field
-        if not isinstance(field, PrimeField):
-            raise DimensionMismatch("conditional-prep scenarios are discrete")
+        _require_prime(field, "a conditional-preparation scenario")
         k = field.p ** self.source_known.dim
         shifts = set()
         comp = orthogonal_complement(self.source_known)
@@ -602,8 +599,6 @@ def find_conditional_transform(spec: ConditionalPrepSpec,
                     searched)
         return ConditionalSearchResult(None, samples, False, samples)
 
-    if not isinstance(field, PrimeField):
-        raise SearchSpaceExceeded("cannot enumerate rational frames")
     n_frames = sp_order(n_total, field.p) // sp_order(n_total - k, field.p)
     if n_frames > group_cap:
         raise SearchSpaceExceeded(

@@ -26,11 +26,15 @@ class ImpossibleOutcome(ToyTheoryError):
 
 
 class EnumerationCapExceeded(ToyTheoryError):
-    """An explicit ontic enumeration would exceed the configured cap."""
+    """An explicit enumeration was refused: its p^(2n) points exceed the
+    configured cap, or its field is rational (`ContinuousNotEnumerable`).
+    The CLI exits 3 on either."""
 
 
-class ContinuousNotEnumerable(ToyTheoryError):
-    """Rational-field outcome sets are infinite; supply explicit outcomes."""
+class ContinuousNotEnumerable(EnumerationCapExceeded):
+    """An operation that enumerates or samples was given a rational field,
+    whose points and outcomes are infinite; `phase_space._require_prime`
+    is its one raiser."""
 
 
 class NotPointMass(ToyTheoryError):

@@ -38,10 +38,12 @@ from .algebra import (
     rref, solve_linear, subspace_sum,
 )
 from .errors import (
-    ContinuousNotEnumerable, DimensionMismatch, ImpossibleOutcome,
-    InvariantViolation, NotIsotropic, NotPointMass,
+    DimensionMismatch, ImpossibleOutcome, InvariantViolation, NotIsotropic,
+    NotPointMass,
 )
-from .phase_space import Observable, PhaseSpace, commutant_within, is_isotropic
+from .phase_space import (
+    Observable, PhaseSpace, _require_prime, commutant_within, is_isotropic,
+)
 from .states import EpistemicState
 
 
@@ -108,10 +110,7 @@ def outcome_for_label(m: Measurement, label: Iterable) -> Outcome:
 def outcomes(m: Measurement) -> list[Outcome]:
     """All d^dim(V_pi) outcomes, ordered by label (discrete fields only)."""
     field = m.space.field
-    if not isinstance(field, PrimeField):
-        raise ContinuousNotEnumerable(
-            "rational outcome sets are infinite; construct outcomes "
-            "explicitly via outcome_from_valuation / outcome_for_label")
+    _require_prime(field, "listing a measurement's outcomes")
     labels = itertools.product(field.elements(), repeat=m.observables.dim)
     return [Outcome(m, lab) for lab in labels]
 
@@ -161,17 +160,20 @@ def sample_outcome(s: EpistemicState, m: Measurement, seed: int = 0) -> Outcome:
     """Draw an outcome with the exact probabilities, reproducibly by seed.
 
     The probabilities come from `branches`, one elimination for all
-    outcomes; zero-probability outcomes, which it leaves out, add nothing
-    to the running sum, so the draw is the one over `outcomes` order."""
-    field = s.field
-    if not isinstance(field, PrimeField):
-        raise ContinuousNotEnumerable("sampling needs a discrete field")
-    support_dim = s.space.ambient_dim - s.known.dim
-    total = field.p ** support_dim
-    rng = random.Random(seed)
-    r = rng.randrange(total)
+    outcomes, which refuses a rational field."""
+    return _draw(s, branches(s, m), seed)
+
+
+def _draw(s: EpistemicState, table: list, seed: int) -> Outcome:
+    """The outcome of s's `branches` table that ``seed`` draws: an integer
+    below the support's size p^(N - dim V), against the running sum of the
+    outcomes' shares of it.  Zero-probability outcomes, which the table
+    leaves out, add nothing to that sum, so the draw is the one over
+    `outcomes` order."""
+    total = s.field.p ** (s.space.ambient_dim - s.known.dim)
+    r = random.Random(seed).randrange(total)
     acc = 0
-    for out, p, _ in branches(s, m):
+    for out, p, _ in table:
         acc += int(p * total)
         if r < acc:
             return out

@@ -21,7 +21,7 @@ from .algebra import (
     Subspace, _pivot_columns, _rref_rows, enumerate_subspace,
     orthogonal_complement, reduce_mod_subspace, rref,
 )
-from .errors import EnumerationCapExceeded, InvariantViolation
+from .errors import ImpossibleOutcome, InvariantViolation
 from .measurement import Measurement, Outcome
 from .phase_space import PhaseSpace, isotropic_subspaces_within, symplectic_dual
 from .states import EpistemicState, OnticSupport, ontic_support
@@ -52,12 +52,12 @@ def oracle_smallest_update(s: EpistemicState, m: Measurement,
     containment in the outcome coset forces V_π ⊆ W.  The support contains
     the premise's points exactly when W is orthogonal to their differences,
     so the largest such W gives the smallest support; the walk grows only
-    those W (see `_largest_superspace_orthogonal_to`).
+    those W (see `_largest_superspace_orthogonal_to`).  An outcome of
+    probability 0 raises `ImpossibleOutcome`, as in `update_state`.
     """
     pre_post = _outcome_points(ontic_support(s).members, out)
     if not pre_post:
-        raise EnumerationCapExceeded(
-            "oracle update undefined for an impossible outcome")
+        raise ImpossibleOutcome(f"outcome {out.label} has probability 0")
     return _smallest_support(s, m, pre_post)
 
 

@@ -15,7 +15,9 @@ from .algebra import (
     vector,
 )
 from .config import enumeration_cap
-from .errors import DimensionMismatch, EnumerationCapExceeded
+from .errors import (
+    ContinuousNotEnumerable, DimensionMismatch, EnumerationCapExceeded,
+)
 
 
 @dataclass(frozen=True)
@@ -190,13 +192,19 @@ def supported_systems(space: PhaseSpace, v: VectorT) -> set[int]:
             if v[2 * i] != zero or v[2 * i + 1] != zero}
 
 
+def _require_prime(field: FieldT, what: str) -> None:
+    """The one refusal of a rational field, by every operation that
+    enumerates or samples (``what`` names it), before it reads ``field.p``."""
+    if not isinstance(field, PrimeField):
+        raise ContinuousNotEnumerable(
+            f"{what} needs a discrete field; a rational field is infinite")
+
+
 def _check_enumerable(space: PhaseSpace) -> None:
     """The one guard of every explicit enumeration: refuse a rational space,
     and a discrete one whose p^(2n) points exceed `enumeration_cap()`."""
     field = space.field
-    if not isinstance(field, PrimeField):
-        raise EnumerationCapExceeded(
-            "a rational phase space has infinitely many ontic states")
+    _require_prime(field, "enumerating ontic states")
     n = space.ambient_dim
     limit = enumeration_cap()
     if field.p ** n > limit:

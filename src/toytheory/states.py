@@ -21,16 +21,15 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import (
-    Coset, FieldT, PrimeField, Subspace, VectorT, _image_of_kernel,
+    Coset, FieldT, Subspace, VectorT, _image_of_kernel,
     dot, enumerate_coset, orthogonal_complement, reduce_mod_subspace, rref,
     _pivot_columns, solve_linear, vector, vec_sub, zero_subspace, zero_vector,
 )
-from .errors import (
-    DimensionMismatch, EnumerationCapExceeded, NotIsotropic, ToyTheoryError,
-)
+from .errors import DimensionMismatch, NotIsotropic, ToyTheoryError
 from .phase_space import (
-    Observable, PhaseSpace, _check_enumerable, all_isotropic_subspaces,
-    discrete_space, embed_vector, is_isotropic, restrict_vector,
+    Observable, PhaseSpace, _check_enumerable, _require_prime,
+    all_isotropic_subspaces, discrete_space, embed_vector, is_isotropic,
+    restrict_vector,
 )
 
 
@@ -242,8 +241,7 @@ def is_valid_support(sup: OnticSupport) -> Optional[EpistemicState]:
     iff it is an affine subspace whose annihilator is isotropic.
     """
     field = sup.space.field
-    if not isinstance(field, PrimeField):
-        raise EnumerationCapExceeded("rational supports are not checkable")
+    _require_prime(field, "checking a support")
     n2 = sup.space.ambient_dim
     size = len(sup.members)
     if size == 0:

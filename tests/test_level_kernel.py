@@ -6,15 +6,17 @@ level from one elimination of the stacked rows against an identity block.
 These tests hold it to the per-outcome route (`outcome_probability` and
 `update_state`, each its own meet), show that the checks catch a kernel
 that skips the dependency rows, count the eliminations of a sequential FR
-walk, and pin the outcomes `sample_outcome` draws.
+walk, and pin the outcomes `sample_outcome` draws and what the CLI's
+`measure`, which reads everything from one `branches` table, prints.
 """
 
+import json
 import random
 import zlib
 
 import pytest
 
-from toytheory import measurement, scenarios
+from toytheory import cli, measurement, scenarios, serialize
 from toytheory.errors import ContinuousNotEnumerable, InvariantViolation
 from toytheory.measurement import (
     _level_branches, branches, make_measurement, outcome_probability,
@@ -133,3 +135,60 @@ def test_sampled_labels_are_pinned(d, n):
              for _, _, states, m in _levels(d, n, count=3, per_level=1)]
     assert any(len(set(labels)) > 1 for labels in draws)
     assert f"{zlib.crc32(repr(draws).encode()):08x}" == SAMPLE_PINS[d, n]
+
+
+def _measure_argvs(d, n, tmp_path):
+    """`measure --format json` of three seeded states, by a random
+    measurement and by their own known subspace (where every outcome but
+    one is impossible): drawn at seeds 0-9, then given each outcome."""
+    pairs = []
+    for space, known, states, m in _levels(d, n, count=3, per_level=1):
+        pairs.append((states[0], m))
+        if known.dim:
+            pairs.append((states[0], make_measurement(space, known.basis)))
+    argvs = []
+    for i, (s, m) in enumerate(pairs):
+        state, meas = tmp_path / f"s{i}.json", tmp_path / f"m{i}.json"
+        state.write_text(json.dumps(serialize.state_to_json(s)))
+        meas.write_text(json.dumps(serialize.measurement_to_json(m)))
+        argv = ["--format", "json", "measure", str(state), str(meas)]
+        argvs += [argv + ["--seed", str(seed)] for seed in range(10)]
+        argvs += [argv + ["--outcome", ",".join(map(str, o.label))]
+                  for o in outcomes(m)]
+    return argvs
+
+
+def test_measure_reads_one_branch_table(monkeypatch, tmp_path, capsys):
+    calls = []
+    real = measurement._level_branches
+    monkeypatch.setattr(measurement, "_level_branches",
+                        lambda *a: calls.append("branches") or real(*a))
+    for module in (cli, measurement):
+        for name in ("outcome_probability", "update_state"):
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name: calls.append(name))
+    codes = set()
+    for argv in _measure_argvs(3, 2, tmp_path):
+        codes.add(cli.main(argv))
+        capsys.readouterr()
+        assert calls == ["branches"]
+        calls.clear()
+    assert codes == {0, 2}
+
+
+# (d, n) -> CRC-32 of the exit code, stdout and stderr of each run of
+# `_measure_argvs`, as printed when the table was built outcome by outcome
+MEASURE_PINS = {(2, 1): "63ad1ab1", (2, 2): "40592a10", (3, 2): "ff8ac526"}
+
+
+@pytest.mark.parametrize("d, n", list(MEASURE_PINS))
+def test_measure_output_is_pinned(d, n, tmp_path, capsys):
+    runs = []
+    for argv in _measure_argvs(d, n, tmp_path):
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        runs.append((code, out.out, out.err))
+    assert {code for code, _, _ in runs} == {0, 2}
+    assert all(err.endswith(" has probability 0\n")
+               for code, _, err in runs if code)
+    assert f"{zlib.crc32(repr(runs).encode()):08x}" == MEASURE_PINS[d, n]

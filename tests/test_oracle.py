@@ -4,7 +4,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from toytheory.algebra import _rref_rows, enumerate_coset
-from toytheory.errors import EnumerationCapExceeded, InvariantViolation
+from toytheory.errors import (
+    EnumerationCapExceeded, ImpossibleOutcome, InvariantViolation,
+)
 from toytheory.measurement import (
     Measurement, infers, make_measurement, outcome_for_label,
     outcome_from_valuation, outcome_probability, outcomes, update_state,
@@ -29,6 +31,15 @@ def test_oracle_probability_examples():
     out0 = outcome_for_label(MZ1, (0,))
     assert oracle_probability(toy_bit("+"), MZ1, out0) == Fraction(1, 2)
     assert oracle_probability(toy_bit("0"), MZ1, out0) == 1
+
+
+@pytest.mark.parametrize("update", [oracle_smallest_update, update_state])
+def test_an_impossible_update_is_a_domain_error(update):
+    # the oracle refuses the update the algebra refuses, with its error
+    # (CLI exit 2), not with a cap error (exit 3)
+    with pytest.raises(ImpossibleOutcome,
+                       match=r"^outcome \(1,\) has probability 0$"):
+        update(toy_bit("0"), MZ1, outcome_for_label(MZ1, (1,)))
 
 
 def test_oracle_matches_algebra_exhaustively_n1():

@@ -321,10 +321,9 @@ def matrix(field: FieldT, rows: Iterable[Iterable]) -> MatrixT:
 
 
 def identity_matrix(field: FieldT, n: int) -> MatrixT:
-    return tuple(
-        tuple(field.one if i == j else field.zero for j in range(n))
-        for i in range(n)
-    )
+    zero = (field.zero,)
+    return tuple([zero * i + (field.one,) + zero * (n - 1 - i)
+                  for i in range(n)])
 
 
 def mat_transpose(m: MatrixT) -> MatrixT:

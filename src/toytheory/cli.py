@@ -41,8 +41,8 @@ from .errors import (
     SearchSpaceExceeded, ToyTheoryError,
 )
 from .measurement import (
-    _draw, branches, is_certain, outcome_for_label, outcome_from_valuation,
-    outcome_probability, outcomes, update_state,
+    _draw, branches, is_certain, label_text, outcome_for_label,
+    outcome_from_valuation, outcome_probability, outcomes, update_state,
 )
 from .oracle import oracle_probability, oracle_smallest_update
 from .phase_space import _require_prime, discrete_space
@@ -116,12 +116,6 @@ def _fmt_prob(args, p: Fraction) -> str:
     scale = 10 ** args.decimal
     whole, digits = divmod(int(p * scale + Fraction(1, 2)), scale)
     return f"{whole}.{digits:0{args.decimal}d}" if args.decimal else str(whole)
-
-
-def _label_text(label: tuple) -> str:
-    """An outcome label as a tuple prints, each entry exact: (0, 1), (1/2,)."""
-    comma = "," if len(label) == 1 else ""
-    return f"({', '.join(map(str, label))}{comma})"
 
 
 def _state_text(s) -> str:
@@ -273,7 +267,7 @@ def _cmd_measure(args) -> int:
             chosen = _draw(state, table, args.seed)
     if chosen not in posts:
         raise ImpossibleOutcome(
-            f"outcome {_label_text(chosen.label)} has probability 0")
+            f"outcome {label_text(chosen.label)} has probability 0")
     post = posts[chosen]
     if not is_certain(post, m, chosen):
         raise _CliFailure(EXIT_DOMAIN, "repeatability self-check failed")
@@ -285,7 +279,7 @@ def _cmd_measure(args) -> int:
                 set(ontic_support(post).members):
             raise _CliFailure(EXIT_DOMAIN, "verify failed: update mismatch")
     doc = {
-        "probabilities": {_label_text(o.label): str(probs[o]) for o in outs},
+        "probabilities": {label_text(o.label): str(probs[o]) for o in outs},
         "outcome": list(chosen.label),
         "post_state": serialize.state_to_json(post),
     }
@@ -298,9 +292,9 @@ def _cmd_measure(args) -> int:
             lines.append(overlay)
         lines.append("outcome probabilities:")
         for o in outs:
-            lines.append(f"  {_label_text(o.label)}: "
+            lines.append(f"  {label_text(o.label)}: "
                          f"{_fmt_prob(args, probs[o])}")
-        lines.append(f"outcome: {_label_text(chosen.label)}")
+        lines.append(f"outcome: {label_text(chosen.label)}")
         lines.append("post-measurement state:")
         lines.append(_state_text(post))
         return "\n".join(lines)

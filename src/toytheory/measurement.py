@@ -3,21 +3,18 @@
 A measurement is an isotropic subspace V_π of jointly measurable observables;
 an outcome fixes the value each canonical generator g of V_π takes, the
 constraints g.x = label.  A state (V, v) states the constraints g.x = g.v for
-g in V.  Every query is one elimination of stacked constraints (`_meet`):
-the probability counts the dimension the outcome's constraints cut from the
-support, the update keeps the commuting part of prior knowledge and adjoins
-the measured observables at a point of the meet, and an inference asks
-whether the retained, premise and conclusion constraints are solvable
-together.  The post-measurement known subspace V_π ⊕ V_commute depends on
-neither the outcome nor the valuation, so the branch kernel
-(`_level_branches`) takes a whole level of states on one known subspace
-and decides every (valuation, outcome) pair from one elimination of the
-stacked rows against an identity block; `branches` is its one-state call,
-and the four-agent sequential chain walks its tree a level per agent.  An
-outcome is its label alone, so two outcomes of a measurement are equal
-exactly when their labels are.  Outcomes partition the ontic space;
-`Outcome.coset` solves for the solution set V_π^⊥ + v_π of an outcome's
-constraints when asked.
+g in V.  Every query is one elimination of stacked constraints: probability
+and certainty meet the state's and the outcome's constraints (`_meet`);
+update and inference run `_commuting_meet`, whose bracket block sets V's
+non-commuting part aside and leaves V' = V_π ⊕ V_commute, the known
+subspace after measuring, with its values.  V' depends on neither the
+outcome nor the valuation, so the branch kernel (`_level_branches`) decides
+every (valuation, outcome) pair of a level of states on one known subspace
+from one such elimination; `branches` is its one-state call, and the
+four-agent sequential chain walks its tree a level per agent.  An outcome
+is its label alone, so two outcomes of a measurement are equal exactly when
+their labels are.  Outcomes partition the ontic space; `Outcome.coset`
+solves for an outcome's solution set V_π^⊥ + v_π when asked.
 
 Note on outcome labels: the label records the values of the measured
 observables themselves.  Measuring <q> on a state that knows 2q = 6 yields
@@ -28,21 +25,22 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
-    Coset, PrimeField, Subspace, VectorT, _meet, _rref_rows, _span_from,
+    Coset, PrimeField, Subspace, _meet, _rref_rows, _span_from,
     identity_matrix, make_coset, orthogonal_complement, reduce_mod_subspace,
-    rref, solve_linear, subspace_sum,
+    rref, solve_linear,
 )
 from .errors import (
     DimensionMismatch, ImpossibleOutcome, InvariantViolation, NotIsotropic,
     NotPointMass,
 )
 from .phase_space import (
-    Observable, PhaseSpace, _require_prime, commutant_within, is_isotropic,
+    Observable, PhaseSpace, _require_prime, is_isotropic, symplectic_dual,
 )
 from .states import EpistemicState
 
@@ -74,6 +72,11 @@ class Outcome:
 
     def __repr__(self):
         return f"Outcome(label={self.label})"
+
+
+def label_text(label: tuple) -> str:
+    """An outcome label as a tuple prints, each entry exact: (0, 1), (1/2,)."""
+    return f"({', '.join(map(str, label))}{',' * (len(label) == 1)})"
 
 
 def make_measurement(space: PhaseSpace, observables: Iterable) -> Measurement:
@@ -115,33 +118,12 @@ def outcomes(m: Measurement) -> list[Outcome]:
     return [Outcome(m, lab) for lab in labels]
 
 
-def _check_outcome(s: EpistemicState, m: Measurement, out: Outcome):
+def _check_outcome(s: EpistemicState, m: Measurement,
+                   out: Optional[Outcome] = None):
     if s.space != m.space:
         raise DimensionMismatch("state and measurement live on different spaces")
-    if out.measurement != m:
+    if out is not None and out.measurement != m:
         raise DimensionMismatch(f"{out} belongs to {out.measurement}, not {m}")
-
-
-def _outcome_meet(s: EpistemicState, m: Measurement,
-                  out: Outcome) -> tuple[Optional[VectorT], Fraction]:
-    """A point of the meet of the state's and the outcome's constraints
-    (None when there is none) and the outcome's probability."""
-    _check_outcome(s, m, out)
-    field = s.field
-    met = _meet(field, s.space.ambient_dim,
-                (s.constraints(), out.constraints()))
-    if met is None:
-        return None, Fraction(0)
-    rows, point = met
-    # the support has dimension N - dim V, its meet with the outcome N - rank
-    gained = len(rows) - s.known.dim
-    if isinstance(field, PrimeField):
-        return point, Fraction(1, field.p ** gained)
-    if gained == 0:
-        return point, Fraction(1)
-    raise NotPointMass(
-        "rational-case probability is neither 0 nor 1; only point masses "
-        "are algebraically determined")
 
 
 def outcome_probability(s: EpistemicState, m: Measurement, out: Outcome) -> Fraction:
@@ -153,7 +135,22 @@ def outcome_probability(s: EpistemicState, m: Measurement, out: Outcome) -> Frac
     point masses are determined: 1 when r = dim V, else `NotPointMass`.
     Raises `DimensionMismatch` when ``out`` is not an outcome of ``m``.
     """
-    return _outcome_meet(s, m, out)[1]
+    _check_outcome(s, m, out)
+    met = _meet(s.field, s.space.ambient_dim,
+                (s.constraints(), out.constraints()))
+    if met is None:
+        return Fraction(0)
+    # the support has dimension N - dim V, its meet with the outcome N - rank
+    gained = len(met[0]) - s.known.dim
+    _require_point_mass(s.field, gained)
+    return Fraction(1, s.field.p ** gained) if gained else Fraction(1)
+
+
+def _require_point_mass(field, gained: int) -> None:
+    """Over QQ only a probability 1 (gained = rank - dim V = 0) is known."""
+    if gained and not isinstance(field, PrimeField):
+        raise NotPointMass("rational-case probability is neither 0 nor 1; "
+                           "only point masses are algebraically determined")
 
 
 def sample_outcome(s: EpistemicState, m: Measurement, seed: int = 0) -> Outcome:
@@ -180,34 +177,59 @@ def _draw(s: EpistemicState, table: list, seed: int) -> Outcome:
     raise InvariantViolation("outcome probabilities did not sum to 1")
 
 
-def _post_known(known: Subspace, v_pi: Subspace) -> tuple[Subspace, Subspace]:
-    """The known subspace V' = V_π ⊕ V_commute after measuring V_π on
-    knowledge V, and V'^⊥.
-
-    V' is canonical (one RREF) and isotropic by construction: V_π is,
-    V_commute ⊆ V is, and the two commute.  It depends on neither the
-    outcome nor the valuation, so every post-state of one measurement on
-    one known subspace shares it, and each is built directly, its point
-    reduced modulo V'^⊥, without `make_state`'s re-validation.
+def _commuting_meet(known: Subspace, v_pi: Subspace, rhs: Sequence,
+                    tagged: Sequence = ()) -> tuple:
+    """Measuring V_π on knowledge V in one elimination of the rows
+    [[g_1,b] … [g_k,b] | b | 0 | r] (b in V), [0 | g | 0 | r] (g in V_π) and
+    [0 | h | e_h | r] (h in ``tagged``, e_h a row of an identity block),
+    each r its row's entry of ``rhs``: a value, or a row of an identity
+    block.  Returns (rank, V', solved, tags, deps), read by the block where
+    the pivots fall.  Bracket block: V's non-commuting part, skipped; no
+    dependency is lost, as c·b = -a·g lies in V ∩ V_π, which commutes with
+    V_π.  Vector block: the canonical V' = V_π ⊕ V_commute (plus V_B if
+    tagged), (pivot, r) in ``solved``; ``rank`` counts these rows and the
+    skipped ones, rank[V; V_π] when untagged.  Tag block: dim(V_B ∩ V')
+    rows, r in ``tags``.  Right-hand side: the dependencies, r in ``deps``.
     """
-    post = subspace_sum(v_pi, commutant_within(known, v_pi))
-    return post, orthogonal_complement(post)
+    field, n, k, t = known.field, known.ambient_dim, v_pi.dim, len(tagged)
+    duals = [symplectic_dual(field, g) for g in v_pi.basis]
+    pad, untagged = (field.zero,) * k, (field.zero,) * t
+    rows = ([tuple([field.dot(g, b) for g in duals]) + b + untagged
+             for b in known.basis]
+            + [pad + g + untagged for g in v_pi.basis]
+            + [pad + h + e for h, e in zip(tagged, identity_matrix(field, t))])
+    reduced, pivots = _rref_rows(field, [row + r for row, r in zip(rows, rhs)])
+    cut = k + n + t
+    i, j, end = [bisect_left(pivots, c) for c in (k, k + n, cut)]
+    kept = reduced[i:j]
+    return (j, Subspace(field, n, tuple([row[k:k + n] for row in kept])),
+            [(c - k, row[cut:]) for row, c in zip(kept, pivots[i:])],
+            [row[cut:] for row in reduced[j:end]],
+            [row[cut:] for row in reduced[end:]])
 
 
 def update_state(s: EpistemicState, m: Measurement, out: Outcome) -> EpistemicState:
     """Post-measurement state: keep commuting knowledge, adjoin the outcome.
 
-    V' = V_π ⊕ V_commute with the valuation any point that meets the state's
-    and the outcome's constraints.  That point also satisfies the retained
-    values, because V_commute ⊆ V; all choices describe the same state, and
-    the canonical one (the point reduced modulo V'^⊥) is stored.  `branches`
-    gives the same state for every outcome at once.
+    One `_commuting_meet` gives V' = V_π ⊕ V_commute, isotropic as both
+    parts are and they commute (so no `make_state` re-validation), and a
+    point x[pivot] = value meeting the constraints on V'; all such points
+    are one state, stored canonically (x reduced modulo V'^⊥).  A conflict
+    raises `ImpossibleOutcome`, and over QQ rank[V; V_π] ≠ dim V raises
+    `NotPointMass`.  `branches` gives the same state for every outcome.
     """
-    point, _ = _outcome_meet(s, m, out)
-    if point is None:
-        raise ImpossibleOutcome(f"outcome {out.label} has probability 0")
-    known, perp = _post_known(s.known, m.observables)
-    return EpistemicState(s.space, known, reduce_mod_subspace(perp, point))
+    _check_outcome(s, m, out)
+    rank, post, solved, _, deps = _commuting_meet(s.known, m.observables, [
+        (x,) for x in s.constraints()[1] + out.label])
+    if deps:
+        raise ImpossibleOutcome(
+            f"outcome {label_text(out.label)} has probability 0")
+    _require_point_mass(s.field, rank - s.known.dim)
+    x = [s.field.zero] * s.space.ambient_dim
+    for c, (value,) in solved:
+        x[c] = value
+    return EpistemicState(s.space, post, reduce_mod_subspace(
+        orthogonal_complement(post), x))
 
 
 def _level_branches(space: PhaseSpace, known: Subspace, valuations: Sequence,
@@ -216,33 +238,21 @@ def _level_branches(space: PhaseSpace, known: Subspace, valuations: Sequence,
     subspace V: a list of (outcome, probability, post-state) lists, one per
     valuation.  Raises `ContinuousNotEnumerable` over QQ.
 
-    The states differ only in the right-hand sides of one linear system.
-    With M the k rows of V then V_π, one elimination of [M | I_k] gives
-    rows (e, t) with t·M = e.  A row whose pivot lies in the identity block
-    has e = 0, so t is a dependency among M's rows, and the right-hand side r
-    (the values g.v of V's rows, then the outcome's label) is consistent
-    iff t·r = 0 for every such t.  The other rows' left blocks are the RREF
-    of M, so x[c] = t·r at each of their pivots c, zero elsewhere, solves
-    M·x = r: the point `_meet` returns.  Every consistent outcome has
-    probability p^-(rank - dim V), and V' comes from `_post_known`, both
-    once for all valuations.  Each t·r is t's V half dotted with the
-    values plus its V_π half dotted with the label, and reduction modulo
-    V'^⊥ is linear.  So the dependency values and the reduced point of a
-    valuation's half are taken once per valuation, those of the labels'
+    The states differ only in the right-hand sides r (V's values, then the
+    label), so `_commuting_meet` takes I_k in their place: each row ends in
+    the t with row = t·[the rows].  r is consistent iff t·r = 0 for every
+    dependency t, x[c] = t·r at the pivots c of V' is `update_state`'s
+    point, and V', V'^⊥ and the probability p^-(rank - dim V) serve every
+    valuation.  t·r is linear in the values and in the label, and so is
+    reduction modulo V'^⊥: a valuation's half is taken once, the labels'
     halves are spanned from the unit labels' in `outcomes` order, and a
     (valuation, outcome) pair costs one row sum.
     """
-    field = space.field
-    outs = outcomes(m)
-    n = space.ambient_dim
-    rows = known.basis + m.observables.basis
-    eye = identity_matrix(field, len(rows))
-    reduced, pivots = _rref_rows(field, [
-        row + e for row, e in zip(rows, eye)])
-    solved = [(c, row[n:]) for row, c in zip(reduced, pivots) if c < n]
-    deps = [row[n:] for row, c in zip(reduced, pivots) if c >= n]
-    p = Fraction(1, field.p ** (len(solved) - known.dim))
-    post, perp = _post_known(known, m.observables)
+    field, n, outs = space.field, space.ambient_dim, outcomes(m)
+    eye = identity_matrix(field, known.dim + m.observables.dim)
+    rank, post, solved, _, deps = _commuting_meet(known, m.observables, eye)
+    p = Fraction(1, field.p ** (rank - known.dim))
+    perp = orthogonal_complement(post)
     dot, add = field.dot, field.add_rows
 
     def half(rhs, cut: slice) -> tuple:
@@ -272,14 +282,11 @@ def branches(s: EpistemicState, m: Measurement) -> list[tuple]:
     """(outcome, probability, post-state) for every outcome of positive
     probability, in `outcomes` order (discrete fields only).
 
-    Equals ``update_state`` and ``outcome_probability`` outcome by outcome.
-    It is the one-state call of `_level_branches`: one elimination decides
-    every outcome, and V' = V_π ⊕ V_commute is built once.  Raises
-    `DimensionMismatch` when m lives on another space and
-    `ContinuousNotEnumerable` over QQ.
+    Equals ``update_state`` and ``outcome_probability`` outcome by outcome:
+    the one-state call of `_level_branches`.  Raises `DimensionMismatch`
+    when m lives on another space and `ContinuousNotEnumerable` over QQ.
     """
-    if s.space != m.space:
-        raise DimensionMismatch("state and measurement live on different spaces")
+    _check_outcome(s, m)
     return _level_branches(s.space, s.known, [s.valuation], m)[0]
 
 
@@ -302,21 +309,20 @@ def inference_conditions(s: EpistemicState, m_a: Measurement, out_a: Outcome,
                          m_b: Measurement, out_b: Outcome) -> tuple[bool, bool]:
     """The two conditions behind "A = out_a implies B = out_b".
 
-    (1) V_B ⊆ V_commute,A ⊕ V_A: some outcome of B is inferable at all;
+    (1) V_B ⊆ V' = V_commute,A ⊕ V_A: some outcome of B is inferable;
     (2) the constraints g.x = g.v (g in V_commute,A), g.x = label_A
         (g in V_A) and g.x = label_B (g in V_B) are solvable: the inferable
         outcome is out_b (and the premise is possible).
+    One `_commuting_meet`, V_B's rows tagged, decides both: (1) when every
+    tag is a pivot, (2) when no dependency has a nonzero value.
     """
     _check_outcome(s, m_a, out_a)
     _check_outcome(s, m_b, out_b)
-    v_comm = commutant_within(s.known, m_a.observables)
-    reach = subspace_sum(v_comm, m_a.observables)
-    cond1 = all(reach.contains(g) for g in m_b.observables.basis)
-    comm_values = [s.field.dot(g, s.valuation) for g in v_comm.basis]
-    cond2 = _meet(s.field, s.space.ambient_dim,
-                  ((v_comm.basis, comm_values),
-                   out_a.constraints(), out_b.constraints())) is not None
-    return cond1, cond2
+    values = s.constraints()[1] + out_a.label + out_b.label
+    _, _, _, tags, deps = _commuting_meet(
+        s.known, m_a.observables, [(x,) for x in values], m_b.observables.basis)
+    return (len(tags) == m_b.observables.dim,
+            not deps and not any(value for value, in tags))
 
 
 def infers(s: EpistemicState, m_a: Measurement, out_a: Outcome,

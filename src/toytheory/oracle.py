@@ -22,7 +22,7 @@ from .algebra import (
     orthogonal_complement, reduce_mod_subspace, rref,
 )
 from .errors import ImpossibleOutcome, InvariantViolation
-from .measurement import Measurement, Outcome
+from .measurement import Measurement, Outcome, label_text
 from .phase_space import PhaseSpace, isotropic_subspaces_within, symplectic_dual
 from .states import EpistemicState, OnticSupport, ontic_support
 
@@ -57,7 +57,8 @@ def oracle_smallest_update(s: EpistemicState, m: Measurement,
     """
     pre_post = _outcome_points(ontic_support(s).members, out)
     if not pre_post:
-        raise ImpossibleOutcome(f"outcome {out.label} has probability 0")
+        raise ImpossibleOutcome(
+            f"outcome {label_text(out.label)} has probability 0")
     return _smallest_support(s, m, pre_post)
 
 

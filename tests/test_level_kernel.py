@@ -4,9 +4,9 @@ subspace, and the walks and draws built on it.
 `measurement._level_branches` decides every (valuation, outcome) pair of a
 level from one elimination of the stacked rows against an identity block.
 These tests hold it to the per-outcome route (`outcome_probability` and
-`update_state`, each its own meet), show that the checks catch a kernel
-that skips the dependency rows, count the eliminations of a sequential FR
-walk, and pin the outcomes `sample_outcome` draws and what the CLI's
+`update_state`, each its own elimination), show that the checks catch a
+kernel that skips the dependency rows, count the eliminations of a
+sequential FR walk, and pin the outcomes `sample_outcome` draws and what the CLI's
 `measure`, which reads everything from one `branches` table, prints.
 """
 
@@ -110,14 +110,14 @@ def test_the_kernel_needs_a_discrete_field():
 
 
 def test_a_walk_eliminates_once_per_agent(monkeypatch):
-    # one commutant per level, not one per branch state: a walk that went
-    # back to eliminating per branch would count one per state
+    # one V' elimination per level, not one per branch state: a walk that
+    # went back to eliminating per branch would count one per state
     t = scenarios._fr_tables()
     cand = scenarios._fr_candidate_from_ints(
         t, *scenarios._random_fr_tuple(t, random.Random(2)))
     calls = []
-    real = measurement.commutant_within
-    monkeypatch.setattr(measurement, "commutant_within",
+    real = measurement._commuting_meet
+    monkeypatch.setattr(measurement, "_commuting_meet",
                         lambda *a: calls.append(a) or real(*a))
     walk = scenarios.fr_chain_sequential(cand)
     assert len(calls) == 4

@@ -140,6 +140,15 @@ def test_update_outcome_checks_over_the_rationals():
         update_state(make_state(sp, [], (0, 0)), m, out3)
 
 
+def test_an_impossible_rational_outcome_prints_its_label_exactly():
+    sp = rational_space(1)
+    m = make_measurement(sp, [(1, 0)])
+    third = outcome_for_label(m, (Fraction(1, 3),))
+    with pytest.raises(ImpossibleOutcome,
+                       match=r"^outcome \(1/3,\) has probability 0$"):
+        update_state(make_state(sp, [(1, 0)], (0, 0)), m, third)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_update_momentum_pair_formal_example(d):
     sp = discrete_space(d, 2)

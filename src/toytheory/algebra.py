@@ -16,6 +16,10 @@ and `RationalField.rref_rows` eliminates over Z: each row is scaled to ints
 by the lcm of its denominators and kept divided by its content gcd, and the
 canonical rows come back as `Fraction`s over their pivots.
 
+Value constraints g.x = value are solved by `_solve_augmented`, one
+elimination of [rows | values]; a caller with several sets of constraints
+(two cosets, a state and an outcome) stacks their rows and values first.
+
 Scalar contract (`coerce` and `vector`): ints (reduced mod p, negative ones
 too), `Fraction`s (reduced mod p through the inverse of the denominator),
 and strings ``"a"`` or ``"a/b"``.  Floats are rejected with `TypeError`: a
@@ -585,44 +589,25 @@ def solve_linear(field: FieldT, n: int, rows: Sequence[VectorT], rhs: Sequence) 
     return None if solved is None else solved[1]
 
 
-def _meet(field: FieldT, n: int,
-          parts: Iterable[tuple[Sequence[VectorT], Sequence]]
-          ) -> Optional[tuple[MatrixT, VectorT]]:
-    """Meet of value constraints in one elimination.
-
-    Each part is (rows, values) of canonical field elements: the
-    constraints g.x = value for each row g.  The parts are stacked and
-    solved at once.
-    Returns None when no x satisfies them all; otherwise the RREF of the
-    stacked rows (its length is the rank r, and the solution set is a coset
-    of dimension n - r) and one solution point.
-    """
-    rows = []
-    rhs = []
-    for basis, values in parts:
-        rows.extend(basis)
-        rhs.extend(values)
-    return _solve_augmented(field, n, rows, rhs)
-
-
 def coset_intersection(c1: Coset, c2: Coset) -> Optional[Coset]:
     """(S1+u1) ∩ (S2+u2) as a coset of S1∩S2, or None when empty.
 
-    The meet of the constraints g.x = g.u_i for g in S_i^⊥: the stacked
-    rows span S1^⊥ + S2^⊥, whose complement is S1∩S2.
+    One `_solve_augmented` of the constraints g.x = g.u_i for g in S_i^⊥:
+    the stacked rows span S1^⊥ + S2^⊥, whose complement is S1∩S2.
     """
     _check_same_ambient(c1.subspace, c2.subspace)
     field = c1.field
     n = c1.ambient_dim
-    parts = []
+    rows, rhs = [], []
     for c in (c1, c2):
-        rows = orthogonal_complement(c.subspace).basis
-        parts.append((rows, [field.dot(row, c.shift) for row in rows]))
-    met = _meet(field, n, parts)
-    if met is None:
+        perp = orthogonal_complement(c.subspace).basis
+        rows += perp
+        rhs += [field.dot(row, c.shift) for row in perp]
+    solved = _solve_augmented(field, n, rows, rhs)
+    if solved is None:
         return None
-    rows, u = met
-    return make_coset(orthogonal_complement(Subspace(field, n, rows)), u)
+    basis, u = solved
+    return make_coset(orthogonal_complement(Subspace(field, n, basis)), u)
 
 
 def enumerate_coset(c: Coset) -> Iterator[VectorT]:

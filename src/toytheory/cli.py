@@ -42,7 +42,7 @@ from .errors import (
 )
 from .measurement import (
     _draw, branches, is_certain, label_text, outcome_for_label,
-    outcome_from_valuation, outcome_probability, outcomes, update_state,
+    outcome_from_valuation, outcomes, update_state,
 )
 from .oracle import oracle_probability, oracle_smallest_update
 from .phase_space import _require_prime, discrete_space
@@ -243,7 +243,9 @@ def _partition_overlay(m, outs) -> str | None:
 def _cmd_measure(args) -> int:
     """Over Z_p one `branches` table gives every outcome's probability, the
     drawn outcome and the post-state.  Over QQ the outcomes are infinite,
-    so only the outcome --outcome names is measured."""
+    so only the outcome --outcome names is measured, by one `update_state`:
+    it raises `ImpossibleOutcome` or `NotPointMass` unless the outcome has
+    probability 1."""
     state = _load(args.state)
     m = _load(args.measurement, serialize.measurement_from_json,
               "measurement", state.space)
@@ -254,8 +256,8 @@ def _cmd_measure(args) -> int:
         chosen = outcome_for_label(m, args.outcome.split(","))
     if state.space.d is None:
         outs = [chosen]
-        probs = {chosen: outcome_probability(state, m, chosen)}
-        posts = {o: update_state(state, m, o) for o in outs if probs[o]}
+        probs = {chosen: Fraction(1)}
+        posts = {chosen: update_state(state, m, chosen)}
     else:
         table = branches(state, m)
         outs = outcomes(m)

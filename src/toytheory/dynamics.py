@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
-    FieldT, PrimeField, Subspace, VectorT, _meet,
+    FieldT, PrimeField, Subspace, VectorT, _solve_augmented,
     enumerate_subspace, identity_matrix, mat_mul, mat_transpose,
     mat_vec, matrix, orthogonal_complement, reduce_mod_subspace, rref,
     solve_linear, vec_add, vector, zero_vector,
@@ -373,8 +373,9 @@ class MarginalClassification:
 
 
 def _supports_disjoint(s1: EpistemicState, s2: EpistemicState) -> bool:
-    return _meet(s1.field, s1.space.ambient_dim,
-                 (s1.constraints(), s2.constraints())) is None
+    (rows1, values1), (rows2, values2) = s1.constraints(), s2.constraints()
+    return _solve_augmented(s1.field, s1.space.ambient_dim, rows1 + rows2,
+                            values1 + values2) is None
 
 
 def classify_conditional_marginals(spec: ConditionalPrepSpec,

@@ -3,9 +3,10 @@
 A measurement is an isotropic subspace V_π of jointly measurable observables;
 an outcome fixes the value each canonical generator g of V_π takes, the
 constraints g.x = label.  A state (V, v) states the constraints g.x = g.v for
-g in V.  Every query is one elimination of stacked constraints: probability
-and certainty meet the state's and the outcome's constraints (`_meet`);
-update and inference run `_commuting_meet`, whose bracket block sets V's
+g in V.  Certainty is a lookup: the outcome is certain iff every g is known
+and g.v is its label.  Probability is one `_solve_augmented` of the state's
+and the outcome's stacked constraints.  Update and inference run
+`_commuting_meet`, one elimination whose bracket block sets V's
 non-commuting part aside and leaves V' = V_π ⊕ V_commute, the known
 subspace after measuring, with its values.  V' depends on neither the
 outcome nor the valuation, so the branch kernel (`_level_branches`) decides
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
-    Coset, PrimeField, Subspace, _meet, _rref_rows, _span_from,
+    Coset, PrimeField, Subspace, _rref_rows, _solve_augmented, _span_from,
     identity_matrix, make_coset, orthogonal_complement, reduce_mod_subspace,
     rref, solve_linear,
 )
@@ -65,10 +66,6 @@ class Outcome:
         point = solve_linear(m.space.field, m.space.ambient_dim,
                              m.observables.basis, self.label)
         return make_coset(orthogonal_complement(m.observables), point)
-
-    def constraints(self) -> tuple[tuple, tuple]:
-        """The measured rows g and the values g.x = label they take."""
-        return self.measurement.observables.basis, self.label
 
     def __repr__(self):
         return f"Outcome(label={self.label})"
@@ -136,12 +133,13 @@ def outcome_probability(s: EpistemicState, m: Measurement, out: Outcome) -> Frac
     Raises `DimensionMismatch` when ``out`` is not an outcome of ``m``.
     """
     _check_outcome(s, m, out)
-    met = _meet(s.field, s.space.ambient_dim,
-                (s.constraints(), out.constraints()))
-    if met is None:
+    rows, values = s.constraints()
+    solved = _solve_augmented(s.field, s.space.ambient_dim,
+                              rows + m.observables.basis, values + out.label)
+    if solved is None:
         return Fraction(0)
     # the support has dimension N - dim V, its meet with the outcome N - rank
-    gained = len(met[0]) - s.known.dim
+    gained = len(solved[0]) - s.known.dim
     _require_point_mass(s.field, gained)
     return Fraction(1, s.field.p ** gained) if gained else Fraction(1)
 
@@ -233,10 +231,11 @@ def update_state(s: EpistemicState, m: Measurement, out: Outcome) -> EpistemicSt
 
 
 def _level_branches(space: PhaseSpace, known: Subspace, valuations: Sequence,
-                    m: Measurement) -> list[list[tuple]]:
+                    m: Measurement) -> tuple[Subspace, list[list[tuple]]]:
     """`branches` of every state (V, v), v in ``valuations``, on one known
-    subspace V: a list of (outcome, probability, post-state) lists, one per
-    valuation.  Raises `ContinuousNotEnumerable` over QQ.
+    subspace V: (V', levels), V' the known subspace of every post-state and
+    ``levels`` a list of (outcome, probability, post-valuation) lists, one
+    per valuation.  Raises `ContinuousNotEnumerable` over QQ.
 
     The states differ only in the right-hand sides r (V's values, then the
     label), so `_commuting_meet` takes I_k in their place: each row ends in
@@ -246,7 +245,9 @@ def _level_branches(space: PhaseSpace, known: Subspace, valuations: Sequence,
     valuation.  t·r is linear in the values and in the label, and so is
     reduction modulo V'^⊥: a valuation's half is taken once, the labels'
     halves are spanned from the unit labels' in `outcomes` order, and a
-    (valuation, outcome) pair costs one row sum.
+    (valuation, outcome) pair costs one row sum.  Its post-valuation is
+    returned beside the one V' the whole level shares, not built into a
+    state.
     """
     field, n, outs = space.field, space.ambient_dim, outcomes(m)
     eye = identity_matrix(field, known.dim + m.observables.dim)
@@ -273,9 +274,9 @@ def _level_branches(space: PhaseSpace, known: Subspace, valuations: Sequence,
         for out, hl in by_label:
             r = add(hv, hl)
             if not any(r[:nd]):
-                level.append((out, p, EpistemicState(space, post, r[nd:])))
+                level.append((out, p, r[nd:]))
         found.append(level)
-    return found
+    return post, found
 
 
 def branches(s: EpistemicState, m: Measurement) -> list[tuple]:
@@ -283,26 +284,26 @@ def branches(s: EpistemicState, m: Measurement) -> list[tuple]:
     probability, in `outcomes` order (discrete fields only).
 
     Equals ``update_state`` and ``outcome_probability`` outcome by outcome:
-    the one-state call of `_level_branches`.  Raises `DimensionMismatch`
-    when m lives on another space and `ContinuousNotEnumerable` over QQ.
+    the one-state call of `_level_branches`, each post-valuation paired
+    with the level's V'.  Raises `DimensionMismatch` when m lives on
+    another space and `ContinuousNotEnumerable` over QQ.
     """
     _check_outcome(s, m)
-    return _level_branches(s.space, s.known, [s.valuation], m)[0]
+    post, (level,) = _level_branches(s.space, s.known, [s.valuation], m)
+    return [(out, p, EpistemicState(s.space, post, v)) for out, p, v in level]
 
 
 def is_certain(s: EpistemicState, m: Measurement, out: Outcome) -> bool:
-    """True iff the outcome occurs with probability 1.
+    """True iff the outcome occurs with probability 1: every canonical
+    generator g of V_π is known and its value g.v is g's label.
 
-    Two conditions: the measured observables are already known
-    (V_π ⊆ V), and the outcome's values agree with the known ones (the
-    constraints g.x = g.v, g in V, and g.x = label, g in V_π, are solvable).
+    A lookup, no elimination: for g in V, g.x = g.v on the whole support
+    V^⊥ + v; for g outside V, g.x takes more than one value there, over
+    Z_p and over QQ alike.
     """
     _check_outcome(s, m, out)
-    known = s.known
-    if not all(known.contains(g) for g in m.observables.basis):
-        return False
-    return _meet(s.field, s.space.ambient_dim,
-                 (s.constraints(), out.constraints())) is not None
+    return all(s.value_of(g) == value
+               for g, value in zip(m.observables.basis, out.label))
 
 
 def inference_conditions(s: EpistemicState, m_a: Measurement, out_a: Outcome,

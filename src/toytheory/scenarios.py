@@ -40,7 +40,7 @@ from .dynamics import (
     apply_to_state, cnot_gate, compose_transforms, random_symplectic,
     swap_gate,
 )
-from .errors import DimensionMismatch, InvariantViolation, SearchSpaceExceeded
+from .errors import DimensionMismatch, SearchSpaceExceeded
 from .measurement import (
     Measurement, Outcome, _level_branches, inference_conditions, infers,
     is_certain, make_measurement, outcome_for_label, outcome_from_valuation,
@@ -369,24 +369,19 @@ def fr_chain_sequential(c: FRCandidate) -> dict:
     is false for every candidate with distinct W outcomes, whatever the
     walk returns.
 
-    The walk goes a level per agent: the post-measurement known subspace
-    does not depend on the outcome, so all states of a level share one,
-    and `_level_branches` expands the whole level from one elimination.
-    A level whose states disagree on it raises `InvariantViolation`."""
+    The walk goes a level per agent and carries only valuations: the
+    post-measurement known subspace does not depend on the outcome, so
+    `_level_branches` returns it once with the whole level, from one
+    elimination, and it is the known subspace of the next level."""
     m = c.measurements()
-    tree = [({}, c.initial, Fraction(1))]
+    known = c.initial.known
+    tree = [({}, c.initial.valuation, Fraction(1))]
     for agent in "ABUW":
-        known = tree[0][1].known
-        if any(state.known != known for _, state, _ in tree):
-            raise InvariantViolation(
-                f"the states measured by {agent} do not share one known "
-                "subspace")
-        level = _level_branches(c.space, known,
-                                [state.valuation for _, state, _ in tree],
-                                m[agent])
-        tree = [(dict(outs, **{agent: out}), post, prob * p)
+        known, level = _level_branches(c.space, known,
+                                       [v for _, v, _ in tree], m[agent])
+        tree = [(dict(outs, **{agent: out}), v, prob * p)
                 for (outs, _, prob), found in zip(tree, level)
-                for out, p, post in found]
+                for out, p, v in found]
     ok_ok = (c.outcome("U=ok"), c.outcome("W=ok"))
     r = {"p_ok_ok": sum((prob for outs, _, prob in tree
                          if (outs["U"], outs["W"]) == ok_ok), Fraction(0))}

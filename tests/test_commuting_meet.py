@@ -3,9 +3,9 @@
 
 The queries are held to the formulation the kernel replaced, written out
 here: V' = V_π + commutant_within(V, V_π) by `subspace_sum`, the
-post-state's point from `_meet` of the state's and the outcome's
-constraints, the inference's subset test by `contains` on V' and its
-solvability by a three-part `_meet`.  `infers` is held to the oracle's
+post-state's point from one `_solve_augmented` of the state's and the
+outcome's stacked constraints, the inference's subset test by `contains`
+on V' and its solvability by a three-part stacked solve.  `infers` is held to the oracle's
 conditional probability as well.  A kernel whose bracket block is zero,
 so that it keeps V's non-commuting rows, fails these checks; and each
 query runs one elimination.
@@ -18,8 +18,8 @@ import pytest
 
 from toytheory import algebra, measurement, phase_space
 from toytheory.algebra import (
-    QQ, _meet, contains, orthogonal_complement, reduce_mod_subspace,
-    subspace_sum,
+    QQ, _solve_augmented, contains, orthogonal_complement,
+    reduce_mod_subspace, subspace_sum,
 )
 from toytheory.errors import ImpossibleOutcome, NotPointMass
 from toytheory.measurement import (
@@ -38,10 +38,11 @@ from conftest import random_vector
 
 
 def _reference_update(s, m, out):
-    """The update as one `_meet`, a commutant and a sum."""
+    """The update as one stacked solve, a commutant and a sum."""
     _check_outcome(s, m, out)
-    met = _meet(s.field, s.space.ambient_dim,
-                (s.constraints(), out.constraints()))
+    rows, values = s.constraints()
+    met = _solve_augmented(s.field, s.space.ambient_dim,
+                           rows + m.observables.basis, values + out.label)
     if met is None:
         raise ImpossibleOutcome(f"outcome {out.label} has probability 0")
     rows, point = met
@@ -55,16 +56,17 @@ def _reference_update(s, m, out):
 
 def _reference_conditions(s, m_a, out_a, m_b, out_b):
     """The inference as a commutant, a sum, one `contains` per row of V_B
-    and a three-part `_meet`."""
+    and a three-part stacked solve."""
     _check_outcome(s, m_a, out_a)
     _check_outcome(s, m_b, out_b)
     v_comm = commutant_within(s.known, m_a.observables)
     reach = subspace_sum(v_comm, m_a.observables)
     cond1 = all(contains(reach, g) for g in m_b.observables.basis)
-    values = [s.field.dot(g, s.valuation) for g in v_comm.basis]
-    cond2 = _meet(s.field, s.space.ambient_dim,
-                  ((v_comm.basis, values), out_a.constraints(),
-                   out_b.constraints())) is not None
+    values = tuple([s.field.dot(g, s.valuation) for g in v_comm.basis])
+    cond2 = _solve_augmented(
+        s.field, s.space.ambient_dim,
+        v_comm.basis + m_a.observables.basis + m_b.observables.basis,
+        values + out_a.label + out_b.label) is not None
     return cond1, cond2
 
 

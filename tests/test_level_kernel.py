@@ -2,22 +2,25 @@
 subspace, and the walks and draws built on it.
 
 `measurement._level_branches` decides every (valuation, outcome) pair of a
-level from one elimination of the stacked rows against an identity block.
-These tests hold it to the per-outcome route (`outcome_probability` and
-`update_state`, each its own elimination), show that the checks catch a
-kernel that skips the dependency rows, count the eliminations of a
-sequential FR walk, and pin the outcomes `sample_outcome` draws and what the CLI's
-`measure`, which reads everything from one `branches` table, prints.
+level from one elimination of the stacked rows against an identity block,
+and returns the level's post-measurement known subspace V' once beside the
+post-valuations.  These tests hold it to the per-outcome route
+(`outcome_probability` and `update_state`, each its own elimination), show
+that the checks catch a kernel that skips the dependency rows, count the
+eliminations of a sequential FR walk, and pin the outcomes `sample_outcome`
+draws and what the CLI's `measure`, which reads everything from one
+`branches` table over Z_p and one `update_state` over QQ, prints.
 """
 
 import json
 import random
+import sys
 import zlib
 
 import pytest
 
 from toytheory import cli, measurement, scenarios, serialize
-from toytheory.errors import ContinuousNotEnumerable, InvariantViolation
+from toytheory.errors import ContinuousNotEnumerable
 from toytheory.measurement import (
     _level_branches, branches, make_measurement, outcome_probability,
     outcomes, sample_outcome, update_state,
@@ -54,8 +57,17 @@ def _per_outcome(s, m):
             for o in outcomes(m) if outcome_probability(s, m, o)]
 
 
+def _level_states(space, known, states, m) -> list:
+    """`_level_branches` of the states, each post-valuation made a state
+    on the level's V'."""
+    post, levels = _level_branches(space, known,
+                                   [s.valuation for s in states], m)
+    return [[(o, p, EpistemicState(space, post, v)) for o, p, v in level]
+            for level in levels]
+
+
 def _level_matches(space, known, states, m) -> bool:
-    level = _level_branches(space, known, [s.valuation for s in states], m)
+    level = _level_states(space, known, states, m)
     return level == [_per_outcome(s, m) for s in states]
 
 
@@ -63,8 +75,7 @@ def _level_matches(space, known, states, m) -> bool:
 def test_level_equals_branches_and_the_per_outcome_route(d, n):
     impossible = 0
     for space, known, states, m in _levels(d, n):
-        level = _level_branches(space, known,
-                                [s.valuation for s in states], m)
+        level = _level_states(space, known, states, m)
         assert level == [branches(s, m) for s in states]
         assert _level_matches(space, known, states, m)
         impossible += sum(len(outcomes(m)) - len(found) for found in level)
@@ -79,24 +90,6 @@ def test_a_kernel_that_skips_the_dependency_rows_fails(monkeypatch, d, n):
     monkeypatch.setattr(measurement, "any", lambda rows: False,
                         raising=False)
     assert not all(_level_matches(*level) for level in _levels(d, n))
-
-
-def test_the_walk_refuses_a_level_of_mixed_known_subspaces(monkeypatch):
-    t = scenarios._fr_tables()
-    cand = scenarios._fr_candidate_from_ints(
-        t, *scenarios._random_fr_tuple(t, random.Random(4)))
-    real = scenarios._level_branches
-
-    def mixed(space, known, valuations, m):
-        found = real(space, known, valuations, m)
-        out, p, post = found[0][0]
-        # the first branch keeps the prior knowledge instead
-        found[0][0] = (out, p, EpistemicState(space, known, post.valuation))
-        return found
-
-    monkeypatch.setattr(scenarios, "_level_branches", mixed)
-    with pytest.raises(InvariantViolation, match="one known subspace"):
-        scenarios.fr_chain_sequential(cand)
 
 
 def test_the_kernel_needs_a_discrete_field():
@@ -163,10 +156,13 @@ def test_measure_reads_one_branch_table(monkeypatch, tmp_path, capsys):
     real = measurement._level_branches
     monkeypatch.setattr(measurement, "_level_branches",
                         lambda *a: calls.append("branches") or real(*a))
-    for module in (cli, measurement):
-        for name in ("outcome_probability", "update_state"):
-            monkeypatch.setattr(module, name,
-                                lambda *a, name=name: calls.append(name))
+    # cli binds update_state alone since its QQ path stopped asking for
+    # outcome_probability
+    for module, name in ((cli, "update_state"),
+                         (measurement, "outcome_probability"),
+                         (measurement, "update_state")):
+        monkeypatch.setattr(module, name,
+                            lambda *a, name=name: calls.append(name))
     codes = set()
     for argv in _measure_argvs(3, 2, tmp_path):
         codes.add(cli.main(argv))
@@ -192,3 +188,73 @@ def test_measure_output_is_pinned(d, n, tmp_path, capsys):
     assert all(err.endswith(" has probability 0\n")
                for code, _, err in runs if code)
     assert f"{zlib.crc32(repr(runs).encode()):08x}" == MEASURE_PINS[d, n]
+
+
+def _qq_measure_argvs(tmp_path):
+    """`measure --outcome` over QQ, in text and JSON: outcomes of
+    probability 1 and 0, and outcomes that are no point mass."""
+    q1, q2 = rational_space(1), rational_space(2)
+    cases = [
+        (make_state(q1, [(1, 0)], ("1/2", 0)), [(1, 0)], ["1/2", "1/3"]),
+        (make_state(q1, [(1, 0)], ("1/2", 0)), [(2, 0)], ["1/2", "-1"]),
+        (make_state(q1, [(1, 0)], ("1/2", 0)), [(0, 1)], ["0"]),
+        (make_state(q1, [], (0, 0)), [(1, 0)], ["0"]),
+        (make_state(q2, [(1, 0, 0, 0), (0, 0, 1, 0)], ("1/2", 0, -3, 0)),
+         [(1, 0, 1, 0)], ["-5/2", "0"]),
+        (make_state(q2, [(1, 0, 0, 0), (0, 0, 1, 0)], ("1/2", 0, -3, 0)),
+         [(1, 0, 0, 0), (0, 0, 1, 0)], ["1/2,-3", "1/2,3"]),
+        (make_state(q2, [(1, 0, 0, 0), (0, 0, 1, 0)], ("1/2", 0, -3, 0)),
+         [(0, 1, 0, 0)], ["2/3"]),
+    ]
+    argvs = []
+    for i, (s, rows, labels) in enumerate(cases):
+        state, meas = tmp_path / f"q{i}.json", tmp_path / f"qm{i}.json"
+        state.write_text(json.dumps(serialize.state_to_json(s)))
+        meas.write_text(json.dumps(serialize.measurement_to_json(
+            make_measurement(s.space, rows))))
+        for fmt in ("text", "json"):
+            argvs += [["--format", fmt, "measure", str(state), str(meas),
+                       f"--outcome={label}"] for label in labels]
+    return argvs
+
+
+def test_measure_over_qq_updates_once(monkeypatch, tmp_path, capsys):
+    # one update_state per run decides the outcome, and no
+    # outcome_probability is asked, through any module that binds either
+    calls = []
+    for real in (measurement.outcome_probability, measurement.update_state):
+        def counted(*a, real=real):
+            calls.append(real.__name__)
+            return real(*a)
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("toytheory") and \
+                    getattr(mod, real.__name__, None) is real:
+                monkeypatch.setattr(mod, real.__name__, counted)
+    codes = set()
+    for argv in _qq_measure_argvs(tmp_path):
+        codes.add(cli.main(argv))
+        capsys.readouterr()
+        assert calls == ["update_state"]
+        calls.clear()
+    assert codes == {0, 2}
+
+
+# CRC-32 of the exit code, stdout and stderr of each run of
+# `_qq_measure_argvs`, as printed when probability and update were asked
+# for one after the other
+QQ_MEASURE_PIN = "095c9d9a"
+
+
+def test_measure_output_over_qq_is_pinned(tmp_path, capsys):
+    runs = []
+    for argv in _qq_measure_argvs(tmp_path):
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        # the state's file name is the only run-dependent text
+        runs.append((code, out.out.replace(str(tmp_path), "DIR"),
+                     out.err.replace(str(tmp_path), "DIR")))
+    errors = {err for code, _, err in runs if code}
+    assert any(err.endswith(" has probability 0\n") for err in errors)
+    assert any("neither 0 nor 1" in err for err in errors)
+    assert sum(not code for code, _, _ in runs) == 8
+    assert f"{zlib.crc32(repr(runs).encode()):08x}" == QQ_MEASURE_PIN

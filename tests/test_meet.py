@@ -1,9 +1,9 @@
-"""Property tests: the constraint meet behind every measurement query.
+"""Property tests: the constraint meet behind the measurement queries.
 
-`_meet` stacks value constraints g.x = value and solves them in one
-elimination.  These properties check it against the complement route
-(cosets V^⊥ + v, sums and intersections of complements), and check the
-measurement queries built on it: probabilities sum to 1 over the outcomes,
+Value constraints g.x = value from two sources are stacked and solved in
+one `_solve_augmented`.  These properties check that meet against the
+complement route (cosets V^⊥ + v, sums and intersections of complements),
+and check the measurement queries: probabilities sum to 1 over the outcomes,
 an update repeats its outcome, an inference is an update followed by a
 certainty test, and `branches` is the probability and the update taken
 outcome by outcome.  They run at d ∈ {2, 3, 5, 7} and n ∈ {1, 2} systems, and
@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from toytheory.algebra import (
-    GF, QQ, Coset, _meet, dot, orthogonal_complement, reduce_mod_subspace,
+    GF, QQ, Coset, _solve_augmented, dot, orthogonal_complement,
+    reduce_mod_subspace,
     rref, subspace_intersection, subspace_sum, vec_sub,
 )
 from toytheory.errors import ContinuousNotEnumerable, DimensionMismatch
@@ -104,9 +105,8 @@ def _constraint_pair(draw):
 @given(_constraint_pair())
 def test_meet_agrees_with_the_complement_route(case):
     field, n, (s1, v1), (s2, v2) = case
-    parts = [(s.basis, [dot(field, g, v) for g in s.basis])
-             for s, v in ((s1, v1), (s2, v2))]
-    met = _meet(field, n, parts)
+    met = _solve_augmented(field, n, s1.basis + s2.basis, [
+        dot(field, g, v) for s, v in ((s1, v1), (s2, v2)) for g in s.basis])
     c1, c2 = (Coset(orthogonal_complement(s), v)
               for s, v in ((s1, v1), (s2, v2)))
     # nonempty iff v1 - v2 lies in S1^⊥ + S2^⊥
@@ -248,8 +248,10 @@ def test_branch_states_are_the_validated_ones(case):
     # meet
     s, m = case
     for out, _, post in branches(s, m):
-        _, point = _meet(s.field, s.space.ambient_dim,
-                         (s.constraints(), out.constraints()))
+        rows, values = s.constraints()
+        _, point = _solve_augmented(s.field, s.space.ambient_dim,
+                                    rows + m.observables.basis,
+                                    values + out.label)
         for rows in (post.known.basis, post.known.basis[::-1]):
             assert make_state(s.space, rows, point) == post
 

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from toytheory.algebra import (
-    GF, QQ, _meet, coset_intersection, dot, enumerate_coset, make_coset,
-    mat_inverse, reduce_mod_subspace, rref, solve_linear,
+    GF, QQ, _solve_augmented, coset_intersection, dot, enumerate_coset,
+    make_coset, mat_inverse, reduce_mod_subspace, rref, solve_linear,
     subspace_intersection,
 )
 from toytheory.phase_space import bracket_vectors
@@ -264,10 +264,7 @@ def test_wide_solve_and_meet_match_reference(case, data):
     want = _ref_solution(n, rows, rhs)
     got = solve_linear(QQ, n, rows, rhs)
     assert got == (None if want is None else want[1])
-    cut = data.draw(st.integers(0, len(rows)))
-    parts = [([QQ.vector(r) for r in rows[:cut]], rhs[:cut]),
-             ([QQ.vector(r) for r in rows[cut:]], rhs[cut:])]
-    met = _meet(QQ, n, parts)
+    met = _solve_augmented(QQ, n, [QQ.vector(r) for r in rows], rhs)
     assert met == want
     if met is not None:
         basis, x = met

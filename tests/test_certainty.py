@@ -11,7 +11,6 @@ comparison; and the lookup runs no elimination.
 """
 
 import random
-import sys
 
 import pytest
 
@@ -23,11 +22,11 @@ from toytheory.measurement import (
     outcome_from_valuation, outcome_probability, outcomes,
 )
 from toytheory.phase_space import (
-    all_isotropic_subspaces, bracket_vectors, discrete_space, rational_space,
+    all_isotropic_subspaces, discrete_space, rational_space,
 )
 from toytheory.states import all_valid_states, make_state
 
-from conftest import random_vector
+from conftest import count_calls, isotropic_rows, random_vector
 
 
 def _reference_certain(s, m, out) -> bool:
@@ -61,31 +60,16 @@ def _exhaustive(d, n):
             for o in outcomes(m)]
 
 
-def _lagrangian(space, rng):
-    """n q-coordinate units pushed through transvections
-    x -> x + c[x,w]w, which keep every bracket: n commuting rows."""
-    field, n = space.field, space.ambient_dim
-    rows = [tuple(field.one if j == 2 * i else field.zero for j in range(n))
-            for i in range(space.n_systems)]
-    for _ in range(3):
-        w = random_vector(field, n, rng)
-        c = field.coerce(rng.choice([-2, -1, 1, 2, 3]) if field is QQ
-                         else rng.randrange(1, field.p))
-        rows = [field.add_rows(x, field.scale_row(
-            field.mul(c, bracket_vectors(field, x, w)), w)) for x in rows]
-    return rows
-
-
 def _seeded(space, count, seed):
-    """Seeded (state, measurement, outcome) draws: V is the first k rows of
-    a drawn Lagrangian, V_π spans combinations of some of its rows, inside
+    """Seeded (state, measurement, outcome) draws: V is the first k of n
+    drawn commuting rows, V_π spans combinations of some of its rows, inside
     V or not, and the outcome is the one the valuation lies in, or a label
     one entry off it."""
     field = space.field
     rng = random.Random(seed)
     cases = []
     for _ in range(count):
-        rows = _lagrangian(space, rng)
+        rows = isotropic_rows(space, rng, space.n_systems)
         k = rng.randint(0, len(rows))
         s = make_state(space, rows[:k],
                        random_vector(field, space.ambient_dim, rng))
@@ -135,28 +119,13 @@ def test_lookup_matches_the_elimination_on_seeded_draws(space):
                    for case in cases)
 
 
-def _count_calls(monkeypatch, names, calls):
-    """Count the calls of each algebra function named, through every
-    toytheory module that binds it."""
-    for name in names:
-        real = getattr(algebra, name)
-
-        def counted(*args, name=name, real=real):
-            calls[name] = calls.get(name, 0) + 1
-            return real(*args)
-
-        for key, mod in list(sys.modules.items()):
-            if key.startswith("toytheory") and \
-                    getattr(mod, name, None) is real:
-                monkeypatch.setattr(mod, name, counted)
-
-
 @pytest.mark.parametrize("space", SEEDED, ids=repr)
 def test_certainty_eliminates_nothing_and_probability_once(monkeypatch,
                                                            space):
     cases = _seeded(space, 40, 31)
     calls = {}
-    _count_calls(monkeypatch, ("_rref_rows", "_solve_augmented"), calls)
+    for name in ("_rref_rows", "_solve_augmented"):
+        count_calls(monkeypatch, algebra, name, calls)
     for case in cases:
         is_certain(*case)
     assert calls == {}

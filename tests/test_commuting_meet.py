@@ -12,7 +12,6 @@ query runs one elimination.
 """
 
 import random
-import sys
 
 import pytest
 
@@ -29,12 +28,11 @@ from toytheory.measurement import (
 )
 from toytheory.oracle import oracle_conditional
 from toytheory.phase_space import (
-    all_isotropic_subspaces, bracket_vectors, commutant_within,
-    discrete_space, rational_space,
+    all_isotropic_subspaces, commutant_within, discrete_space, rational_space,
 )
 from toytheory.states import EpistemicState, all_valid_states, make_state
 
-from conftest import random_vector
+from conftest import count_calls, isotropic_rows, random_vector
 
 
 def _reference_update(s, m, out):
@@ -91,21 +89,6 @@ def _measurements(space):
     return [Measurement(space, sub) for sub in all_isotropic_subspaces(space)]
 
 
-def _isotropic_rows(space, rng, k):
-    """k q-coordinate units pushed through transvections x -> x + c[x,w]w,
-    which keep every bracket: k commuting rows over any field."""
-    field, n = space.field, space.ambient_dim
-    rows = [tuple(field.one if j == 2 * i else field.zero for j in range(n))
-            for i in range(k)]
-    for _ in range(3):
-        w = random_vector(field, n, rng)
-        c = field.coerce(rng.choice([-2, -1, 1, 2, 3]) if field is QQ
-                         else rng.randrange(1, field.p))
-        rows = [field.add_rows(x, field.scale_row(
-            field.mul(c, bracket_vectors(field, x, w)), w)) for x in rows]
-    return rows
-
-
 def _combos(space, basis, rng):
     field = space.field
     row = tuple([field.zero] * space.ambient_dim)
@@ -133,16 +116,16 @@ def _tuples(space, count, seed):
     n = space.n_systems
     found = []
     while len(found) < count:
-        s = make_state(space, _isotropic_rows(space, rng, rng.randint(0, n)),
+        s = make_state(space, isotropic_rows(space, rng, rng.randint(0, n)),
                        random_vector(space.field, space.ambient_dim, rng))
         if space.field is QQ and rng.random() < 0.5:
             m_a = make_measurement(space, [_combos(space, s.known.basis, rng)
                                            for _ in range(s.known.dim)])
         else:
             m_a = make_measurement(
-                space, _isotropic_rows(space, rng, rng.randint(1, n)))
+                space, isotropic_rows(space, rng, rng.randint(1, n)))
         pool = rng.choice([m_a.observables.basis, s.known.basis, None])
-        rows = (_isotropic_rows(space, rng, rng.randint(1, n)) if not pool
+        rows = (isotropic_rows(space, rng, rng.randint(1, n)) if not pool
                 else [_combos(space, pool, rng) for _ in pool])
         m_b = make_measurement(space, rows)
         if not (m_a.observables.dim and m_b.observables.dim):
@@ -229,29 +212,15 @@ def test_a_kernel_without_the_bracket_block_fails(monkeypatch):
                        for draw in _tuples(space, 100, 11))
 
 
-def _count_calls(monkeypatch, module, name, calls):
-    """Count the calls of module.name through every toytheory module that
-    binds it."""
-    real = getattr(module, name)
-
-    def counted(*args):
-        calls[name] = calls.get(name, 0) + 1
-        return real(*args)
-
-    for key, mod in list(sys.modules.items()):
-        if key.startswith("toytheory") and getattr(mod, name, None) is real:
-            monkeypatch.setattr(mod, name, counted)
-
-
 @pytest.mark.parametrize("space", SEEDED, ids=repr)
 def test_update_and_inference_eliminate_once(monkeypatch, space):
     draws = _tuples(space, 20, 3)
     for s, m_a, out_a, _, _ in draws:
         _result(update_state, s, m_a, out_a)   # V'^⊥ is now cached
     calls = {}
-    _count_calls(monkeypatch, algebra, "_rref_rows", calls)
-    _count_calls(monkeypatch, algebra, "subspace_sum", calls)
-    _count_calls(monkeypatch, phase_space, "commutant_within", calls)
+    count_calls(monkeypatch, algebra, "_rref_rows", calls)
+    count_calls(monkeypatch, algebra, "subspace_sum", calls)
+    count_calls(monkeypatch, phase_space, "commutant_within", calls)
     for s, m_a, out_a, m_b, out_b in draws:
         for query, args in ((update_state, (s, m_a, out_a)),
                             (inference_conditions,

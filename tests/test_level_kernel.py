@@ -14,7 +14,6 @@ draws and what the CLI's `measure`, which reads everything from one
 
 import json
 import random
-import sys
 import zlib
 
 import pytest
@@ -30,7 +29,7 @@ from toytheory.phase_space import (
 )
 from toytheory.states import EpistemicState, make_state
 
-from conftest import random_vector
+from conftest import count_calls, random_vector
 
 POINTS = [(2, 1), (2, 2), (3, 2), (5, 2)]
 
@@ -221,20 +220,14 @@ def _qq_measure_argvs(tmp_path):
 def test_measure_over_qq_updates_once(monkeypatch, tmp_path, capsys):
     # one update_state per run decides the outcome, and no
     # outcome_probability is asked, through any module that binds either
-    calls = []
-    for real in (measurement.outcome_probability, measurement.update_state):
-        def counted(*a, real=real):
-            calls.append(real.__name__)
-            return real(*a)
-        for key, mod in list(sys.modules.items()):
-            if key.startswith("toytheory") and \
-                    getattr(mod, real.__name__, None) is real:
-                monkeypatch.setattr(mod, real.__name__, counted)
+    calls = {}
+    for name in ("outcome_probability", "update_state"):
+        count_calls(monkeypatch, measurement, name, calls)
     codes = set()
     for argv in _qq_measure_argvs(tmp_path):
         codes.add(cli.main(argv))
         capsys.readouterr()
-        assert calls == ["update_state"]
+        assert calls == {"update_state": 1}
         calls.clear()
     assert codes == {0, 2}
 

@@ -305,21 +305,32 @@ def _cmd_measure(args) -> int:
     return EXIT_OK
 
 
-# The flags a `scenario --config` file may set, with the type of each value.
+# Every scenario flag as (type, default, help): the `scenario` parser and
+# a `--config` file both read this table.  A bool flag is a switch.
 _SCENARIO_FLAGS = {
-    "d": int, "tampered": bool, "exhaustive": bool, "workers": int,
-    "seed": int, "samples": int, "spot_checks": int, "mutated": bool,
-    "targets": str, "ancilla": int, "group_cap": int,
+    "d": (int, 2, None),
+    "tampered": (bool, False, None),
+    "exhaustive": (bool, False, None),
+    "workers": (int, 1, None),
+    "seed": (int, 0, None),
+    "samples": (int, 2000, None),
+    "spot_checks": (int, DEFAULT_SPOT_CHECKS, None),
+    "mutated": (bool, False,
+                "fr-search --exhaustive: weaken the inference conditions "
+                "(sensitivity control; finds false positives)"),
+    "targets": (str, None, "condprep-search: e.g. 0,+"),
+    "ancilla": (int, 0, None),
+    "group_cap": (int, DEFAULT_GROUP_CAP, None),
 }
 
 
 def _apply_config(args, path: str):
     for key, val in _load(path, dict, "config").items():
         attr = key.replace("-", "_")
-        typ = _SCENARIO_FLAGS.get(attr)
-        if typ is None:
+        if attr not in _SCENARIO_FLAGS:
             raise _CliFailure(EXIT_IO, f"config schema error in {path}: "
                                        f"{key!r} is not a scenario flag")
+        typ = _SCENARIO_FLAGS[attr][0]
         if type(val) is not typ:
             raise _CliFailure(
                 EXIT_IO, f"config schema error in {path}: {key!r} must be "
@@ -443,7 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="measure a state")
     me.add_argument("state")
     me.add_argument("measurement")
-    me.add_argument("--outcome", help="comma-separated label; sampled if absent")
+    me.add_argument("--outcome",
+                    help="comma-separated label; sampled if absent.  Write "
+                         "a label that starts with '-' as --outcome=-5/2")
     me.add_argument("--seed", type=int, default=0)
     me.add_argument("--verify", action="store_true",
                     help="cross-check probabilities and update with the oracle")
@@ -453,20 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run a canned experiment or search")
     sc.add_argument("name", choices=("bell", "wigner", "forgetting",
                                      "fr-search", "condprep-search"))
-    sc.add_argument("--d", type=int, default=2)
-    sc.add_argument("--tampered", action="store_true")
-    sc.add_argument("--exhaustive", action="store_true")
-    sc.add_argument("--workers", type=int, default=1)
-    sc.add_argument("--seed", type=int, default=0)
-    sc.add_argument("--samples", type=int, default=2000)
-    sc.add_argument("--spot-checks", type=int, default=DEFAULT_SPOT_CHECKS)
-    sc.add_argument("--mutated", action="store_true",
-                    help="fr-search --exhaustive: weaken the inference "
-                         "conditions (sensitivity control; finds false "
-                         "positives)")
-    sc.add_argument("--targets", help="condprep-search: e.g. 0,+")
-    sc.add_argument("--ancilla", type=int, default=0)
-    sc.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP)
+    for attr, (typ, default, text) in _SCENARIO_FLAGS.items():
+        flag = "--" + attr.replace("_", "-")
+        if typ is bool:
+            sc.add_argument(flag, action="store_true", help=text)
+        else:
+            sc.add_argument(flag, type=typ, default=default, help=text)
     sc.add_argument("--config", help="JSON file of flag overrides")
     sc.set_defaults(run=_cmd_scenario)
     return ap

@@ -78,8 +78,7 @@ def _smallest_support(s: EpistemicState, m: Measurement,
 
 def _largest_superspace_orthogonal_to(space: PhaseSpace, v_pi: Subspace,
                                       diffs: list) -> Subspace:
-    """The first isotropic W ⊇ V_π in catalog order (largest dimension
-    first, then by canonical basis) that is orthogonal to D, the span of
+    """The largest isotropic W ⊇ V_π that is orthogonal to D, the span of
     `diffs`, found without a catalog.
 
     Such a W lies in the symplectic complement of V_π, whose radical is
@@ -87,8 +86,17 @@ def _largest_superspace_orthogonal_to(space: PhaseSpace, v_pi: Subspace,
     complement L of V_π there, so W = V_π ⊕ U for one isotropic U ⊆ L.
     When V_π ⊥ D, as it is for the differences of points that share their
     values on V_π, W ⊥ D exactly when U ⊆ L ∩ D^⊥: the walk grows the
-    isotropic subspaces of L ∩ D^⊥ alone and takes the least canonical
-    basis of its top dimension.  Otherwise no W exists.
+    isotropic subspaces of L ∩ D^⊥ alone and keeps its top dimension.
+    Otherwise no W exists.
+
+    The top holds one W when D spans the differences of all the premise's
+    points, the points of V^⊥ + v inside the outcome: then D =
+    (V + V_π)^⊥, so W ⊆ V + V_π.  Write w ∈ W as x + y with x ∈ V and
+    y ∈ V_π; W is isotropic and contains V_π, so [x, V_π] = [w, V_π] = 0
+    and x lies in V_commute, the part of V that commutes with V_π.  Every
+    such W thus lies in V_π + V_commute, which is itself one of them (it
+    is isotropic, as V and V_π are).  A top of more than one W raises
+    `InvariantViolation`.
     """
     field = space.field
     n = space.ambient_dim
@@ -101,8 +109,11 @@ def _largest_superspace_orthogonal_to(space: PhaseSpace, v_pi: Subspace,
         + units + diffs))
     top = [per_dim for per_dim in isotropic_subspaces_within(
         field, n, enumerate_subspace(within)) if per_dim][-1]
-    return Subspace(field, n, min(
-        tuple(_rref_rows(field, v_pi.basis + u.basis)[0]) for u in top))
+    if len(top) != 1:
+        raise InvariantViolation(
+            f"{len(top)} largest isotropic superspaces; a premise fixes one")
+    return Subspace(field, n,
+                    tuple(_rref_rows(field, v_pi.basis + top[0].basis)[0]))
 
 
 def oracle_conditional(s: EpistemicState, m_a: Measurement, out_a: Outcome,

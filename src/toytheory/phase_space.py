@@ -221,7 +221,7 @@ def all_isotropic_subspaces(space: PhaseSpace) -> list[Subspace]:
     ascend; the other rows are zero in every pivot column.  Within a
     dimension the subspaces are sorted by that basis; the tests read the
     oracle's update as the first match in this order, largest dimension
-    first.
+    first, which is the only match of its dimension.
     Desk-scale: intended for d^(2n) within the enumeration cap.
     """
     _check_enumerable(space)
@@ -247,8 +247,7 @@ def isotropic_subspaces_within(field: PrimeField, n: int,
     in sorted order.  The oracle's update walks such an L (the points of
     V_π's symplectic complement that vanish in V_π's pivot columns and are
     orthogonal to the premise's differences) and keeps only the top
-    dimension; it takes the `min` of the canonical bases of V_π ⊕ U there,
-    since those need not sort as the bases of U do.
+    dimension, which holds one U.
     """
     by_dim = [[] for _ in range(n // 2 + 1)]
 

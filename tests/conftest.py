@@ -4,8 +4,10 @@ import sys
 import pytest
 from hypothesis import Phase, settings
 
-from toytheory.algebra import QQ, rref
-from toytheory.phase_space import bracket_vectors
+from toytheory.algebra import QQ, mat_vec, rref
+from toytheory.dynamics import SymplecticTransform, apply_to_ontic
+from toytheory.phase_space import _all_vectors, bracket_vectors
+from toytheory.states import all_valid_states, ontic_support
 from fractions import Fraction
 
 # Property tests draw the same examples on every run and have no deadline,
@@ -57,6 +59,62 @@ def isotropic_rows(space, rng, k):
         rows = [field.add_rows(x, field.scale_row(
             field.mul(c, bracket_vectors(field, x, w)), w)) for x in rows]
     return rows
+
+
+def every_shift(space, group):
+    """Each U of `group` with each shift a, as (transform, every valid
+    state) pairs for `pushforward_mismatches`."""
+    states = all_valid_states(space)
+    shifts = _all_vectors(space.field, space.ambient_dim)
+    for u in group:
+        for a in shifts:
+            yield SymplecticTransform(space, u, a), states
+
+
+def pushforward_mismatches(apply, pairs):
+    """Apply ``apply(t, s)`` to every state s of every (t, states) in
+    `pairs` and count the results whose support is not U(V^⊥ + v + a), the
+    image of s's support under the ontic map o -> U(o + a).  Returns
+    (applications, mismatches).
+
+    Two tests decide it for a result r.  Directions: U·V^⊥ ⊆ r.known^⊥ and
+    dim r.known = dim V, so r.known^⊥ = U·V^⊥.  V^⊥ is read off the
+    differences of the enumerated support, never off the (Uᵀ)⁻¹ map that
+    `apply_to_state` uses; the unique passing r.known is kept per (U, V),
+    and later applications compare with it.  Point: y = U(v + a), through
+    `apply_to_ontic`, lies in r's support, so g·y = g·r.valuation for every
+    g in r.known.
+    """
+    directions = {}  # V -> basis of V^⊥, from the support's differences
+    images = {}      # U -> {V: the r.known that passed the direction test}
+    applied = mismatched = 0
+    for t, states in pairs:
+        field, u = t.space.field, t.matrix
+        passed = images.setdefault(u, {})
+        pushed_points = {}  # v -> U(v + a); many states share a v
+        for s in states:
+            r = apply(t, s)
+            applied += 1
+            known = r.known
+            if passed.get(s.known) != known:
+                if s.known not in directions:
+                    support = sorted(ontic_support(s).members)
+                    directions[s.known] = rref(field, len(u), [
+                        field.sub_rows(x, support[0]) for x in support]).basis
+                pushed = [mat_vec(field, u, w) for w in directions[s.known]]
+                if known.dim != s.known.dim or any(
+                        field.dot(g, w) for g in known.basis for w in pushed):
+                    mismatched += 1
+                    continue
+                passed[s.known] = known
+            y = pushed_points.get(s.valuation)
+            if y is None:
+                y = pushed_points[s.valuation] = apply_to_ontic(
+                    t, s.valuation)
+            if any(field.dot(g, y) != field.dot(g, r.valuation)
+                   for g in known.basis):
+                mismatched += 1
+    return applied, mismatched
 
 
 def count_calls(monkeypatch, module, name, calls):

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from toytheory.algebra import (
-    GF, QQ, identity_matrix, mat_inverse, mat_mul, mat_transpose,
-    orthogonal_complement, rref,
+    GF, QQ, identity_matrix, mat_inverse, mat_mul, mat_transpose, mat_vec,
+    orthogonal_complement, rref, vec_add,
 )
 from toytheory.dynamics import (
     ConditionalPrepSpec, SymplecticTransform, apply_to_ontic, apply_to_state,
@@ -28,6 +28,8 @@ from toytheory.states import (
     all_valid_states, bell_pair, make_state, marginal, maximally_mixed,
     ontic_support, states_equal, tensor, toy_bit,
 )
+
+from conftest import every_shift, pushforward_mismatches
 
 F2 = GF(2)
 SP1 = discrete_space(2, 1)
@@ -115,9 +117,9 @@ def test_shear_example_over_gf2():
 
 
 def test_epistemic_matches_ontic_pushforward_exhaustive_d2():
-    from toytheory.dynamics import SymplecticTransform
-    from toytheory.states import all_valid_states
-    # n = 1: every (U, shift) against every state
+    # every (U, shift) against every state at n = 1, by set enumeration;
+    # criterion 10 holds n <= 2 to the pushed support through
+    # `pushforward_mismatches`
     states1 = all_valid_states(SP1)
     for u in symplectic_group(F2, 1):
         for a in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -126,15 +128,35 @@ def test_epistemic_matches_ontic_pushforward_exhaustive_d2():
                 pushed = {apply_to_ontic(t, o)
                           for o in ontic_support(s).members}
                 assert pushed == set(ontic_support(apply_to_state(t, s)).members)
-    # n = 2: every U against every state, with and without a shift
-    states2 = all_valid_states(SP2)
-    for u in symplectic_group(F2, 2):
-        for a in ((0, 0, 0, 0), (1, 0, 1, 1)):
-            t = SymplecticTransform(SP2, u, a)
-            for s in states2:
-                pushed = {apply_to_ontic(t, o)
-                          for o in ontic_support(s).members}
-                assert pushed == set(ontic_support(apply_to_state(t, s)).members)
+
+
+def _apply_generators_by_u(t, s):
+    """T1: `apply_to_state` with the generators mapped by U, not (Uᵀ)⁻¹."""
+    field, u = t.space.field, t.matrix
+    return make_state(s.space, [mat_vec(field, u, g) for g in s.known.basis],
+                      mat_vec(field, u, vec_add(field, s.valuation, t.shift)))
+
+
+def _apply_shift_after_u(t, s):
+    """T2: `apply_to_state` with the valuation U·v + a, not U·(v + a)."""
+    field = t.space.field
+    return make_state(s.space, apply_to_state(t, s).known.basis, vec_add(
+        field, mat_vec(field, t.matrix, s.valuation), t.shift))
+
+
+@pytest.mark.parametrize("apply, n1, slice_n2", [
+    (apply_to_state, (168, 0), (17472, 0)),
+    (_apply_generators_by_u, (168, 96), (17472, 13536)),
+    (_apply_shift_after_u, (168, 48), (17472, 10816)),
+], ids=["library", "T1", "T2"])
+def test_pushforward_check_catches_wrong_dynamics(apply, n1, slice_n2):
+    """The check of criterion 10 counts the mismatches of two wrong
+    dynamics exhaustively at n = 1, and on every 60th U of Sp(4, 2) with
+    all 16 shifts at n = 2; `apply_to_state` has none."""
+    assert pushforward_mismatches(
+        apply, every_shift(SP1, symplectic_group(F2, 1))) == n1
+    assert pushforward_mismatches(
+        apply, every_shift(SP2, symplectic_group(F2, 2)[::60])) == slice_n2
 
 
 def test_epistemic_matches_ontic_pushforward_sampled_d3(rng):

@@ -11,6 +11,7 @@ from toytheory.measurement import (
     Measurement, infers, make_measurement, outcome_for_label,
     outcome_from_valuation, outcome_probability, outcomes, update_state,
 )
+from toytheory import oracle
 from toytheory.oracle import (
     _largest_superspace_orthogonal_to, _outcome_points, oracle_conditional,
     oracle_probability, oracle_smallest_update,
@@ -177,11 +178,12 @@ def test_superspace_walk_is_the_filtered_catalog(d, n, rng):
     catalog = all_isotropic_subspaces(space)
     line = rng.choice([w for w in catalog if w.dim == 1])
     lagrangian = rng.choice([w for w in catalog if w.dim == n])
+    # the empty D: a premise of one point, which needs V + V_π to be the
+    # whole space, so V_π is Lagrangian
+    assert _largest_superspace_orthogonal_to(space, lagrangian, []) == \
+        _first_in_catalog(catalog, lagrangian, [])
     cases = 0
     for v_pi in (catalog[0], line, lagrangian):
-        # the empty D: a premise of one point
-        assert _largest_superspace_orthogonal_to(space, v_pi, []) == \
-            _first_in_catalog(catalog, v_pi, [])
         for _ in range(12):
             known = rng.choice(catalog)
             s = make_state(space, known.basis,
@@ -200,6 +202,17 @@ def test_superspace_walk_refuses_a_premise_off_the_outcome():
     # (0,0) and (1,0) differ in the measured q: no W ⊇ V_π contains both
     with pytest.raises(InvariantViolation):
         _largest_superspace_orthogonal_to(SP1, v_pi, [(1, 0)])
+
+
+def test_superspace_walk_refuses_two_top_superspaces(monkeypatch):
+    real = oracle.isotropic_subspaces_within
+
+    def doubled(*args):
+        return [per_dim * 2 for per_dim in real(*args)]
+
+    monkeypatch.setattr(oracle, "isotropic_subspaces_within", doubled)
+    with pytest.raises(InvariantViolation):
+        _largest_superspace_orthogonal_to(SP1, MZ1.observables, [])
 
 
 # Every isotropic subspace at d in {2, 3, 5} and n in {1, 2}: the known

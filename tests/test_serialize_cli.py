@@ -434,6 +434,21 @@ def test_cli_measure_outcome_label_follows_the_entry_rules(tmp_path):
     assert half.stdout == two.stdout and "outcome: (2,)" in half.stdout
 
 
+def test_cli_measure_takes_a_negative_label_after_an_equals_sign(tmp_path):
+    # "--outcome -5/2" reads the label as an option (argparse, exit 2)
+    state = tmp_path / "q.json"
+    state.write_text(json.dumps({"field": "rational", "n": 1,
+                                 "generators": [[1, 0]],
+                                 "valuation": ["-5/2", 0]}))
+    meas = tmp_path / "mq.json"
+    meas.write_text(json.dumps({"observables": [[1, 0]]}))
+    r = _run(["measure", str(state), str(meas), "--outcome=-5/2"])
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-3:] == [
+        "post-measurement state:", "n=1 field=QQ knowledge=1",
+        "  [1, 0] = -5/2"]
+
+
 def test_cli_scenario_bell_and_condprep(files):
     r = _run(["scenario", "bell", "--d", "3"])
     assert r.returncode == 0 and "PASS" in r.stdout
@@ -556,3 +571,25 @@ def test_cli_scenario_config_sets_flags(tmp_path):
     r = _run(["--format", "json", "scenario", "bell", "--config", str(path)])
     assert r.returncode == 0
     assert json.loads(r.stdout)["config"] == {"d": 3, "tampered": True}
+
+
+def test_cli_config_accepts_exactly_the_scenario_flags(tmp_path):
+    scenario = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)
+                    ).choices["scenario"]
+    values = {bool: True, int: 3, str: "0,1"}
+    path = tmp_path / "config.json"
+    accepted = set()
+    for action in scenario._actions:
+        typ = (bool if isinstance(action, argparse._StoreTrueAction)
+               else action.type or str)
+        path.write_text(json.dumps({action.dest: values[typ]}))
+        args = argparse.Namespace()
+        try:
+            cli._apply_config(args, str(path))
+        except cli._CliFailure:
+            continue
+        assert vars(args) == {action.dest: values[typ]}
+        accepted.add(action.dest)
+    flags = {a.dest for a in scenario._actions if a.option_strings}
+    assert accepted == flags - {"help", "format", "decimal", "config"}

@@ -117,9 +117,13 @@ def apply_to_state(t: SymplecticTransform, s: EpistemicState) -> EpistemicState:
     if t.space != s.space:
         raise DimensionMismatch("transform and state live on different spaces")
     field = t.space.field
-    gens = [mat_vec(field, t._ut_inv, g) for g in s.known.basis]
+    # (U^T)^-1 is symplectic with U, so the image of V stays isotropic and
+    # no `make_state` re-test runs
+    known = rref(field, s.space.ambient_dim,
+                 [mat_vec(field, t._ut_inv, g) for g in s.known.basis])
     val = mat_vec(field, t.matrix, vec_add(field, s.valuation, t.shift))
-    return make_state(s.space, gens, val)
+    return EpistemicState(s.space, known, reduce_mod_subspace(
+        orthogonal_complement(known), val))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ ontic point by the values of the measured observables there, its literal
 definition, not by a reduction modulo V_π^⊥.  An update walks only the
 isotropic W ⊇ V_π orthogonal to the differences of the premise's points,
 grown afresh on each call: there is no catalog and no cache.  Every prime
-takes the same generic route, which shares no code with the bit-packed FR
-scan it checks.  Exponential cost, test-side only (and the CLI's --verify
-mode).
+takes the same generic route.  Of the bit-packed FR scan it checks, it
+shares only `phase_space._orderly_walk`, the walk that grows isotropic
+subspaces for both, which closed-form counts and brute-force enumerations
+check; it shares no condition code.  Exponential cost, test-side only (and
+the CLI's --verify mode).
 """
 
 from __future__ import annotations

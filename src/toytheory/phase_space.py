@@ -8,7 +8,7 @@ concatenation of coordinate pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     FieldT, GF, PrimeField, QQ, Subspace, VectorT, _image_of_kernel, dot,
@@ -221,7 +221,8 @@ def all_isotropic_subspaces(space: PhaseSpace) -> list[Subspace]:
     ascend; the other rows are zero in every pivot column.  Within a
     dimension the subspaces are sorted by that basis; the tests read the
     oracle's update as the first match in this order, largest dimension
-    first, which is the only match of its dimension.
+    first, which is the only match of its dimension.  `_orderly_walk`
+    grows them, through `isotropic_subspaces_within` over every point.
     Desk-scale: intended for d^(2n) within the enumeration cap.
     """
     _check_enumerable(space)
@@ -231,38 +232,64 @@ def all_isotropic_subspaces(space: PhaseSpace) -> list[Subspace]:
         field, n, _all_vectors(field, n)) for sub in per_dim]
 
 
+def _orderly_walk(follows: Sequence[int], allowed: int,
+                  top: int) -> list[list[tuple[int, ...]]]:
+    """The index paths of an orderly generation, by length 0 to ``top``.
+
+    Candidates are indices, and sets of them are masks (bit j marks
+    candidate j).  ``allowed`` holds the candidates that may start a path,
+    and ``follows[j]`` those that may come after candidate j.  A path grows
+    by any candidate of its allowed set, and the child's allowed set is the
+    parent's AND ``follows`` of the new candidate; so a path is emitted once
+    exactly when each of its candidates may follow every earlier one.  The
+    walk is depth first with children in ascending index, so each length
+    comes out in lexicographic order (Read, "Every one a winner", Ann.
+    Discrete Math. 2, 1978).
+
+    Both encodings of an isotropic subspace's canonical basis are grown
+    here, each by its own ``follows``: `isotropic_subspaces_within` over
+    tuples and `_gf2.isotropic_bases` over packed ints.
+    """
+    out = [[] for _ in range(top + 1)]
+
+    def grow(path: tuple, mask: int) -> None:
+        out[len(path)].append(path)
+        rest = mask if len(path) < top else 0
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            grow(path + (j,), mask & follows[j])
+
+    grow((), allowed)
+    return out
+
+
 def isotropic_subspaces_within(field: PrimeField, n: int,
                                points: Iterable[VectorT]) -> list[list[Subspace]]:
     """Every isotropic subspace of L, where `points` are all the vectors of
     a subspace L of Z_p^n; entry j lists those of dimension j, sorted by
     their canonical (`rref`) basis.
 
-    Orderly generation: the canonical basis of a subspace of L has its rows
-    in L, and its parent is the basis without its last row, so each
-    subspace is grown once, from its parent, by a row v of L whose pivot
-    lies above every parent pivot, in whose pivot column every parent row
-    is zero, and which commutes with every parent row.  Each node passes on
-    the candidate rows that meet these conditions relative to it too; the
-    candidates stay ascending, so the depth-first walk emits each dimension
-    in sorted order.  The oracle's update walks such an L (the points of
-    V_π's symplectic complement that vanish in V_π's pivot columns and are
-    orthogonal to the premise's differences) and keeps only the top
-    dimension, which holds one U.
+    The canonical basis of a subspace of L has its rows among L's points
+    whose first nonzero coordinate is 1, and its parent is the basis
+    without its last row.  So `_orderly_walk` grows each subspace once over
+    those points, sorted, where w may follow v when w's pivot lies above
+    v's, v is zero in w's pivot column and [v, w] = 0.  The oracle's update
+    walks such an L (the points of V_π's symplectic complement that vanish
+    in V_π's pivot columns and are orthogonal to the premise's differences)
+    and keeps only the top dimension, which holds one U.
     """
-    by_dim = [[] for _ in range(n // 2 + 1)]
-
-    def grow(basis: tuple, candidates: list) -> None:
-        by_dim[len(basis)].append(Subspace(field, n, basis))
-        for pivot, v in candidates:
-            dual = symplectic_dual(field, v)
-            grow(basis + (v,),
-                 [(c, w) for c, w in candidates
-                  if c > pivot and v[c] == 0 and dot(field, dual, w) == 0])
-
-    # the nonzero points whose first nonzero coordinate is 1, ascending
-    grow((), [(v.index(1), v) for v in sorted(points)
-              if 1 in v and not any(v[:v.index(1)])])
-    return by_dim
+    rows = sorted(v for v in points if 1 in v and not any(v[:v.index(1)]))
+    pivots = [v.index(1) for v in rows]
+    follows = []
+    for v, pv in zip(rows, pivots):
+        dual = symplectic_dual(field, v)
+        follows.append(sum(1 << j for j, w in enumerate(rows)
+                           if pivots[j] > pv and v[pivots[j]] == 0
+                           and field.dot(dual, w) == 0))
+    return [[Subspace(field, n, tuple(rows[j] for j in path))
+             for path in paths]
+            for paths in _orderly_walk(follows, (1 << len(rows)) - 1, n // 2)]
 
 
 def _all_vectors(field: PrimeField, n: int) -> list[VectorT]:

@@ -32,7 +32,7 @@ import random
 import zlib
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import _gf2
 from .algebra import Subspace, enumerate_coset, rref
@@ -520,14 +520,9 @@ class _FrTables:
         self.sum_uw = sums(self.meas_u, self.meas_w)   # [u][w]
 
 
-_FR_TABLES: Optional[_FrTables] = None
-
-
+@functools.cache
 def _fr_tables() -> _FrTables:
-    global _FR_TABLES
-    if _FR_TABLES is None:
-        _FR_TABLES = _FrTables()
-    return _FR_TABLES
+    return _FrTables()
 
 
 class _FrKernel:

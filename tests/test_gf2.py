@@ -1,12 +1,14 @@
 """The isotropic-subspace enumerators: the packed Z_2^m table and the
-generic list for every prime, checked against closed-form counts and against
-brute-force enumerations written here."""
+generic list for every prime.  Both are grown by the one walk,
+`phase_space._orderly_walk`, each from its own "may follow" masks, so they
+are checked against closed-form counts and against brute-force enumerations
+written here, which do not use the walk; a broken walk must fail both."""
 
 import itertools
 
 import pytest
 
-from toytheory import _gf2
+from toytheory import _gf2, phase_space
 from toytheory.algebra import GF, rref
 from toytheory.phase_space import (
     _all_vectors, all_isotropic_subspaces, bracket_vectors, discrete_space,
@@ -169,3 +171,42 @@ def test_generic_closed_form_counts(p, n):
 def test_generic_subspaces_match_brute_force(p, n):
     assert all_isotropic_subspaces(discrete_space(p, n)) == \
         brute_force_subspaces(p, n)
+
+
+def rest_walk(follows, allowed, top):
+    """`_orderly_walk` with one mistake: a child's allowed set is the
+    parent's candidates after the new one (``rest``), not all of them."""
+    out = [[] for _ in range(top + 1)]
+
+    def grow(path, mask):
+        out[len(path)].append(path)
+        rest = mask if len(path) < top else 0
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            grow(path + (j,), rest & follows[j])
+
+    grow((), allowed)
+    return out
+
+
+@pytest.mark.parametrize("walk, packed, generic", [
+    (phase_space._orderly_walk,
+     [1, 255, 5355, 11475, 2295], [1, 40, 40]),
+    (rest_walk, [1, 255, 2934, 2829, 318], [1, 40, 0]),
+], ids=["library", "rest"])
+def test_a_broken_walk_fails_both_encodings(monkeypatch, walk, packed,
+                                            generic):
+    # A pivot above v's need not come after v among either encoding's
+    # candidates, so the rest walk loses subspaces in both.
+    monkeypatch.setattr(_gf2, "_orderly_walk", walk)
+    monkeypatch.setattr(phase_space, "_orderly_walk", walk)
+    # the uncached build, so the table of the wrong walk is not kept
+    table = _gf2.isotropic_bases.__wrapped__(8)
+    dims = [s.dim for s in all_isotropic_subspaces(discrete_space(3, 2))]
+    got = ([len(per_dim) for per_dim in table],
+           [dims.count(k) for k in range(3)])
+    assert got == (packed, generic)
+    closed = ([isotropic_count(4, k) for k in range(5)],
+              [isotropic_count(2, k, 3) for k in range(3)])
+    assert (got == closed) == (walk is not rest_walk)

@@ -968,7 +968,8 @@ def test_spot_check_digest_tells_the_draws_apart():
 def test_broken_packed_kernel_fails_the_scan_and_spares_the_oracle(
         monkeypatch, kernel, wrong):
     # The oracle that spot-checks the bit-packed FR tables must share no
-    # code with them: with a `_gf2` kernel wrong, freshly built tables must
+    # `_gf2` code with them (only the walk, which tests/test_gf2.py
+    # checks): with a `_gf2` kernel wrong, freshly built tables must
     # disagree with the exact conditions, while the oracle still matches
     # the algebraic rules on the same configurations.
     from toytheory import _gf2

@@ -23,7 +23,8 @@ elimination of [rows | values]; a caller with several sets of constraints
 Scalar contract (`coerce` and `vector`): ints (reduced mod p, negative ones
 too), `Fraction`s (reduced mod p through the inverse of the denominator),
 and strings ``"a"`` or ``"a/b"``.  Floats are rejected with `TypeError`: a
-float is already rounded, so it has no exact value to keep.  The row kernels
+float is already rounded, so it has no exact value to keep.  So are
+booleans, which Python counts as ints but JSON does not.  The row kernels
 other than `vector` take canonical elements, the values `vector` returns.
 """
 
@@ -97,7 +98,7 @@ class PrimeField:
             if x.denominator % p == 0:
                 raise ValueError(f"{x} has no value in Z_{p}")
             return x.numerator * pow(x.denominator, -1, p) % p
-        if not isinstance(x, int):
+        if not isinstance(x, int) or isinstance(x, bool):
             raise TypeError(f"cannot coerce {x!r} into Z_{p}: "
                             "entries are ints, Fractions or 'a/b' strings")
         return x % p
@@ -171,7 +172,7 @@ class RationalField:
     def coerce(self, x) -> Fraction:
         if type(x) is Fraction:
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
             return Fraction(x)
         if isinstance(x, str):
             return _parse_entry(x)

@@ -390,8 +390,8 @@ def _require_d2(name: str, d: int) -> None:
 
 def _condprep_search(args):
     _require_d2("condprep-search", args.d)
-    names = (args.targets or "0,+").split(",")
-    targets = tuple(toy_bit(n.strip()) for n in names)
+    names = [n.strip() for n in (args.targets or "0,+").split(",")]
+    targets = tuple(toy_bit(n) for n in names)
     if len(targets) != 2:
         raise _CliFailure(EXIT_IO, "condprep-search needs two targets")
     spec = ConditionalPrepSpec(
@@ -408,7 +408,8 @@ def _condprep_search(args):
         {"d": args.d, "targets": names, "ancilla": args.ancilla})
     report.log("search", searched=result.searched, frames=result.frames,
                found=result.transform is not None)
-    orthogonal_or_identical = names[0] == names[1] or \
+    # states compare by their canonical (known subspace, valuation)
+    orthogonal_or_identical = targets[0] == targets[1] or \
         _supports_disjoint(*targets)
     report.verdict["matches_no_go"] = (
         (result.transform is not None) == orthogonal_or_identical)

@@ -10,8 +10,10 @@ grown afresh on each call: there is no catalog and no cache.  Every prime
 takes the same generic route.  Of the bit-packed FR scan it checks, it
 shares only `phase_space._orderly_walk`, the walk that grows isotropic
 subspaces for both, which closed-form counts and brute-force enumerations
-check; it shares no condition code.  Exponential cost, test-side only (and
-the CLI's --verify mode).
+check; it shares no condition code.  A query the algebraic rules refuse,
+a measurement on another space or an outcome of another measurement, it
+refuses with the same `DimensionMismatch` (`measurement._check_outcome`).
+Exponential cost, test-side only (and the CLI's --verify mode).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .algebra import (
     orthogonal_complement, reduce_mod_subspace, rref,
 )
 from .errors import ImpossibleOutcome, InvariantViolation
-from .measurement import Measurement, Outcome, label_text
+from .measurement import Measurement, Outcome, _check_outcome, label_text
 from .phase_space import PhaseSpace, isotropic_subspaces_within, symplectic_dual
 from .states import EpistemicState, OnticSupport, ontic_support
 
@@ -41,6 +43,7 @@ def _outcome_points(points, out: Outcome) -> list:
 def oracle_probability(s: EpistemicState, m: Measurement,
                        out: Outcome) -> Fraction:
     """Literal sum of the outcome indicator over the enumerated support."""
+    _check_outcome(s, m, out)
     sup = ontic_support(s)
     return Fraction(len(_outcome_points(sup.members, out)), len(sup.members))
 
@@ -57,6 +60,7 @@ def oracle_smallest_update(s: EpistemicState, m: Measurement,
     those W (see `_largest_superspace_orthogonal_to`).  An outcome of
     probability 0 raises `ImpossibleOutcome`, as in `update_state`.
     """
+    _check_outcome(s, m, out)
     pre_post = _outcome_points(ontic_support(s).members, out)
     if not pre_post:
         raise ImpossibleOutcome(
@@ -124,6 +128,8 @@ def oracle_conditional(s: EpistemicState, m_a: Measurement, out_a: Outcome,
     the premise has probability zero.  The support is enumerated and the
     premise's points found once, for both the premise's probability and the
     update."""
+    _check_outcome(s, m_a, out_a)
+    _check_outcome(s, m_b, out_b)
     pre_post = _outcome_points(ontic_support(s).members, out_a)
     if not pre_post:
         return None

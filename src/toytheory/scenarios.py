@@ -7,12 +7,12 @@ given by its label, the values of its measurement's canonical generators.
 A "paradox" would be a state and measurements where, from the initial
 description, U=ok implies B=1, B=1 implies A=1, A=1 implies W=fail, and yet
 (ok, ok) for Ursula and Wigner has positive probability.  A candidate
-holds the state, the four measurements and the five labels A=1, B=1, U=ok,
-W=ok and W=fail that the chain and P(ok, ok) read.  Whether W's ok and fail
-coincide is decided in one place, `check_fr_conditions`' `w_outcomes_equal`:
-the seven necessary conditions force them to (the derivation is in that
-docstring), and the exhaustive search confirms there is no paradox at d = 2
-with one toy bit per block.
+holds the state and the five outcomes A=1, B=1, U=ok, W=ok and W=fail that
+the chain and P(ok, ok) read; each agent's measurement is its outcome's.
+Whether W's ok and fail coincide is decided in one place,
+`check_fr_conditions`' `w_outcomes_equal`: the seven necessary conditions
+force them to (the derivation is in that docstring), and the exhaustive
+search confirms there is no paradox at d = 2 with one toy bit per block.
 
 The seven conditions are the chain's `measurement.inference_conditions`
 pairs plus P(ok, ok) > 0: one exact kernel for the condition report, the
@@ -224,55 +224,53 @@ def _fr_systems(blocks: Sequence[int]) -> dict:
 class FRCandidate:
     """A complete four-agent configuration on R ⊕ A ⊕ S ⊕ B.
 
-    Measurement subspaces are block-local: each V_X lies on the systems
-    `_fr_systems` gives agent X (V_A on R, V_B on S, V_U on R+A, V_W on
-    S+B).  It holds the five outcomes the argument reads, each named by a
-    key, "A=1", "B=1", "U=ok", "W=ok" or "W=fail", as `_FR_CHAIN`'s links
-    name them, and given by its label: the values of its measurement's
-    canonical generators (`outcome`), one per generator, so a label of the
-    wrong length raises DimensionMismatch.  W's ok and fail may label the
-    same outcome; `check_fr_conditions` reports whether they do.
+    It holds the five outcomes the argument reads: A=1, B=1, U=ok, W=ok
+    and W=fail, each an `Outcome`, so V_X is the measurement of X's
+    outcome.  Measurement subspaces are block-local: each V_X lies on the
+    systems `_fr_systems` gives agent X (V_A on R, V_B on S, V_U on R+A,
+    V_W on S+B).  Every outcome lives on the state's space, W's ok and
+    fail belong to one measurement, and a label of the wrong length raises
+    DimensionMismatch; a label entry that is not a field element, such as
+    2 at d = 2, raises ValueError.  W's ok and fail may be the same
+    outcome; `check_fr_conditions` reports whether they are.
     """
 
     initial: EpistemicState
     blocks: tuple
-    v_a: Subspace
-    v_b: Subspace
-    v_u: Subspace
-    v_w: Subspace
-    a1: tuple
-    b1: tuple
-    u_ok: tuple
-    w_ok: tuple
-    w_fail: tuple
+    a1: Outcome
+    b1: Outcome
+    u_ok: Outcome
+    w_ok: Outcome
+    w_fail: Outcome
 
     def __post_init__(self):
         systems = _fr_systems(self.blocks)
         space = self.initial.space
         if space.n_systems != sum(self.blocks):
             raise DimensionMismatch("blocks do not sum to the state's systems")
-        for agent, meas in self.measurements().items():
+        if self.w_ok.measurement != self.w_fail.measurement:
+            raise DimensionMismatch("W's ok and fail belong to different "
+                                    "measurements")
+        for agent, out in zip("ABUWW", (self.a1, self.b1, self.u_ok,
+                                        self.w_ok, self.w_fail)):
+            basis = out.measurement.observables.basis
+            if out.measurement.space != space:
+                raise DimensionMismatch(
+                    f"{agent}'s outcome lives on another space than the state")
+            if len(out.label) != len(basis):
+                raise DimensionMismatch(
+                    f"label needs {len(basis)} values, got {len(out.label)}")
+            if out.label != space.field.vector(out.label):
+                # outcomes compare by label, so (2,) would differ from (0,)
+                raise ValueError(f"{agent}'s label {out.label} holds values "
+                                 "that are not field elements")
             if not all(supported_systems(space, g) <= set(systems[agent])
-                       for g in meas.observables.basis):
+                       for g in basis):
                 raise DimensionMismatch(f"V_{agent} leaves its block")
-        for key in ("A=1", "B=1", "U=ok", "W=ok", "W=fail"):
-            self.outcome(key)
 
     @property
     def space(self) -> PhaseSpace:
         return self.initial.space
-
-    def measurements(self) -> dict:
-        return {agent: Measurement(self.space, v) for agent, v in
-                zip("ABUW", (self.v_a, self.v_b, self.v_u, self.v_w))}
-
-    def outcome(self, which: str) -> Outcome:
-        sub, label = {
-            "A=1": (self.v_a, self.a1), "B=1": (self.v_b, self.b1),
-            "U=ok": (self.v_u, self.u_ok), "W=ok": (self.v_w, self.w_ok),
-            "W=fail": (self.v_w, self.w_fail),
-        }[which]
-        return outcome_for_label(Measurement(self.space, sub), label)
 
     @functools.cached_property
     def p_ok_ok(self) -> Fraction:
@@ -282,9 +280,10 @@ class FRCandidate:
         V_W lies, so the joint canonical generators are V_U's followed by
         V_W's and the joint label is U's ok label followed by W's.
         """
-        joint = make_measurement(self.space, self.v_u.basis + self.v_w.basis)
-        joint_out = outcome_for_label(joint, self.outcome("U=ok").label
-                                      + self.outcome("W=ok").label)
+        joint = make_measurement(
+            self.space, self.u_ok.measurement.observables.basis
+            + self.w_ok.measurement.observables.basis)
+        joint_out = outcome_for_label(joint, self.u_ok.label + self.w_ok.label)
         return outcome_probability(self.initial, joint, joint_out)
 
 
@@ -297,11 +296,12 @@ class ConditionReport:
 
 
 # The chain's three inferences: (link, premise agent, premise outcome,
-# conclusion agent, conclusion outcome).  The chain on the initial state
-# reports each link as infers_<link>, the sequential one as stmt_<link>.
-_FR_CHAIN = (("u_b", "U", "U=ok", "B", "B=1"),
-             ("b_a", "B", "B=1", "A", "A=1"),
-             ("a_w", "A", "A=1", "W", "W=fail"))
+# conclusion agent, conclusion outcome), each outcome an `FRCandidate`
+# field.  The chain on the initial state reports each link as
+# infers_<link>, the sequential one as stmt_<link>.
+_FR_CHAIN = (("u_b", "U", "u_ok", "B", "b1"),
+             ("b_a", "B", "b1", "A", "a1"),
+             ("a_w", "A", "a1", "W", "w_fail"))
 
 
 def check_fr_conditions(c: FRCandidate) -> ConditionReport:
@@ -334,14 +334,13 @@ def check_fr_conditions(c: FRCandidate) -> ConditionReport:
     commutes with V_X, so it holds over any field, QQ included, and at any
     block sizes.
     """
-    m = c.measurements()
+    links = [(getattr(c, po), getattr(c, co)) for _, _, po, _, co in _FR_CHAIN]
     subsets, members = zip(*(
-        inference_conditions(c.initial, m[pa], c.outcome(po), m[ca],
-                             c.outcome(co))
-        for _, pa, po, ca, co in _FR_CHAIN))
+        inference_conditions(c.initial, x.measurement, x, y.measurement, y)
+        for x, y in links))
     conditions = subsets + (c.p_ok_ok > 0,) + members
     return ConditionReport(conditions, all(conditions), c.p_ok_ok,
-                           c.outcome("W=ok") == c.outcome("W=fail"))
+                           c.w_ok == c.w_fail)
 
 
 def _fr_chain(rep: ConditionReport) -> dict:
@@ -373,20 +372,19 @@ def fr_chain_sequential(c: FRCandidate) -> dict:
     post-measurement known subspace does not depend on the outcome, so
     `_level_branches` returns it once with the whole level, from one
     elimination, and it is the known subspace of the next level."""
-    m = c.measurements()
     known = c.initial.known
     tree = [({}, c.initial.valuation, Fraction(1))]
-    for agent in "ABUW":
+    for agent, x in zip("ABUW", (c.a1, c.b1, c.u_ok, c.w_ok)):
         known, level = _level_branches(c.space, known,
-                                       [v for _, v, _ in tree], m[agent])
+                                       [v for _, v, _ in tree], x.measurement)
         tree = [(dict(outs, **{agent: out}), v, prob * p)
                 for (outs, _, prob), found in zip(tree, level)
                 for out, p, v in found]
-    ok_ok = (c.outcome("U=ok"), c.outcome("W=ok"))
+    ok_ok = (c.u_ok, c.w_ok)
     r = {"p_ok_ok": sum((prob for outs, _, prob in tree
                          if (outs["U"], outs["W"]) == ok_ok), Fraction(0))}
     for link, pa, po, ca, co in _FR_CHAIN:
-        premise, conclusion = c.outcome(po), c.outcome(co)
+        premise, conclusion = getattr(c, po), getattr(c, co)
         r[f"stmt_{link}"] = all(outs[ca] == conclusion for outs, _, _ in tree
                                 if outs[pa] == premise)
     r["holds"] = r["p_ok_ok"] > 0 and all(
@@ -747,21 +745,13 @@ def _fr_candidate_from_ints(t: _FrTables, li: int, v: int, a: int, a1: int,
     state = make_state(space, [_int_vec(g) for g in t.lagrangians[li]],
                        _int_vec(v))
 
-    v_a, v_b, v_u, v_w = (
-        rref(space.field, 8, [_int_vec(g) for g in meas.basis])
+    m_a, m_b, m_u, m_w = (
+        Measurement(space, rref(space.field, 8, map(_int_vec, meas.basis)))
         for meas in (t.meas_a[a], t.meas_b[b], t.meas_u[u], t.meas_w[w]))
-
-    def label(sub: Subspace, x: int) -> tuple:
-        # the exact dots, not `_gf2.dot2`: this side checks the packed one
-        m = Measurement(space, sub)
-        return outcome_from_valuation(m, _int_vec(x)).label
-
-    return FRCandidate(
-        initial=state, blocks=_FR_BLOCKS,
-        v_a=v_a, v_b=v_b, v_u=v_u, v_w=v_w,
-        a1=label(v_a, a1), b1=label(v_b, b1), u_ok=label(v_u, uok),
-        w_ok=label(v_w, wok), w_fail=label(v_w, wfail),
-    )
+    # the exact dots, not `_gf2.dot2`: this side checks the packed one
+    return FRCandidate(state, _FR_BLOCKS, *(
+        outcome_from_valuation(m, _int_vec(x)) for m, x in
+        zip((m_a, m_b, m_u, m_w, m_w), (a1, b1, uok, wok, wfail))))
 
 
 def _random_fr_tuple(t: _FrTables, rng: random.Random) -> tuple:
@@ -803,13 +793,13 @@ def _fr_spot_checks(t: _FrTables, checks: Sequence[tuple]) -> dict:
         chain = _fr_chain(rep)
         if (chain["p_ok_ok"] > 0) != fast[3]:
             result["chain_matches_conditions"] = False
-        m = cand.measurements()
-        for i, (link, pa, po, ca, co) in enumerate(_FR_CHAIN):
+        for i, (link, _, po, _, co) in enumerate(_FR_CHAIN):
             inferred = chain[f"infers_{link}"]
             if inferred != (fast[i] and fast[i + 4]):
                 result["chain_matches_conditions"] = False
-            cond = oracle_conditional(cand.initial, m[pa], cand.outcome(po),
-                                      m[ca], cand.outcome(co))
+            x, y = getattr(cand, po), getattr(cand, co)
+            cond = oracle_conditional(cand.initial, x.measurement, x,
+                                      y.measurement, y)
             if inferred != (cond is not None and cond == 1):
                 result["oracle_agrees"] = False
         if sequential:
@@ -877,26 +867,26 @@ def _fr_sampled_search(d: int, blocks: tuple, rng: random.Random,
     found = []
     sequential_paradoxes = 0
 
-    def pick_outcome(sub: Subspace) -> tuple:
-        return tuple([field.coerce(rng.randrange(field.p)) for _ in sub.basis])
-
-    def pick_other_outcome(sub: Subspace, ok: tuple) -> tuple:
+    def pick_outcome(m: Measurement,
+                     other_than: Outcome | None = None) -> Outcome:
         while True:
-            fail = pick_outcome(sub)
-            if fail != ok:
-                return fail
+            out = Outcome(m, tuple([rng.randrange(field.p)
+                                    for _ in m.observables.basis]))
+            if out != other_than:
+                return out
 
     for i in range(samples):
         state = apply_to_state(random_symplectic(space, rng), base)
-        v_a, v_b, v_u, v_w = (_random_block_subspace(space, rng, systems[x])
-                              for x in "ABUW")
-        uok = pick_outcome(v_u)
-        wok = pick_outcome(v_w)
-        wfail = pick_other_outcome(v_w, wok)
+        m_a, m_b, m_u, m_w = (
+            Measurement(space, _random_block_subspace(space, rng, systems[x]))
+            for x in "ABUW")
+        # drawn U=ok, W=ok, W=fail, A=1, B=1: the order the seeded reports pin
+        u_ok = pick_outcome(m_u)
+        w_ok = pick_outcome(m_w)
         cand = FRCandidate(
-            initial=state, blocks=blocks, v_a=v_a, v_b=v_b, v_u=v_u, v_w=v_w,
-            a1=pick_outcome(v_a), b1=pick_outcome(v_b),
-            u_ok=uok, w_ok=wok, w_fail=wfail)
+            initial=state, blocks=blocks, u_ok=u_ok, w_ok=w_ok,
+            w_fail=pick_outcome(m_w, w_ok), a1=pick_outcome(m_a),
+            b1=pick_outcome(m_b))
         rep = check_fr_conditions(cand)
         if rep.all_hold and not rep.w_outcomes_equal:
             found.append(i)

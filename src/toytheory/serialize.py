@@ -8,8 +8,9 @@ Measurement:  {"observables": [[entry, ...], ...]}               (+ field/d/n)
 Support:      {"support": [[entry, ...], ...]}                   (+ field/d/n)
 
 Entries are ints; rationals are encoded as "a/b" strings (plain ints also
-accepted).  Floats raise TypeError: they have no exact value.  Every value
-round-trips to a structurally equal object.
+accepted).  Floats raise TypeError: they have no exact value.  So do
+booleans, in an entry or in `d` or `n`: true is not the number 1.  Every
+value round-trips to a structurally equal object.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ def space_to_json(space: PhaseSpace) -> dict:
 
 
 def _size(doc: dict, key: str) -> int:
-    """`d` or `n`: an int or a string of one; int() would truncate a float."""
+    """`d` or `n`: an int or a string of one; int() would truncate a float
+    and read a boolean as 0 or 1."""
     x = doc[key]
-    if not isinstance(x, (int, str)):
+    if not isinstance(x, (int, str)) or isinstance(x, bool):
         raise TypeError(f"{key} must be an integer, got {x!r}")
     return int(x)
 

@@ -5,7 +5,8 @@ from hypothesis import assume, given, strategies as st
 
 from toytheory.algebra import _rref_rows, enumerate_coset
 from toytheory.errors import (
-    EnumerationCapExceeded, ImpossibleOutcome, InvariantViolation,
+    DimensionMismatch, EnumerationCapExceeded, ImpossibleOutcome,
+    InvariantViolation,
 )
 from toytheory.measurement import (
     Measurement, infers, make_measurement, outcome_for_label,
@@ -151,6 +152,39 @@ def test_oracle_refuses_rational_states():
         oracle_smallest_update(s, m, out)
     with pytest.raises(EnumerationCapExceeded):
         oracle_conditional(s, m, out, m, out)
+
+
+def test_oracle_probability_refuses_a_measurement_on_another_space():
+    # a two-system measurement of a one-system state: the dots would read
+    # the first two coordinates of g alone and answer 0
+    m = make_measurement(SP2, [(1, 0, 0, 0)])
+    out = outcome_for_label(m, (1,))
+    for probability in (outcome_probability, oracle_probability):
+        with pytest.raises(DimensionMismatch, match="different spaces"):
+            probability(toy_bit("0"), m, out)
+
+
+def test_oracle_smallest_update_refuses_an_outcome_of_another_measurement():
+    # p = 0 asked of a q measurement: the walk would grow V_q's superspace
+    # and answer toy0's support, which is not inside p = 0
+    mp = make_measurement(SP1, [(0, 1)])
+    out = outcome_for_label(mp, (0,))
+    for update in (update_state, oracle_smallest_update):
+        with pytest.raises(DimensionMismatch, match="belongs to"):
+            update(toy_bit("0"), MZ1, out)
+
+
+@pytest.mark.parametrize("which", ["premise", "conclusion", "space"])
+def test_oracle_conditional_refuses_malformed_queries(which):
+    mzA = make_measurement(SP2, [(1, 0, 0, 0)])
+    mzB = make_measurement(SP2, [(0, 0, 1, 0)])
+    a0, b0 = outcome_for_label(mzA, (0,)), outcome_for_label(mzB, (0,))
+    args = {"premise": (mzB, a0, mzA, a0),
+            "conclusion": (mzB, b0, mzA, b0),
+            "space": (mzB, b0, MZ1, outcome_for_label(MZ1, (0,)))}[which]
+    for conditional in (infers, oracle_conditional):
+        with pytest.raises(DimensionMismatch):
+            conditional(bell_pair(2), *args)
 
 
 def _premise_diffs(s, out):

@@ -8,6 +8,7 @@ import pytest
 from toytheory import scenarios
 from toytheory.algebra import GF, rref
 from toytheory.errors import DimensionMismatch, SearchSpaceExceeded
+from toytheory.measurement import Measurement, Outcome
 from toytheory.phase_space import discrete_space
 from toytheory.scenarios import (
     FRCandidate, check_fr_conditions, check_fr_request, fr_chain_initial,
@@ -18,6 +19,8 @@ from toytheory.scenarios import (
     _fr_tables, _fr_valuation_classes, _perp_of_elems, _random_fr_tuple,
 )
 from toytheory.states import make_state, state_from_values
+
+from conftest import count_calls
 
 F2 = GF(2)
 
@@ -93,28 +96,104 @@ def test_report_replay_determinism():
     assert a.to_jsonable() == b.to_jsonable()
 
 
+def _candidate(state, blocks, v_a, v_b, v_u, v_w,
+               labels=((0,), (0,), (0,), (0,), (1,))):
+    """The candidate measuring V_A, V_B, V_U and V_W, whose outcomes A=1,
+    B=1, U=ok, W=ok and W=fail have these labels."""
+    m_a, m_b, m_u, m_w = (Measurement(state.space, v)
+                          for v in (v_a, v_b, v_u, v_w))
+    return FRCandidate(state, blocks, *(
+        Outcome(m, label)
+        for m, label in zip((m_a, m_b, m_u, m_w, m_w), labels)))
+
+
+def _position_state(n):
+    """n systems, each in the position eigenstate q = 0."""
+    return state_from_values(
+        discrete_space(2, n),
+        [(tuple(1 if j == 2 * i else 0 for j in range(2 * n)), 0)
+         for i in range(n)])
+
+
+QR = rref(F2, 8, [(1, 0, 0, 0, 0, 0, 0, 0)])
+QS = rref(F2, 8, [(0, 0, 0, 0, 1, 0, 0, 0)])
+
+
 def _all_positions_candidate(equal_w=False):
     """Everything in position eigenstates; all seven conditions hold and the
     only consistent Wigner labeling is ok = fail."""
-    space = discrete_space(2, 4)
-    state = state_from_values(
-        space, [(tuple(1 if j == 2 * i else 0 for j in range(8)), 0)
-                for i in range(4)])
-    qr = rref(F2, 8, [(1, 0, 0, 0, 0, 0, 0, 0)])
-    qs = rref(F2, 8, [(0, 0, 0, 0, 1, 0, 0, 0)])
-    return FRCandidate(
-        initial=state, blocks=(1, 1, 1, 1),
-        v_a=qr, v_b=qs, v_u=qr, v_w=qs,
-        a1=(0,), b1=(0,), u_ok=(0,),
-        w_ok=(0,), w_fail=(0,) if equal_w else (1,))
+    return _candidate(_position_state(4), (1, 1, 1, 1), QR, QS, QR, QS,
+                      ((0,), (0,), (0,), (0,), (0,) if equal_w else (1,)))
+
+
+def _outcome_fields(cand) -> list:
+    return [f.name for f in fields(FRCandidate)
+            if isinstance(getattr(cand, f.name), Outcome)]
+
+
+def test_candidate_holds_its_state_and_five_outcomes():
+    cand = _all_positions_candidate()
+    assert [f.name for f in fields(FRCandidate)] == [
+        "initial", "blocks", "a1", "b1", "u_ok", "w_ok", "w_fail"]
+    assert _outcome_fields(cand) == ["a1", "b1", "u_ok", "w_ok", "w_fail"]
+    assert not hasattr(cand, "outcome")
 
 
 @pytest.mark.parametrize("field", ["a1", "w_fail"])
 @pytest.mark.parametrize("label", [(), (0, 0)], ids=["short", "long"])
 def test_candidate_label_length_enforced(field, label):
-    # each measurement here has one generator, so each label one value
+    # each measurement here has one generator, so each label one value; a
+    # hand-built outcome skips `outcome_for_label`'s length check, so the
+    # candidate makes its own
+    cand = _all_positions_candidate()
+    wrong = Outcome(getattr(cand, field).measurement, label)
     with pytest.raises(DimensionMismatch, match="label needs 1 values"):
-        replace(_all_positions_candidate(), **{field: label})
+        replace(cand, **{field: wrong})
+
+
+@pytest.mark.parametrize("label, error, message", [
+    ((2,), ValueError, "not field elements"),
+    ((-1,), ValueError, "not field elements"),
+    ((True,), TypeError, "cannot coerce True")])
+def test_candidate_refuses_a_label_that_is_no_field_element(label, error,
+                                                            message):
+    # a hand-built outcome keeps its label as given; W=fail labeled 2 at
+    # d = 2 would compare unequal to W=ok labeled 0, the same outcome
+    cand = _all_positions_candidate(equal_w=True)
+    wrong = Outcome(cand.w_fail.measurement, label)
+    with pytest.raises(error, match=message):
+        replace(cand, w_fail=wrong)
+
+
+def test_candidate_refuses_w_outcomes_of_two_measurements():
+    # W=fail of a momentum measurement on S, W=ok of the position one
+    cand = _all_positions_candidate()
+    ps = Measurement(cand.space, rref(F2, 8, [(0, 0, 0, 0, 0, 1, 0, 0)]))
+    with pytest.raises(DimensionMismatch, match="W's ok and fail belong to "
+                                                "different measurements"):
+        replace(cand, w_fail=Outcome(ps, (1,)))
+    # the same subspace in a second `Measurement` is the same measurement
+    again = Measurement(cand.space, QS)
+    assert replace(cand, w_fail=Outcome(again, (1,))).w_fail == cand.w_fail
+
+
+@pytest.mark.parametrize("names, agent", [
+    (("a1",), "A"), (("b1",), "B"), (("u_ok",), "U"),
+    (("w_ok", "w_fail"), "W")])
+def test_candidate_refuses_an_outcome_on_another_space(names, agent):
+    # the same coordinates over Z_3: a space of the same shape, not the
+    # state's; W's two outcomes move together, so they share a measurement
+    cand = _all_positions_candidate()
+    other = discrete_space(3, 4)
+    moved = {}
+    for name in names:
+        out = getattr(cand, name)
+        m = Measurement(other, rref(other.field, 8,
+                                    out.measurement.observables.basis))
+        moved[name] = Outcome(m, out.label)
+    with pytest.raises(DimensionMismatch, match=f"{agent}'s outcome lives "
+                                                "on another space"):
+        replace(cand, **moved)
 
 
 def test_distinct_w_candidate_fails_condition_seven():
@@ -125,18 +204,10 @@ def test_distinct_w_candidate_fails_condition_seven():
 
 
 def test_candidate_block_support_enforced():
-    space = discrete_space(2, 4)
-    state = state_from_values(
-        space, [(tuple(1 if j == 2 * i else 0 for j in range(8)), 0)
-                for i in range(4)])
     with pytest.raises(DimensionMismatch, match="V_A leaves its block"):
-        FRCandidate(
-            initial=state, blocks=(1, 1, 1, 1),
-            v_a=rref(F2, 8, [(0, 0, 1, 0, 0, 0, 0, 0)]),  # on A, not R
-            v_b=rref(F2, 8, [(0, 0, 0, 0, 1, 0, 0, 0)]),
-            v_u=rref(F2, 8, [(1, 0, 0, 0, 0, 0, 0, 0)]),
-            v_w=rref(F2, 8, [(0, 0, 0, 0, 1, 0, 0, 0)]),
-            a1=(0,), b1=(0,), u_ok=(0,), w_ok=(0,), w_fail=(1,))
+        _candidate(_position_state(4), (1, 1, 1, 1),
+                   rref(F2, 8, [(0, 0, 1, 0, 0, 0, 0, 0)]),  # on A, not R
+                   QS, QR, QS)
 
 
 @pytest.mark.parametrize("blocks, systems", [
@@ -149,10 +220,7 @@ def test_candidate_blocks_follow_the_layout(blocks, systems):
     # system next to it
     assert _fr_systems(blocks) == {x: range(*r) for x, r in systems.items()}
     n = sum(blocks)
-    space = discrete_space(2, n)
-    state = state_from_values(
-        space, [(tuple(1 if j == 2 * i else 0 for j in range(2 * n)), 0)
-                for i in range(n)])
+    state = _position_state(n)
 
     def q_on(system):
         return rref(F2, 2 * n, [tuple(1 if j == 2 * system else 0
@@ -162,10 +230,7 @@ def test_candidate_blocks_follow_the_layout(blocks, systems):
 
     def candidate(agent, system):
         v = dict(subs, **{agent: q_on(system)})
-        return FRCandidate(
-            initial=state, blocks=blocks,
-            v_a=v["A"], v_b=v["B"], v_u=v["U"], v_w=v["W"],
-            a1=(0,), b1=(0,), u_ok=(0,), w_ok=(0,), w_fail=(1,))
+        return _candidate(state, blocks, *(v[x] for x in "ABUW"))
 
     for agent, (start, stop) in systems.items():
         candidate(agent, start)
@@ -187,19 +252,20 @@ def test_all_seven_conditions_force_equal_w_outcomes():
 
 
 def test_every_stored_label_is_read():
-    # replacing any one label the candidate stores moves the report, so it
-    # stores none that the conditions and the W comparison do not read
+    # replacing the label of any one outcome the candidate stores moves the
+    # report, so it stores none that the conditions and the W comparison
+    # do not read
     cand = _all_positions_candidate(equal_w=True)
 
     def seen(c):
         rep = check_fr_conditions(c)
         return rep.conditions, rep.w_outcomes_equal
 
-    labels = [f.name for f in fields(FRCandidate) if f.name != "blocks"
-              and isinstance(getattr(cand, f.name), tuple)]
-    assert {"a1", "b1", "u_ok", "w_ok", "w_fail"} <= set(labels)
-    for name in labels:
-        flipped = tuple(1 - x for x in getattr(cand, name))
+    names = _outcome_fields(cand)
+    assert {"a1", "b1", "u_ok", "w_ok", "w_fail"} <= set(names)
+    for name in names:
+        out = getattr(cand, name)
+        flipped = Outcome(out.measurement, tuple(1 - x for x in out.label))
         assert seen(replace(cand, **{name: flipped})) != seen(cand), name
 
 
@@ -212,12 +278,7 @@ def test_correlated_pairs_candidate_fails_a_subset_condition():
         [(1, 0, 1, 0, 0, 0, 0, 0), (0, 1, 0, 1, 0, 0, 0, 0),
          (0, 0, 0, 0, 1, 0, 1, 0), (0, 0, 0, 0, 0, 1, 0, 1)],
         (0,) * 8)
-    qr = rref(F2, 8, [(1, 0, 0, 0, 0, 0, 0, 0)])
-    qs = rref(F2, 8, [(0, 0, 0, 0, 1, 0, 0, 0)])
-    cand = FRCandidate(
-        initial=state, blocks=(1, 1, 1, 1),
-        v_a=qr, v_b=qs, v_u=qr, v_w=qs,
-        a1=(0,), b1=(0,), u_ok=(0,), w_ok=(0,), w_fail=(1,))
+    cand = _candidate(state, (1, 1, 1, 1), QR, QS, QR, QS)
     rep = check_fr_conditions(cand)
     assert not rep.conditions[0]  # V_B not reachable from U's commutant
     assert not rep.all_hold
@@ -615,7 +676,8 @@ def _set_level_conditions(c):
     def span_set(sub):
         return set(enumerate_subspace(sub))
 
-    VU, VB, VA, VW = map(span_set, (c.v_u, c.v_b, c.v_a, c.v_w))
+    VU, VB, VA, VW = (span_set(x.measurement.observables)
+                      for x in (c.u_ok, c.b1, c.a1, c.w_ok))
 
     def commutant(meas_set):
         return {f for f in V
@@ -635,17 +697,17 @@ def _set_level_conditions(c):
 
     def comb(*keys):
         out = [0] * n
-        for vec in (c.outcome(key).coset().shift for key in keys):
+        for vec in (getattr(c, key).coset().shift for key in keys):
             out = [(s_i + x_i) % p for s_i, x_i in zip(out, vec)]
         return tuple((s_i - v_i) % p for s_i, v_i in zip(out, v))
 
     return (VB <= sumset(KU, VU),
             VA <= sumset(KB, VB),
             VW <= sumset(KA, VA),
-            perp_contains(sumset(VU, VW) & V, comb("U=ok", "W=ok")),
-            perp_contains(sumset(VB, VU) & KU, comb("B=1", "U=ok")),
-            perp_contains(sumset(VB, VA) & KB, comb("A=1", "B=1")),
-            perp_contains(sumset(VA, VW) & KA, comb("A=1", "W=fail")))
+            perp_contains(sumset(VU, VW) & V, comb("u_ok", "w_ok")),
+            perp_contains(sumset(VB, VU) & KU, comb("b1", "u_ok")),
+            perp_contains(sumset(VB, VA) & KB, comb("a1", "b1")),
+            perp_contains(sumset(VA, VW) & KA, comb("a1", "w_fail")))
 
 
 def test_conditions_match_literal_set_enumeration(rng, monkeypatch):
@@ -665,11 +727,12 @@ def test_conditions_match_literal_set_enumeration(rng, monkeypatch):
     for d, blocks in ((3, (1, 1, 1, 1)), (2, (1, 2, 1, 1))):
         scenarios._fr_sampled_search(d, blocks, random.Random(13), 100, 0)
     assert len(cands) == 40 + len(benign) + 200
-    # the sampled search's seeded draws: states, subspaces and the five
-    # labels each candidate holds
-    keys = ("A=1", "B=1", "U=ok", "W=ok", "W=fail")
-    drawn = "".join(repr((c.initial, c.v_a, c.v_b, c.v_u, c.v_w,
-                          [tuple(c.outcome(k).label) for k in keys]))
+    # the sampled search's seeded draws: states, the subspaces of the four
+    # measurements and the labels of the five outcomes each candidate holds
+    drawn = "".join(repr((c.initial, *(x.measurement.observables for x in
+                                       (c.a1, c.b1, c.u_ok, c.w_ok)),
+                          [x.label for x in (c.a1, c.b1, c.u_ok, c.w_ok,
+                                             c.w_fail)]))
                     for c in cands[-200:])
     assert f"{zlib.crc32(drawn.encode()):08x}" == "5ca04741"
     seen = set()
@@ -679,6 +742,24 @@ def test_conditions_match_literal_set_enumeration(rng, monkeypatch):
         seen.update(enumerate(conditions))
     # every condition is seen both holding and failing
     assert seen == {(i, x) for i in range(7) for x in (False, True)}
+
+
+def test_a_spot_check_builds_only_the_joint_outcome_from_a_label(
+        monkeypatch):
+    # the candidate holds its five outcomes, so a spot check, its
+    # sequential walk included, rebuilds none of them from a label: the one
+    # `outcome_for_label` is P(ok, ok)'s joint U+W outcome
+    from toytheory import measurement
+    t = _fr_tables()
+    checks = [(_random_fr_tuple(t, random.Random(seed)), True)
+              for seed in range(3)]
+    calls = {}
+    count_calls(monkeypatch, measurement, "outcome_for_label", calls)
+    for check in checks:
+        calls.clear()
+        result = scenarios._fr_spot_checks(t, [check])
+        assert result["checked"] == result["sequential_checked"] == 1
+        assert calls == {"outcome_for_label": 1}
 
 
 def test_sequential_reading_never_assembles_paradox(rng):
@@ -990,12 +1071,12 @@ def test_broken_packed_kernel_fails_the_scan_and_spares_the_oracle(
                    != check_fr_conditions(cand).conditions
                    for tup, cand in zip(tuples, cands))
         for cand in cands:
-            m = cand.measurements()
             for key, pa, po, ca, co in scenarios._FR_CHAIN:
-                args = (cand.initial, m[pa], cand.outcome(po), m[ca],
-                        cand.outcome(co))
+                x, y = getattr(cand, po), getattr(cand, co)
+                args = (cand.initial, x.measurement, x, y.measurement, y)
                 assert (oracle_conditional(*args) == 1) == infers(*args)
-            for meas in m.values():
+            for meas in (x.measurement for x in (cand.a1, cand.b1,
+                                                 cand.u_ok, cand.w_ok)):
                 for out in outcomes(meas):
                     assert oracle_probability(cand.initial, meas, out) == \
                         outcome_probability(cand.initial, meas, out)

@@ -49,6 +49,25 @@ def test_state_requires_generators():
         maximally_mixed(discrete_space(2, 1))
 
 
+# JSON's true and false, which Python would read as the ints 1 and 0
+BOOLEAN_DOCS = [
+    {"field": "prime", "d": 2, "n": True, "generators": [[1, 0]],
+     "valuation": [0, 0]},
+    {"field": "prime", "d": True, "n": 1, "generators": [[1, 0]],
+     "valuation": [0, 0]},
+    {"field": "prime", "d": 2, "n": 1, "generators": [[True, False]],
+     "valuation": [0, 0]},
+    {"field": "rational", "n": 1, "generators": [[1, 0]],
+     "valuation": [False, 0]},
+]
+
+
+@pytest.mark.parametrize("doc", BOOLEAN_DOCS)
+def test_boolean_entries_and_sizes_are_refused(doc):
+    with pytest.raises(TypeError, match="True|False"):
+        serialize.state_from_json(doc)
+
+
 def test_transform_roundtrip():
     t = cnot_gate(SP2, 0, 1)
     doc = json.loads(json.dumps(serialize.transform_to_json(t)))
@@ -180,6 +199,19 @@ def test_cli_float_entries_exit1(tmp_path, doc):
     assert r.returncode == 1
     assert r.stdout == ""
     assert r.stderr.startswith("input error:")
+    assert len(r.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("doc", BOOLEAN_DOCS)
+def test_cli_boolean_entries_exit1(tmp_path, doc):
+    # "d": true once exited 2 with "d=1 is not prime"
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    r = _run(["state", "show", str(path)])
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("input error:")
+    assert "True" in r.stderr or "False" in r.stderr
     assert len(r.stderr.strip().splitlines()) == 1
 
 
@@ -458,6 +490,20 @@ def test_cli_scenario_bell_and_condprep(files):
     doc = json.loads(r.stdout)
     assert doc["verdict"]["matches_no_go"] is True
     assert doc["config"] == {"d": 2, "targets": ["0", "1"], "ancilla": 0}
+
+
+@pytest.mark.parametrize("targets, names", [
+    ("0,0", ["0", "0"]), ("0, 0", ["0", "0"]), ("+, +", ["+", "+"]),
+    ("0, +", ["0", "+"])])
+def test_cli_condprep_search_compares_target_states(targets, names):
+    # a space after the comma names the same state: identical targets can
+    # be prepared, and the config records the names without the space
+    r = _run(["--format", "json", "scenario", "condprep-search",
+              "--targets", targets])
+    assert r.returncode == 0, r.stdout
+    doc = json.loads(r.stdout)
+    assert doc["passed"] and doc["verdict"]["matches_no_go"] is True
+    assert doc["config"]["targets"] == names
 
 
 def test_cli_condprep_search_with_a_memory_ancilla():

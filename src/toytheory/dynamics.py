@@ -342,7 +342,15 @@ class ConditionalPrepSpec:
     """A measure-then-prepare scenario: a family of source states sharing the
     known set V_S whose valuations partition the source ontic space, the
     target's initial state, and (optionally) the marginals one wishes to
-    prepare conditioned on each source outcome."""
+    prepare conditioned on each source outcome.
+
+    It checks itself when built, so a search is never asked a malformed
+    question: a rational field raises `ContinuousNotEnumerable`,
+    valuations that do not partition the source ontic space raise
+    `ValueError`, a target over another field than the source's, or a
+    desired target on another space than the target's, raises
+    `DimensionMismatch`, and desired targets that are not one per source
+    outcome raise `ValueError`."""
 
     source_space: PhaseSpace
     source_known: Subspace
@@ -362,6 +370,12 @@ class ConditionalPrepSpec:
             raise ValueError(
                 "source valuations must partition the source ontic space "
                 f"({k} distinct outcomes required)")
+        target = self.target_initial.space
+        if target.field != field or any(
+                t.space != target for t in self.desired_targets):
+            raise DimensionMismatch("a target lives on another space or field")
+        if self.desired_targets and len(self.desired_targets) != k:
+            raise ValueError("need one desired target per source outcome")
 
     def source_states(self) -> list[EpistemicState]:
         return [make_state(self.source_space, self.source_known.basis, v)
@@ -572,8 +586,6 @@ def find_conditional_transform(spec: ConditionalPrepSpec,
     if not spec.desired_targets:
         raise ValueError("spec has no desired targets to realize")
     desired = tuple(spec.desired_targets)
-    if len(desired) != len(spec.source_valuations):
-        raise ValueError("need one desired target per source outcome")
     if ancilla_systems < 0:
         raise ValueError(
             f"ancilla_systems must be at least 0, got {ancilla_systems}")

@@ -2,9 +2,12 @@
 
 A measurement is an isotropic subspace V_π of jointly measurable observables;
 an outcome fixes the value each canonical generator g of V_π takes, the
-constraints g.x = label.  A state (V, v) states the constraints g.x = g.v for
-g in V.  Certainty is a lookup: the outcome is certain iff every g is known
-and g.v is its label.  Probability is one `_solve_augmented` of the state's
+constraints g.x = label.  Both check themselves when built: V_π lies on the
+measurement's space and is isotropic, and a label holds one field element per
+generator.  The queries below trust them, and trust a state as `make_state`
+built it.  A state (V, v) states the constraints g.x = g.v for g in V.
+Certainty is a lookup: the outcome is certain iff every g is known and g.v
+is its label.  Probability is one `_solve_augmented` of the state's
 and the outcome's stacked constraints.  Update and inference run
 `_commuting_meet`, one elimination whose bracket block sets V's
 non-commuting part aside and leaves V' = V_π ⊕ V_commute, the known
@@ -48,8 +51,20 @@ from .states import EpistemicState
 
 @dataclass(frozen=True)
 class Measurement:
+    """The observables V_π measured together, a canonical subspace of
+    ``space``'s phase space.  It checks itself when built: V_π over
+    another field or ambient dimension raises `DimensionMismatch`, and
+    observables that do not commute pairwise raise `NotIsotropic`."""
+
     space: PhaseSpace
     observables: Subspace  # canonical, isotropic
+
+    def __post_init__(self):
+        sub, space = self.observables, self.space
+        if (sub.field, sub.ambient_dim) != (space.field, space.ambient_dim):
+            raise DimensionMismatch("measured observables on another space")
+        if not is_isotropic(sub):
+            raise NotIsotropic("measured observables must commute pairwise")
 
     def __repr__(self):
         gens = ", ".join(str(list(g)) for g in self.observables.basis)
@@ -58,8 +73,23 @@ class Measurement:
 
 @dataclass(frozen=True)
 class Outcome:
+    """One outcome of a measurement: its label, the values its canonical
+    generators take.  It checks itself when built: a label of the wrong
+    length raises `DimensionMismatch`, and one that is not a tuple of
+    field elements (a list, or 2 at d = 2) raises `ValueError`, so every
+    query reads a well-formed label and equal outcomes have equal labels."""
+
     measurement: Measurement
     label: tuple  # values of the canonical generators, the outcome itself
+
+    def __post_init__(self):
+        m, label = self.measurement, self.label
+        if len(label) != m.observables.dim:
+            raise DimensionMismatch(
+                f"label needs {m.observables.dim} values, got {len(label)}")
+        if label != m.space.field.vector(label):
+            raise ValueError(f"label {label} holds values that are not "
+                             "field elements")
 
     def coset(self) -> Coset:
         m = self.measurement
@@ -78,12 +108,9 @@ def label_text(label: tuple) -> str:
 
 def make_measurement(space: PhaseSpace, observables: Iterable) -> Measurement:
     # rref coerces each row and checks its length
-    sub = rref(space.field, space.ambient_dim,
-               [g.coeffs if isinstance(g, Observable) else g
-                for g in observables])
-    if not is_isotropic(sub):
-        raise NotIsotropic("measured observables must commute pairwise")
-    return Measurement(space, sub)
+    return Measurement(space, rref(space.field, space.ambient_dim,
+                                  [g.coeffs if isinstance(g, Observable)
+                                   else g for g in observables]))
 
 
 def outcome_from_valuation(m: Measurement, valuation: Iterable) -> Outcome:
@@ -100,11 +127,7 @@ def outcome_from_valuation(m: Measurement, valuation: Iterable) -> Outcome:
 def outcome_for_label(m: Measurement, label: Iterable) -> Outcome:
     """The outcome on which each canonical generator takes the given value
     (independent generators take every label)."""
-    values = m.space.field.vector(label)
-    if len(values) != m.observables.dim:
-        raise DimensionMismatch(
-            f"label needs {m.observables.dim} values, got {len(values)}")
-    return Outcome(m, values)
+    return Outcome(m, m.space.field.vector(label))
 
 
 def outcomes(m: Measurement) -> list[Outcome]:
@@ -210,9 +233,10 @@ def update_state(s: EpistemicState, m: Measurement, out: Outcome) -> EpistemicSt
     """Post-measurement state: keep commuting knowledge, adjoin the outcome.
 
     One `_commuting_meet` gives V' = V_π ⊕ V_commute, isotropic as both
-    parts are and they commute (so no `make_state` re-validation), and a
-    point x[pivot] = value meeting the constraints on V'; all such points
-    are one state, stored canonically (x reduced modulo V'^⊥).  A conflict
+    parts are (`Measurement` checks V_π when built) and they commute (so
+    no `make_state` re-validation), and a point x[pivot] = value meeting
+    the constraints on V'; all such points are one state, stored
+    canonically (x reduced modulo V'^⊥).  A conflict
     raises `ImpossibleOutcome`, and over QQ rank[V; V_π] ≠ dim V raises
     `NotPointMass`.  `branches` gives the same state for every outcome.
     """

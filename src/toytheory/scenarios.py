@@ -228,11 +228,12 @@ class FRCandidate:
     and W=fail, each an `Outcome`, so V_X is the measurement of X's
     outcome.  Measurement subspaces are block-local: each V_X lies on the
     systems `_fr_systems` gives agent X (V_A on R, V_B on S, V_U on R+A,
-    V_W on S+B).  Every outcome lives on the state's space, W's ok and
-    fail belong to one measurement, and a label of the wrong length raises
-    DimensionMismatch; a label entry that is not a field element, such as
-    2 at d = 2, raises ValueError.  W's ok and fail may be the same
-    outcome; `check_fr_conditions` reports whether they are.
+    V_W on S+B).  It checks what its parts cannot: every outcome lives on
+    the state's space, W's ok and fail belong to one measurement, and each
+    V_X stays in its block (each raising DimensionMismatch).  Each
+    `Outcome` has already checked its label and each `Measurement` its
+    isotropy.  W's ok and fail may be the same outcome;
+    `check_fr_conditions` reports whether they are.
     """
 
     initial: EpistemicState
@@ -253,19 +254,11 @@ class FRCandidate:
                                     "measurements")
         for agent, out in zip("ABUWW", (self.a1, self.b1, self.u_ok,
                                         self.w_ok, self.w_fail)):
-            basis = out.measurement.observables.basis
             if out.measurement.space != space:
                 raise DimensionMismatch(
                     f"{agent}'s outcome lives on another space than the state")
-            if len(out.label) != len(basis):
-                raise DimensionMismatch(
-                    f"label needs {len(basis)} values, got {len(out.label)}")
-            if out.label != space.field.vector(out.label):
-                # outcomes compare by label, so (2,) would differ from (0,)
-                raise ValueError(f"{agent}'s label {out.label} holds values "
-                                 "that are not field elements")
             if not all(supported_systems(space, g) <= set(systems[agent])
-                       for g in basis):
+                       for g in out.measurement.observables.basis):
                 raise DimensionMismatch(f"V_{agent} leaves its block")
 
     @property

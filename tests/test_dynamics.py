@@ -621,3 +621,31 @@ def test_conditional_spec_requires_partition():
             source_space=SP1, source_known=rref(F2, 2, [(1, 0)]),
             source_valuations=((0, 0), (0, 1)),  # same outcome twice
             target_initial=toy_bit("0"))
+
+
+def _d3_position(value):
+    return make_state(discrete_space(3, 1), [(1, 0)], (value, 0))
+
+
+@pytest.mark.parametrize("targets", [
+    (bell_pair(), bell_pair()), (_d3_position(0), _d3_position(1)),
+    (toy_bit("0"), bell_pair())], ids=["two-bit", "d3", "one-of-two"])
+def test_conditional_spec_refuses_targets_on_another_space(targets):
+    # these once searched all 720·16 transforms and reported a no-go for a
+    # question that was malformed
+    with pytest.raises(DimensionMismatch, match="another space or field"):
+        _z_partition_spec(targets)
+
+
+def test_conditional_spec_refuses_a_target_over_another_field():
+    with pytest.raises(DimensionMismatch, match="another space or field"):
+        ConditionalPrepSpec(
+            source_space=SP1, source_known=rref(F2, 2, [(1, 0)]),
+            source_valuations=((0, 0), (1, 0)),
+            target_initial=_d3_position(0))
+
+
+@pytest.mark.parametrize("targets", [(toy_bit("0"),), (toy_bit("0"),) * 3])
+def test_conditional_spec_needs_one_desired_target_per_outcome(targets):
+    with pytest.raises(ValueError, match="need one desired target"):
+        _z_partition_spec(targets)

@@ -2,18 +2,21 @@ from fractions import Fraction
 
 import pytest
 
+from toytheory import measurement
 from toytheory.algebra import (
-    GF, QQ, dot, enumerate_coset, orthogonal_complement, vec_add, vec_sub,
+    GF, QQ, dot, enumerate_coset, orthogonal_complement, rref, vec_add,
+    vec_sub,
 )
 from toytheory.errors import (
     ContinuousNotEnumerable, DimensionMismatch, ImpossibleOutcome,
     NotIsotropic, NotPointMass,
 )
 from toytheory.measurement import (
-    infers, inference_conditions, is_certain, make_measurement,
-    outcome_for_label, outcome_from_valuation, outcome_probability, outcomes,
-    sample_outcome, update_state,
+    Measurement, Outcome, infers, inference_conditions, is_certain,
+    make_measurement, outcome_for_label, outcome_from_valuation,
+    outcome_probability, outcomes, sample_outcome, update_state,
 )
+from toytheory.oracle import oracle_probability
 from toytheory.phase_space import (
     bracket_vectors, discrete_space, rational_space,
 )
@@ -21,7 +24,7 @@ from toytheory.states import (
     bell_pair, make_state, states_equal, tensor, toy_bit,
 )
 
-from conftest import random_vector
+from conftest import count_calls, random_vector
 
 F2 = GF(2)
 SP1 = discrete_space(2, 1)
@@ -342,3 +345,60 @@ def test_outcomes_are_equal_exactly_when_their_labels_are(space, rng):
         assert all(outcome_from_valuation(m, pt).label == lab
                    for pt in points)
     assert seen == {True, False}
+
+
+# A measurement and an outcome check themselves when built, so no query can
+# be handed one its factory would have refused.
+
+@pytest.mark.parametrize("label, error, message", [
+    ((), DimensionMismatch, "label needs 1 values, got 0"),
+    ((0, 1), DimensionMismatch, "label needs 1 values, got 2"),
+    ([0], ValueError, "not field elements"),
+    ((2,), ValueError, "not field elements"),
+    ((-1,), ValueError, "not field elements"),
+    ((True,), TypeError, "cannot coerce True")],
+    ids=["short", "long", "list", "2", "-1", "bool"])
+def test_outcome_refuses_a_malformed_label(label, error, message):
+    with pytest.raises(error, match=message):
+        Outcome(MZ1, label)
+
+
+def test_outcome_keeps_a_label_of_field_elements():
+    assert Outcome(MZ1, (1,)) == outcome_for_label(MZ1, (3,))
+    assert Outcome(make_measurement(SP1, []), ()).label == ()
+    # over QQ an int equals its Fraction, so (1,) is already a field element
+    mq = make_measurement(rational_space(1), [(1, 0)])
+    assert Outcome(mq, (1,)) == outcome_for_label(mq, ("1",))
+
+
+def test_measurement_refuses_observables_that_do_not_commute():
+    with pytest.raises(NotIsotropic, match="must commute pairwise"):
+        Measurement(SP1, rref(F2, 2, [(1, 0), (0, 1)]))
+
+
+@pytest.mark.parametrize("sub", [rref(GF(3), 2, [(1, 0)]),
+                                 rref(F2, 4, [(1, 0, 0, 0)])],
+                         ids=["field", "ambient"])
+def test_measurement_refuses_observables_on_another_space(sub):
+    with pytest.raises(DimensionMismatch, match="on another space"):
+        Measurement(SP1, sub)
+
+
+def test_hand_built_malformed_queries_are_refused_at_construction():
+    # each once reached a query: () read as certain with P = 1, (2,) as
+    # P = 1 yet not certain, and <q, p> updated toy0 to know both q and p
+    toy0 = toy_bit("0")
+    with pytest.raises(DimensionMismatch, match="label needs"):
+        outcome_probability(toy0, MZ1, Outcome(MZ1, ()))
+    with pytest.raises(ValueError, match="not field elements"):
+        oracle_probability(toy0, MZ1, Outcome(MZ1, (2,)))
+    with pytest.raises(NotIsotropic, match="must commute pairwise"):
+        update_state(toy0, Measurement(SP1, rref(F2, 2, [(1, 0), (0, 1)])),
+                     Outcome(MZ1, (0,)))
+
+
+def test_make_measurement_tests_isotropy_once(monkeypatch):
+    calls = {}
+    count_calls(monkeypatch, measurement, "is_isotropic", calls)
+    make_measurement(SP2, [(1, 0, 0, 0), (0, 0, 1, 0)])
+    assert calls == {"is_isotropic": 1}

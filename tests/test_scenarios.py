@@ -142,12 +142,12 @@ def test_candidate_holds_its_state_and_five_outcomes():
 @pytest.mark.parametrize("field", ["a1", "w_fail"])
 @pytest.mark.parametrize("label", [(), (0, 0)], ids=["short", "long"])
 def test_candidate_label_length_enforced(field, label):
-    # each measurement here has one generator, so each label one value; a
-    # hand-built outcome skips `outcome_for_label`'s length check, so the
-    # candidate makes its own
+    # each measurement here has one generator, so each label one value; the
+    # hand-built outcome refuses the wrong length itself, before the
+    # candidate sees it
     cand = _all_positions_candidate()
-    wrong = Outcome(getattr(cand, field).measurement, label)
     with pytest.raises(DimensionMismatch, match="label needs 1 values"):
+        wrong = Outcome(getattr(cand, field).measurement, label)
         replace(cand, **{field: wrong})
 
 
@@ -157,11 +157,11 @@ def test_candidate_label_length_enforced(field, label):
     ((True,), TypeError, "cannot coerce True")])
 def test_candidate_refuses_a_label_that_is_no_field_element(label, error,
                                                             message):
-    # a hand-built outcome keeps its label as given; W=fail labeled 2 at
+    # the hand-built outcome refuses the label itself: W=fail labeled 2 at
     # d = 2 would compare unequal to W=ok labeled 0, the same outcome
     cand = _all_positions_candidate(equal_w=True)
-    wrong = Outcome(cand.w_fail.measurement, label)
     with pytest.raises(error, match=message):
+        wrong = Outcome(cand.w_fail.measurement, label)
         replace(cand, w_fail=wrong)
 
 
